@@ -12,7 +12,6 @@ residuals, tolerances and scope labels.
 from .linalg import (
     TOL_CONSTRUCT,
     TOL_DERIVED,
-    TOL_GRID,
     AntiLinearOp,
     RealSpan,
     Subspace,

@@ -18,7 +18,6 @@ import sys
 
 from .gauge import (
     MembershipViolated,
-    Perturbation,
     from_unitary,
     doubled_fluctuation,
     fluctuate,
@@ -42,7 +41,7 @@ from .reporting import SCOPE_CONTINUITY, SCOPE_EXACT, CheckRecord, Report, rows_
 from .spectral import OneForm, RealSpectralTriple, check_axioms, verify_aj_properties
 from .staralg import random_unitary
 from .torus import BadParameters, ModeMismatch, NotOnTorus, rational_mode
-from .toric import norm_profile, stratum_scan
+from .toric import jump_verdict, norm_profile, stratum_scan
 
 _PROFILE_COLUMNS = {
     "s3": ["chi", "r", "s", "x", "norm", "stratum", "fiber_dim"],
@@ -118,8 +117,9 @@ def cmd_check(args) -> tuple[Report, None]:
         return rep, None
     triple = model
     rep.extend(check_axioms(triple, tol=args.tol))
-    rep.extend(verify_aj_properties(triple, tol=args.tol or TOL_DERIVED))
-    g = gauge_lie_algebra(triple, tol=args.tol or TOL_DERIVED)
+    tol = TOL_DERIVED if args.tol is None else args.tol
+    rep.extend(verify_aj_properties(triple, tol=tol))
+    g = gauge_lie_algebra(triple, tol=tol)
     rep.extend(g.report)
     rep.context["gauge"] = g.report.context
     return rep, None
@@ -127,7 +127,7 @@ def cmd_check(args) -> tuple[Report, None]:
 
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
-    tol = args.tol or TOL_DERIVED
+    tol = TOL_DERIVED if args.tol is None else args.tol
     dec = localize(triple, seed=args.seed, tol=tol)
     rep = Report(f"localize[{args.model}]",
                  context={"model": args.model, "seed": args.seed,
@@ -158,7 +158,7 @@ def cmd_localize(args) -> tuple[Report, None]:
 def _pure_gauge_report(rep: Report, triple: RealSpectralTriple, seed: int, tol: float) -> None:
     u = random_unitary(triple.algebra, seed=seed)
     pert = from_unitary(triple, u)
-    omega = gauge_field(pert, tol=tol)
+    omega = gauge_field(pert)
     rep.add(CheckRecord.from_residual(
         "field-self-adjoint", "the pure gauge field u[D, u*] is self-adjoint",
         omega.self_adjoint_residual(), tol, SCOPE_EXACT))
@@ -183,7 +183,7 @@ def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int,
         "flip-self-adjoint", "the left-right operator of the perturbation is "
         "flip-invariant",
         pert.flip_residual(), tol, SCOPE_EXACT))
-    omega = gauge_field(pert, tol=tol)
+    omega = gauge_field(pert)
     rep.add(CheckRecord.from_residual(
         "field-self-adjoint", "the associated gauge field is self-adjoint",
         omega.self_adjoint_residual(), tol, SCOPE_EXACT))
@@ -205,7 +205,7 @@ def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int,
 
 def cmd_fluctuate(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
-    tol = args.tol or TOL_DERIVED
+    tol = TOL_DERIVED if args.tol is None else args.tol
     head, _, tail = args.perturbation.partition(":")
     head = head.strip().lower()
     params = _parse_kv(tail)
@@ -243,13 +243,7 @@ def cmd_toric_scan(args) -> tuple[Report, list[dict]]:
     rep.extend(scan)
     rep.context["strata"] = scan.context
 
-    flat = 1e-12  # a constant profile only jumps by float noise
-    if stats["max_jump"] <= flat and stats["max_jump_half_step"] <= flat:
-        ok, resid = True, 0.0
-    else:
-        ratio = stats["jump_ratio"]
-        ok = 0.3 <= ratio <= 0.7
-        resid = abs(ratio - 0.5)
+    ok, resid = jump_verdict(stats)
     rep.add(CheckRecord(
         "profile-jump-halving", "halving the grid step roughly halves the largest "
         "adjacent norm jump", resid, 0.2, ok, SCOPE_CONTINUITY))

@@ -14,8 +14,8 @@ Conventions
   ``K`` before they are evaluated (see :class:`AntiLinearOp`).
 
 Tolerance ladder: construction-level identities are expected to hold at
-``TOL_CONSTRUCT``, identities that chain a few operations at
-``TOL_DERIVED``, and grid continuity statistics at ``TOL_GRID``.
+``TOL_CONSTRUCT`` and identities that chain a few operations at
+``TOL_DERIVED``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from scipy.linalg import null_space
 
 TOL_CONSTRUCT = 1e-10
 TOL_DERIVED = 1e-8
-TOL_GRID = 1e-4
+_CLOSURE_RTOL = 1e-9  # singular-value cut of every closure round
 
 __all__ = [
     "TOL_CONSTRUCT",
     "TOL_DERIVED",
-    "TOL_GRID",
     "as_cmatrix",
     "adjoint",
     "commutator",
@@ -96,13 +95,13 @@ def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0
     """Orthonormal basis (as rows) of the row space of ``stack``.
 
     Singular values below ``max(rtol * s_max, floor)`` are treated as zero.
+    A stack whose Frobenius norm is at most ``floor > 0`` has rank 0 without
+    an SVD: s_max never exceeds the Frobenius norm.
     """
     stack = np.atleast_2d(np.asarray(stack, dtype=complex))
-    if stack.shape[0] == 0 or stack.size == 0:
+    if stack.size == 0 or (floor > 0 and np.linalg.norm(stack) <= floor):
         return np.zeros((0, stack.shape[-1]), dtype=complex)
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, stack.shape[-1]), dtype=complex)
     cut = max(rtol * s[0], floor)
     rank = int(np.sum(s > cut))
     return vh[:rank]
@@ -240,13 +239,46 @@ def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
     return Subspace(ns.T @ dom_stack, shape)
 
 
-def generated_algebra(generators, include_unit: bool = False, rtol: float = 1e-9) -> Subspace:
+def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
+    """Orthonormal row stacks of the smallest product-closed graded span.
+
+    ``seeds[g]`` lists n x n matrices of grade g, for k = len(seeds) grades;
+    a product of grades x and y lands in grade (x + y) mod k.  Semi-naive
+    iteration: each round multiplies only the rows added in the previous
+    round, new x all and old x new, so no product is formed twice.  A grade
+    that already holds n^2 rows takes no more products, and the loop ends
+    once every grade does.
+    """
+    k, full = len(seeds), n * n
+    stacks = [_orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in seeds]
+    fresh = [0] * k
+    while min(len(s) for s in stacks) < full and any(f < len(s) for f, s in zip(fresh, stacks)):
+        mats = [s.reshape(-1, n, n) for s in stacks]
+        grown = list(stacks)
+        for g, stack in enumerate(stacks):
+            if len(stack) >= full:
+                continue
+            pairs = []
+            for x in range(k):  # new x all, old x new
+                y = (g - x) % k
+                pairs += [(mats[x][fresh[x]:], mats[y]), (mats[x][:fresh[x]], mats[y][fresh[y]:])]
+            prods = np.concatenate([np.einsum("aij,bjk->abik", a, b).reshape(-1, full)
+                                    for a, b in pairs])
+            resid = prods - (prods @ stack.conj().T) @ stack
+            extra = _orthonormal_rows(resid, _CLOSURE_RTOL, floor=_CLOSURE_RTOL)
+            grown[g] = np.vstack([stack, extra])
+        fresh = [len(s) for s in stacks]
+        stacks = grown
+    return stacks
+
+
+def generated_algebra(generators, include_unit: bool = False) -> Subspace:
     """Smallest product- and adjoint-closed span containing the generators.
 
     Closure under products of an adjoint-closed spanning set is
     automatically adjoint-closed, so the seed is generators plus their
-    adjoints (plus the identity when requested) and the iteration only
-    multiplies.  The dimension is capped by n^2, which bounds the loop.
+    adjoints (plus the identity when requested) and the closure only
+    multiplies: the ungraded (k = 1) case of the graded closure kernel.
     """
     mats = [as_cmatrix(g) for g in generators]
     if not mats:
@@ -258,28 +290,7 @@ def generated_algebra(generators, include_unit: bool = False, rtol: float = 1e-9
     seed = mats + [adjoint(m) for m in mats]
     if include_unit:
         seed.append(np.eye(n, dtype=complex))
-    stack = _orthonormal_rows(np.stack([m.ravel() for m in seed]), rtol)
-    fresh_from = 0
-    for _ in range(n * n + 2):
-        basis = stack.reshape(-1, n, n)
-        d = basis.shape[0]
-        if d == 0 or d >= n * n:
-            break
-        new = basis[fresh_from:]
-        if new.shape[0] == 0:
-            break
-        old = basis[:fresh_from]
-        blocks = [np.einsum("aij,bjk->abik", new, basis).reshape(-1, n * n)]
-        if old.shape[0]:
-            blocks.append(np.einsum("aij,bjk->abik", old, new).reshape(-1, n * n))
-        prods = np.concatenate(blocks)
-        resid = prods - (prods @ stack.conj().T) @ stack
-        extra = _orthonormal_rows(resid, rtol, floor=rtol)
-        if extra.shape[0] == 0:
-            break
-        fresh_from = d
-        stack = np.vstack([stack, extra])
-    return Subspace(stack, (n, n))
+    return Subspace(_graded_closure([seed], n)[0], (n, n))
 
 
 class AntiLinearOp:

@@ -17,10 +17,8 @@ from .linalg import (
     adjoint,
     as_cmatrix,
     commutator,
-    frobenius,
     nullspace,
     op_norm,
-    trace_inner,
 )
 
 __all__ = [
@@ -60,12 +58,13 @@ class DegenerateDraw(AlgebraError):
 class FiniteStarAlgebra:
     """A *-closed span of matrices with its unit.
 
-    Closure and the unit property are verified at construction; pass
-    pre-verified data only through :func:`subalgebra_from_span`.
+    Closure and the unit property are verified at construction, which
+    keeps the worst product- and adjoint-closure residuals in
+    ``closure_residuals``.
     """
 
     def __init__(self, basis: list[np.ndarray], unit: np.ndarray, label: str = "",
-                 tol: float = 1e-8, _verify: bool = True):
+                 tol: float = 1e-8):
         self.basis = [as_cmatrix(b) for b in basis]
         self.unit = as_cmatrix(unit)
         self.label = label
@@ -73,8 +72,8 @@ class FiniteStarAlgebra:
             raise NotClosed("an algebra needs at least one basis element")
         self.ambient = self.basis[0].shape[0]
         self._stack = np.stack([b.ravel() for b in self.basis])
-        if _verify:
-            self._verify(tol)
+        self._span = Subspace(self._stack, (self.ambient, self.ambient))
+        self.closure_residuals = self._verify(tol)
 
     # -- structure ---------------------------------------------------------
 
@@ -83,19 +82,19 @@ class FiniteStarAlgebra:
         return len(self.basis)
 
     def coordinates(self, a: np.ndarray) -> np.ndarray:
-        return self._stack.conj() @ np.ravel(as_cmatrix(a))
+        return self._span.coordinates(as_cmatrix(a))
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        return (self.coordinates(a) @ self._stack).reshape(self.ambient, self.ambient)
+        return self._span.project(as_cmatrix(a))
 
     def residual(self, a: np.ndarray) -> float:
-        return frobenius(as_cmatrix(a) - self.project(a))
+        return self._span.residual(a)
 
     def contains(self, a: np.ndarray, tol: float = 1e-8) -> bool:
-        return self.residual(a) <= tol * max(1.0, frobenius(a))
+        return self._span.contains(a, tol)
 
     def span(self) -> Subspace:
-        return Subspace(self._stack.copy(), (self.ambient, self.ambient))
+        return self._span
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
         return all(
@@ -118,19 +117,17 @@ class FiniteStarAlgebra:
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, tol: float) -> None:
+    def _verify(self, tol: float) -> tuple[float, float]:
+        """Raise unless closed, orthonormal and unital; return the closure residuals."""
         b = np.stack(self.basis)
         d, n = self.dim, self.ambient
-        prods = np.einsum("aij,bjk->abik", b, b).reshape(d * d, n * n)
-        resid = prods - (prods @ self._stack.conj().T) @ self._stack
-        worst = float(np.max(np.linalg.norm(resid, axis=1))) if resid.size else 0.0
-        if worst > tol:
-            raise NotClosed(f"span not closed under products (residual {worst:.2e})")
-        adj = np.conj(np.swapaxes(b, 1, 2)).reshape(d, n * n)
-        resid = adj - (adj @ self._stack.conj().T) @ self._stack
-        worst = float(np.max(np.linalg.norm(resid, axis=1)))
-        if worst > tol:
-            raise NotClosed(f"span not closed under adjoints (residual {worst:.2e})")
+        closure = []
+        for kind, rows in (("products", np.einsum("aij,bjk->abik", b, b).reshape(d * d, n * n)),
+                           ("adjoints", np.conj(np.swapaxes(b, 1, 2)).reshape(d, n * n))):
+            resid = rows - (rows @ self._stack.conj().T) @ self._stack
+            closure.append(float(np.max(np.linalg.norm(resid, axis=1))))
+            if closure[-1] > tol:
+                raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})")
         gram = self._stack @ self._stack.conj().T
         if op_norm(gram - np.eye(d)) > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product")
@@ -142,6 +139,7 @@ class FiniteStarAlgebra:
             raise NotClosed(f"stored unit does not act as the identity (residual {worst:.2e})")
         if not self.contains(self.unit, 1e-9):
             raise NotClosed("stored unit lies outside the span")
+        return closure[0], closure[1]
 
 
 def _find_unit(stack: np.ndarray, ambient: int) -> np.ndarray:

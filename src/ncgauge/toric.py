@@ -11,8 +11,10 @@ off from which radii vanish, and the fiber at a point is the algebra
 generated by the evaluated generators; its dimension depends only on
 the stratum (scaling a generator by a nonzero scalar never changes a
 generated span).  Norms at a point are maximized over the q*q
-root-of-unity torus coordinates, which at rational phase exhausts the
-fiber norm.
+root-of-unity torus coordinates.  Those evaluations are unitarily
+equivalent, so the max samples one class of irreducible representations
+and misses the fiber norm when net degrees collide mod q: ``a^2 - 1`` at
+q = 2 reads 0 where the sup is 2.
 
 The numbers produced here are rational shadows: the irrational-phase
 fibers are infinite-dimensional algebras this module cannot represent,
@@ -29,7 +31,7 @@ import numpy as np
 
 from .linalg import generated_algebra, op_norm
 from .reporting import SCOPE_CONTINUITY, SCOPE_RATIONAL, CheckRecord, Report
-from .spheres import SphereElement, sphere_one
+from .spheres import SphereElement
 from .torus import (
     ModeMismatch,
     NotOnTorus,
@@ -57,6 +59,7 @@ __all__ = [
     "fiber_norm4",
     "norm_profile",
     "jump_ratio",
+    "jump_verdict",
     "covering_slice_check",
     "stratum_scan",
     "continuity_report",
@@ -323,6 +326,16 @@ def jump_ratio(e: SphereElement, h: float, p: int, q: int, which: str = "s3") ->
     return stats
 
 
+def jump_verdict(stats: dict, lo: float = 0.3, hi: float = 0.7) -> tuple[bool, float]:
+    """Pass flag and residual |ratio - 1/2| of a two-resolution jump statistic.
+
+    A flat profile jumps only by float noise and passes with residual 0.
+    """
+    if stats["max_jump"] <= _FLAT_JUMP and stats["max_jump_half_step"] <= _FLAT_JUMP:
+        return True, 0.0
+    return lo <= stats["jump_ratio"] <= hi, abs(stats["jump_ratio"] - 0.5)
+
+
 def covering_slice_check(u: TorusElement, p: int, q: int, tol: float = 1e-8) -> Report:
     """Phase-of-trace diagnostics for a torus element.
 
@@ -440,13 +453,7 @@ def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int
     for i, e in enumerate(polynomials):
         stats = jump_ratio(e, h, p, q, which)
         ratios.append(stats)
-        # a flat profile only jumps by float noise; its ratio is meaningless
-        if stats["max_jump"] <= _FLAT_JUMP and stats["max_jump_half_step"] <= _FLAT_JUMP:
-            ok = True
-            resid = 0.0
-        else:
-            ok = lo <= stats["jump_ratio"] <= hi
-            resid = abs(stats["jump_ratio"] - 0.5)
+        ok, resid = jump_verdict(stats, lo, hi)
         rep.add(CheckRecord(
             f"jump-halving-{i}", "halving the grid step roughly halves the largest "
             "adjacent norm jump",

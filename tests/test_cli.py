@@ -164,3 +164,19 @@ def test_tol_override_is_recorded(capsys):
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["commutant-property"]["tolerance"] == 1e-3
     assert by_name["order-one-condition"]["tolerance"] == 1e-3
+
+
+@pytest.mark.parametrize("argv,names", [
+    (("check", "hs:N=2"), ("commutant-property", "defining-condition", "bracket-form")),
+    (("localize", "ym:k=2,N=2"), ("section-multiplicative", "norm-sup-identity",
+                                  "one-forms-localize")),
+    (("fluctuate", "hs:N=2", "pure"), ("field-self-adjoint", "pure-gauge-identity")),
+])
+def test_tol_zero_is_not_replaced(capsys, argv, names):
+    code, out, _ = run(capsys, *argv, "--tol", "0")
+    assert code in (0, 1)
+    doc = json.loads(out)
+    assert doc["context"]["tol_override"] == 0.0
+    by_name = {c["name"]: c for c in doc["checks"]}
+    for name in names:
+        assert by_name[name]["tolerance"] == 0.0

@@ -1,0 +1,35 @@
+"""Every exported name, and every function the benchmark traces, resolves."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import ncgauge
+
+MODULES = sorted(f"ncgauge.{m.name}" for m in pkgutil.iter_modules(ncgauge.__path__))
+SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(name)
+    missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_perfbench_spans_resolve():
+    """The traced run looks each path up in its owner's own namespace."""
+    tree = ast.parse(SPANS_FILE.read_text(encoding="utf-8"))
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    assert spans
+    for _, module_name, path in spans:
+        owner = importlib.import_module(module_name)
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        assert attr in vars(owner), f"{module_name}.{path}"
