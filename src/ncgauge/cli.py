@@ -119,7 +119,7 @@ def cmd_check(args) -> tuple[Report, None]:
     rep.extend(check_axioms(triple, tol=args.tol))
     tol = TOL_DERIVED if args.tol is None else args.tol
     rep.extend(verify_aj_properties(triple, tol=tol))
-    g = gauge_lie_algebra(triple, tol=tol)
+    g = gauge_lie_algebra(triple, tol=args.tol)
     rep.extend(g.report)
     rep.context["gauge"] = g.report.context
     return rep, None
@@ -128,7 +128,7 @@ def cmd_check(args) -> tuple[Report, None]:
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
     tol = TOL_DERIVED if args.tol is None else args.tol
-    dec = localize(triple, seed=args.seed, tol=tol)
+    dec = localize(triple, seed=args.seed, tol=args.tol)
     rep = Report(f"localize[{args.model}]",
                  context={"model": args.model, "seed": args.seed,
                           "tol_override": args.tol,

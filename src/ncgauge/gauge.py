@@ -102,13 +102,16 @@ class GaugeLieAlgebra:
         return self.span.dim
 
 
-def gauge_lie_algebra(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -> GaugeLieAlgebra:
+def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> GaugeLieAlgebra:
     """The gauge Lie algebra with the dimension identity and bracket checks.
 
     dim g = dim u(A) - dim u(A_J): the kernel of X -> pi(X) + JXJ^-1 on
     skew elements is exactly u(A_J).  Brackets of generators match the
-    image of [X, X'] and stay inside the span.
+    image of [X, X'] and stay inside the span.  Skewness is checked at
+    1e-9, the rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
     """
+    t_skew = tol if tol is not None else 1e-9
+    tol = tol if tol is not None else TOL_DERIVED
     skew = skew_hermitian_basis(triple.algebra)
     gens = []
     for x in skew:
@@ -123,7 +126,7 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -> G
                  context={"dim": span.dim, "u_A_dim": len(skew), "u_AJ_dim": aj.dim})
     rep.add(CheckRecord.from_residual(
         "skew-images", "every generator is skew-hermitian on H",
-        max(op_norm(t + adjoint(t)) for _, t in gens), 1e-9, SCOPE_EXACT))
+        max(op_norm(t + adjoint(t)) for _, t in gens), t_skew, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "dimension-identity", "dim g equals dim u(A) - dim u(A_J)",
         float(abs(span.dim - expected)), 0.5, SCOPE_EXACT))

@@ -21,7 +21,6 @@ Tolerance ladder: construction-level identities are expected to hold at
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import null_space
 
 TOL_CONSTRUCT = 1e-10
 TOL_DERIVED = 1e-8
@@ -94,13 +93,15 @@ def right_mult_matrix(b: np.ndarray) -> np.ndarray:
 def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of ``stack``.
 
-    Singular values below ``max(rtol * s_max, floor)`` are treated as zero.
-    A stack whose Frobenius norm is at most ``floor > 0`` has rank 0 without
-    an SVD: s_max never exceeds the Frobenius norm.
+    The one SVD and rank rule behind every span: singular values below
+    ``max(rtol * s_max, floor)`` are treated as zero.  A real stack keeps
+    real rows; anything else is complex.  A stack whose Frobenius norm is
+    at most ``floor > 0`` has rank 0 without an SVD: s_max never exceeds
+    the Frobenius norm.
     """
-    stack = np.atleast_2d(np.asarray(stack, dtype=complex))
+    stack = np.atleast_2d(np.asarray(stack, dtype=float if np.isrealobj(stack) else complex))
     if stack.size == 0 or (floor > 0 and np.linalg.norm(stack) <= floor):
-        return np.zeros((0, stack.shape[-1]), dtype=complex)
+        return np.zeros((0, stack.shape[-1]), dtype=stack.dtype)
     _, s, vh = np.linalg.svd(stack, full_matrices=False)
     cut = max(rtol * s[0], floor)
     rank = int(np.sum(s > cut))
@@ -108,11 +109,21 @@ def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0
 
 
 class Subspace:
-    """Complex-linear span of matrices, orthonormal in the trace inner product."""
+    """Complex-linear span of matrices, orthonormal in the trace inner product.
+
+    The span is stored as orthonormal rows, one vectorised matrix each.
+    ``_vec`` (matrix to row) and ``_mat`` (row to matrix) are the only
+    field-specific code; see :class:`RealSpan`.
+    """
 
     def __init__(self, stack: np.ndarray, shape: tuple[int, int]):
-        self._stack = np.asarray(stack, dtype=complex).reshape(-1, shape[0] * shape[1])
+        self._stack = np.asarray(stack)
         self.shape = shape
+
+    _vec = staticmethod(np.ravel)
+
+    def _mat(self, row: np.ndarray) -> np.ndarray:
+        return row.reshape(self.shape)
 
     @classmethod
     def from_spanning(cls, mats, shape: tuple[int, int] | None = None, rtol: float = 1e-10) -> "Subspace":
@@ -124,10 +135,9 @@ class Subspace:
         for m in mats:
             if m.shape != shape:
                 raise ValueError("mixed matrix shapes in spanning set")
-        if not mats:
-            return cls(np.zeros((0, shape[0] * shape[1])), shape)
-        stack = np.stack([m.ravel() for m in mats])
-        return cls(_orthonormal_rows(stack, rtol), shape)
+        if not mats:  # a zero matrix spans nothing but fixes the row width and field
+            mats = [np.zeros(shape, dtype=complex)]
+        return cls(_orthonormal_rows(np.stack([cls._vec(m) for m in mats]), rtol), shape)
 
     @property
     def dim(self) -> int:
@@ -135,13 +145,13 @@ class Subspace:
 
     @property
     def basis(self) -> list[np.ndarray]:
-        return [row.reshape(self.shape) for row in self._stack]
+        return [self._mat(row) for row in self._stack]
 
     def coordinates(self, m: np.ndarray) -> np.ndarray:
-        return self._stack.conj() @ np.ravel(m)
+        return self._stack.conj() @ self._vec(m)
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        return (self.coordinates(m) @ self._stack).reshape(self.shape)
+        return self._mat(self.coordinates(m) @ self._stack)
 
     def residual(self, m: np.ndarray) -> float:
         return frobenius(as_cmatrix(m) - self.project(m))
@@ -151,68 +161,35 @@ class Subspace:
         return self.residual(m) <= tol * scale
 
     def union(self, other: "Subspace", rtol: float = 1e-10) -> "Subspace":
-        if other.shape != self.shape:
-            raise ValueError("shape mismatch")
+        if type(other) is not type(self) or other.shape != self.shape:
+            raise ValueError("spans differ in field or shape")
         stack = np.vstack([self._stack, other._stack])
-        return Subspace(_orthonormal_rows(stack, rtol), self.shape)
+        return type(self)(_orthonormal_rows(stack, rtol), self.shape)
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.union(other).dim
 
 
-def _to_real_vec(m: np.ndarray) -> np.ndarray:
-    v = np.ravel(m)
-    return np.concatenate([v.real, v.imag])
-
-
-class RealSpan:
+class RealSpan(Subspace):
     """Real-linear span of complex matrices, orthonormal in Re tr(a^* b).
 
     Needed for skew-hermitian and gauge Lie algebra spans, which are real
-    vector spaces not closed under multiplication by i.
+    vector spaces not closed under multiplication by i.  A matrix becomes
+    the real row (Re vec, Im vec), an isometry from Re tr(a^* b) to the
+    real dot product, so the rows and coordinates are real.
     """
 
-    def __init__(self, stack: np.ndarray, shape: tuple[int, int]):
-        self._stack = np.asarray(stack, dtype=float)
-        self.shape = shape
+    # its own entry, not inherited: tracers look the classmethod up in vars(RealSpan)
+    from_spanning = classmethod(Subspace.from_spanning.__func__)
 
-    @classmethod
-    def from_spanning(cls, mats, shape: tuple[int, int] | None = None, rtol: float = 1e-10) -> "RealSpan":
-        mats = [as_cmatrix(m) for m in mats]
-        if shape is None:
-            if not mats:
-                raise ValueError("cannot infer the ambient shape from an empty list")
-            shape = mats[0].shape
-        if not mats:
-            return cls(np.zeros((0, 2 * shape[0] * shape[1])), shape)
-        stack = np.stack([_to_real_vec(m) for m in mats])
-        u, s, vh = np.linalg.svd(stack, full_matrices=False)
-        rank = 0 if s.size == 0 or s[0] == 0 else int(np.sum(s > rtol * s[0]))
-        return cls(vh[:rank], shape)
+    @staticmethod
+    def _vec(m: np.ndarray) -> np.ndarray:
+        v = np.ravel(m)
+        return np.concatenate([v.real, v.imag])
 
-    @property
-    def dim(self) -> int:
-        return self._stack.shape[0]
-
-    @property
-    def basis(self) -> list[np.ndarray]:
-        n = self.shape[0] * self.shape[1]
-        out = []
-        for row in self._stack:
-            out.append((row[:n] + 1j * row[n:]).reshape(self.shape))
-        return out
-
-    def project(self, m: np.ndarray) -> np.ndarray:
-        v = _to_real_vec(as_cmatrix(m))
-        w = (self._stack @ v) @ self._stack
-        n = self.shape[0] * self.shape[1]
-        return (w[:n] + 1j * w[n:]).reshape(self.shape)
-
-    def residual(self, m: np.ndarray) -> float:
-        return frobenius(as_cmatrix(m) - self.project(m))
-
-    def contains(self, m: np.ndarray, tol: float = TOL_DERIVED) -> bool:
-        return self.residual(m) <= tol * max(1.0, frobenius(m))
+    def _mat(self, row: np.ndarray) -> np.ndarray:
+        n = row.shape[-1] // 2
+        return (row[:n] + 1j * row[n:]).reshape(self.shape)
 
 
 def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
@@ -224,6 +201,12 @@ def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
     ``rcond`` times the largest singular value of L, matching a relative
     threshold ||L(v)|| < rcond * ||L|| * ||v||.  Rank plus nullity equals
     the domain dimension by construction.
+
+    The coefficient nullspace is the complement of the row space R of
+    a^H, where a stacks the ravelled images as rows: the rows of
+    I - R^H R span it, and that matrix is a projector, so its singular
+    values are 1 on the nullspace and float noise elsewhere.  Only d x d
+    and r x M factors are formed, never an M x M one.
     """
     domain = [as_cmatrix(m) for m in domain_basis]
     if len(domain) != len(images):
@@ -232,11 +215,13 @@ def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
         raise ValueError("empty domain")
     shape = domain[0].shape
     a = np.stack([np.ravel(np.asarray(img, dtype=complex)) for img in images])
-    ns = null_space(a.T, rcond=rcond)  # columns: coefficient vectors c with sum c_i images[i] = 0
+    r = _orthonormal_rows(a.conj().T, rcond)
+    # the absolute floor drops the noise rows an injective map leaves
+    coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
     dom_stack = np.stack([m.ravel() for m in domain])
-    # orthonormal coefficient columns against an orthonormal domain basis
+    # orthonormal coefficient rows against an orthonormal domain basis
     # give orthonormal nullspace matrices, no re-orthonormalisation needed
-    return Subspace(ns.T @ dom_stack, shape)
+    return Subspace(coeffs @ dom_stack, shape)
 
 
 def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:

@@ -57,7 +57,7 @@ class FiberDecomposition:
 
 
 def localize(triple: RealSpectralTriple, seed: int = 0,
-             tol: float = TOL_DERIVED) -> FiberDecomposition:
+             tol: float | None = None) -> FiberDecomposition:
     """Cut the triple into fibers over the spectrum of A_J.
 
     The construction itself only needs the p_x to be central projections
@@ -65,7 +65,12 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
     [D, A] is a consequence of the order-one condition and is recorded,
     not assumed, so triples with broken axioms still localize and show
     the failure in the report.
+
+    Exact identities of the projections are checked at 1e-9, the rest at
+    ``TOL_DERIVED``; passing ``tol`` overrides both.
     """
+    t_exact = tol if tol is not None else 1e-9
+    tol = tol if tol is not None else TOL_DERIVED
     alg = triple.algebra
     aj = compute_aj(triple)
     base = minimal_projections(aj, seed=seed)
@@ -75,7 +80,7 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
     total = sum(p for _, p in base)
     rep.add(CheckRecord.from_residual(
         "partition-of-unity", "the minimal projections of A_J sum to 1",
-        op_norm(total - alg.unit), 1e-9, SCOPE_EXACT))
+        op_norm(total - alg.unit), t_exact, SCOPE_EXACT))
 
     worst_central = max(op_norm(commutator(p, b)) for _, p in base for b in alg.basis)
     rep.add(CheckRecord.from_residual(
@@ -95,7 +100,7 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
     worst = max(op_norm(sum(p @ b for _, p in base) - b) for b in alg.basis)
     rep.add(CheckRecord.from_residual(
         "section-reconstruction", "summing the fiber components returns the element",
-        worst, 1e-9, SCOPE_EXACT))
+        worst, t_exact, SCOPE_EXACT))
 
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -263,15 +263,6 @@ class ProjectionFamily:
         return iter(zip(self.labels, self.projections))
 
 
-def _self_adjoint_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
-    cands = []
-    for b in algebra.basis:
-        cands.append((b + adjoint(b)) / 2)
-        cands.append((b - adjoint(b)) / 2j)
-    span = RealSpan.from_spanning(cands, (algebra.ambient, algebra.ambient))
-    return span.basis
-
-
 def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: int = 10,
                         gap: float = 1e-6) -> ProjectionFamily:
     """Minimal projections of a commutative *-algebra.
@@ -288,7 +279,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
     zdim = center(algebra).dim
     if zdim != algebra.dim:
         raise NonCommutative(f"algebra of dim {algebra.dim} has center of dim {zdim}")
-    sa = _self_adjoint_basis(algebra)
+    sa = [-1j * x for x in skew_hermitian_basis(algebra)]  # hermitian part: -i u(A)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         coeff = rng.standard_normal(len(sa))

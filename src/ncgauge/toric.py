@@ -39,6 +39,7 @@ from .torus import (
     TorusElement,
     VanishingTrace,
     clock_shift,
+    monomial_table,
     phase_map,
     rational_mode,
     torus_rep,
@@ -157,17 +158,12 @@ def _mode_of(e: SphereElement, p: int, q: int) -> PhaseMode:
 
 def _eval_monomials(e: SphereElement, ra: float, rb: float, rx: float,
                     z1: complex, z2: complex, q: int, p: int) -> np.ndarray:
-    r1, r2 = clock_shift(q, p)
-    pow1 = [np.eye(q, dtype=complex)]
-    pow2 = [np.eye(q, dtype=complex)]
-    for _ in range(q - 1):
-        pow1.append(pow1[-1] @ r1)
-        pow2.append(pow2[-1] @ r2)
+    table = monomial_table(q, p)
     out = np.zeros((q, q), dtype=complex)
     for (a, ap, b, bp, c), coeff in e.terms.items():
         scalar = (coeff.value() * ra ** (a + ap) * rb ** (b + bp) * rx ** c
                   * z1 ** (a - ap) * z2 ** (b - bp))
-        out += scalar * (pow1[(a - ap) % q] @ pow2[(b - bp) % q])
+        out += scalar * table[(a - ap) % q, (b - bp) % q]
     return out
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "torus_one",
     "torus_generator",
     "clock_shift",
+    "monomial_table",
     "torus_rep",
     "trace_state",
     "phase_map",
@@ -326,14 +327,26 @@ def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     raise BadParameters(f"no clock/shift assignment satisfies the relation for ({p}, {q})")
 
 
-def _unit_powers(r: np.ndarray, q: int) -> list[np.ndarray]:
-    powers = [np.eye(q, dtype=complex)]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ r)
-    return powers
+_MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-_POWER_CACHE: dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
+def monomial_table(q: int, p: int) -> np.ndarray:
+    """Read-only q x q x q x q table whose [i, j] entry is R1^i R2^j.
+
+    Built once per (p, q) from the clock/shift pair; every torus and
+    sphere evaluation reads its monomial matrices from here.
+    """
+    key = (p, q)
+    if key not in _MONOMIAL_CACHE:
+        r1, r2 = clock_shift(q, p)
+        pow1, pow2 = [np.eye(q, dtype=complex)], [np.eye(q, dtype=complex)]
+        for _ in range(q - 1):
+            pow1.append(pow1[-1] @ r1)
+            pow2.append(pow2[-1] @ r2)
+        table = np.array([[a @ b for b in pow2] for a in pow1])
+        table.flags.writeable = False
+        _MONOMIAL_CACHE[key] = table
+    return _MONOMIAL_CACHE[key]
 
 
 def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
@@ -349,15 +362,11 @@ def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
         if abs(abs(z) - 1.0) > 1e-12:
             raise NotOnTorus(f"|z| = {abs(z)!r} is not 1")
     p, q = a.mode.p, a.mode.q
-    key = (p, q)
-    if key not in _POWER_CACHE:
-        r1, r2 = clock_shift(q, p)
-        _POWER_CACHE[key] = (_unit_powers(r1, q), _unit_powers(r2, q))
-    pow1, pow2 = _POWER_CACHE[key]
+    table = monomial_table(q, p)
     out = np.zeros((q, q), dtype=complex)
     for (n1, n2), c in a.terms.items():
         scalar = c.value() * z1 ** n1 * z2 ** n2
-        out += scalar * (pow1[n1 % q] @ pow2[n2 % q])
+        out += scalar * table[n1 % q, n2 % q]
     return out
 
 

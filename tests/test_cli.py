@@ -1,11 +1,17 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import ncgauge
 from ncgauge.cli import main
 
 
@@ -53,6 +59,25 @@ def test_check_orbifold(capsys):
     doc = json.loads(out)
     assert doc["context"]["algebra_dim"] == 4
     assert doc["context"]["center_dim"] == 1
+
+
+def _cap_address_space():
+    cap = 4 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("q,m", [(4, 2), (3, 3)])
+def test_check_large_orbifold_under_memory_cap(q, m):
+    # an M x M nullspace factor here would need 16 GiB (q=4, m=2); the run
+    # is capped at 4 GiB in a child process so that it cannot take the host's
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncgauge.cli", "check", f"orbifold:q={q},p=1,m={m}"],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    doc = json.loads(proc.stdout)
+    assert doc["context"]["algebra_dim"] == m * q * q
+    assert doc["context"]["center_dim"] == m
 
 
 def test_localize_ym(capsys):
@@ -167,8 +192,10 @@ def test_tol_override_is_recorded(capsys):
 
 
 @pytest.mark.parametrize("argv,names", [
-    (("check", "hs:N=2"), ("commutant-property", "defining-condition", "bracket-form")),
-    (("localize", "ym:k=2,N=2"), ("section-multiplicative", "norm-sup-identity",
+    (("check", "hs:N=2"), ("commutant-property", "defining-condition", "skew-images",
+                           "bracket-form")),
+    (("localize", "ym:k=2,N=2"), ("partition-of-unity", "section-reconstruction",
+                                  "section-multiplicative", "norm-sup-identity",
                                   "one-forms-localize")),
     (("fluctuate", "hs:N=2", "pure"), ("field-self-adjoint", "pure-gauge-identity")),
 ])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from ncgauge.linalg import (
     AntiLinearOp,
@@ -64,6 +67,64 @@ def test_real_span_distinguishes_i():
     assert both.dim == 2
     assert one.residual(1j * eye) > 0.5
     assert both.residual((2 - 3j) * eye) < 1e-10
+
+
+def test_real_span_of_real_stack_keeps_real_orthonormal_rows():
+    rng = np.random.default_rng(3)
+    mats = [rng_matrix(3, s) for s in range(3)]
+    mats.append(mats[0] - 2.5 * mats[1])  # real-dependent
+    mats.append(1j * mats[2])              # complex- but not real-dependent
+    span = RealSpan.from_spanning(mats)
+    rows = span._stack
+    assert rows.dtype == np.float64
+    assert span.dim == 4
+    assert np.allclose(rows @ rows.T, np.eye(4), atol=1e-12)
+    assert np.isrealobj(span.coordinates(mats[0]))
+    for m in mats:
+        assert span.residual(m) < 1e-10
+    assert span.residual(1j * mats[0]) > 1e-3
+
+
+def test_real_span_inherits_union_and_intersection():
+    eye = np.eye(2, dtype=complex)
+    real = RealSpan.from_spanning([eye], shape=(2, 2))
+    imag = RealSpan.from_spanning([1j * eye], shape=(2, 2))
+    both = RealSpan.from_spanning([eye, (1 + 1j) * eye], shape=(2, 2))
+    assert real.union(imag).dim == 2
+    assert real.intersection_dim(imag) == 0
+    assert real.intersection_dim(both) == 1
+    assert isinstance(real.union(imag), RealSpan)
+    with pytest.raises(ValueError):
+        real.union(Subspace.from_spanning([eye]))
+
+
+def scipy_nullspace(domain, images, rcond=1e-9):
+    """Nullspace through scipy's null_space of the transposed image stack (oracle)."""
+    a = np.stack([np.ravel(img) for img in images])
+    ns = null_space(a.T, rcond=rcond)
+    return Subspace(ns.T @ np.stack([m.ravel() for m in domain]), domain[0].shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 9), m=st.integers(1, 11), rank=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nullspace_matches_scipy_oracle(d, m, rank, seed):
+    # domain: d orthonormal 3 x 3 matrices; map: a random d x m stack of rank
+    # min(rank, d, m), so d > m and rank-deficient maps are both drawn
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng_matrix(9, seed))
+    domain = [row.reshape(3, 3) for row in q.T[:d]]
+    r = min(rank, d, m)
+    images = ((rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)))
+              @ (rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))))
+    got = nullspace(domain, list(images))
+    want = scipy_nullspace(domain, images)
+    assert got.dim == want.dim == d - r
+    assert got.intersection_dim(want) == want.dim
+    rows = got._stack
+    assert np.allclose(rows @ rows.conj().T, np.eye(got.dim), atol=1e-12)
+    coeffs = np.stack([v.ravel() for v in domain]).conj() @ rows.T  # d x nullity
+    assert np.allclose(images.T @ coeffs, 0, atol=1e-9 * max(1.0, np.linalg.norm(images)))
 
 
 def brute_force_commutant_dim(mats, n):

@@ -12,6 +12,7 @@ from ncgauge import (
     NotOnTorus,
     PhaseScalar,
     SphereElement,
+    clock_shift,
     continuity_report,
     covering_slice_check,
     fiber_norm3,
@@ -87,6 +88,40 @@ def test_s4_eval_is_a_star_homomorphism():
         scale = max(1.0, op_norm(m1) * op_norm(m2))
         assert op_norm(s4_eval(e1 * e2, pt, p, q) - m1 @ m2) < 1e-9 * scale
         assert op_norm(s4_eval(e1.adjoint(), pt, p, q) - m1.conj().T) < 1e-9 * scale
+
+
+def rebuilt_powers_eval(e, ra, rb, rx, z1, z2, q, p):
+    """Evaluator that rebuilds the clock/shift powers on every call (oracle)."""
+    r1, r2 = clock_shift(q, p)
+    pow1 = [np.eye(q, dtype=complex)]
+    pow2 = [np.eye(q, dtype=complex)]
+    for _ in range(q - 1):
+        pow1.append(pow1[-1] @ r1)
+        pow2.append(pow2[-1] @ r2)
+    out = np.zeros((q, q), dtype=complex)
+    for (a, ap, b, bp, c), coeff in e.terms.items():
+        scalar = (coeff.value() * ra ** (a + ap) * rb ** (b + bp) * rx ** c
+                  * z1 ** (a - ap) * z2 ** (b - bp))
+        out += scalar * (pow1[(a - ap) % q] @ pow2[(b - bp) % q])
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (2, 5), (3, 7)])
+def test_eval_matches_rebuilt_powers(p, q):
+    # same arithmetic in the same order, so the results agree exactly
+    mode = rational_mode(p, q)
+    rng = np.random.default_rng(q)
+    for _ in range(5):
+        e3 = random_element(mode, rng, nterms=6, maxexp=3)
+        pt3 = random_point3(rng)
+        r, s = pt3.radii
+        want = rebuilt_powers_eval(e3, r, s, 1.0, pt3.z1, pt3.z2, q, p)
+        assert np.array_equal(s3_eval(e3, pt3, p, q), want)
+        e4 = random_element(mode, rng, with_x=True, nterms=6, maxexp=3)
+        pt4 = random_point4(rng)
+        r, s, x = pt4.rsx
+        want = rebuilt_powers_eval(e4, r, s, x, pt4.z1, pt4.z2, q, p)
+        assert np.array_equal(s4_eval(e4, pt4, p, q), want)
 
 
 def test_sphere_relations_vanish_at_points():

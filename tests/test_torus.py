@@ -13,6 +13,7 @@ from ncgauge.torus import (
     VanishingTrace,
     central_monomials,
     clock_shift,
+    monomial_table,
     phase_map,
     rational_mode,
     torus_exp,
@@ -174,6 +175,22 @@ def test_torus_rep_is_homomorphism():
         assert np.max(np.abs(left - right)) < 1e-10
         star = torus_rep(a.adjoint(), z1, z2)
         assert np.max(np.abs(star - torus_rep(a, z1, z2).conj().T)) < 1e-10
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 5), (3, 7)])
+def test_monomial_table_matches_rebuilt_powers(p, q):
+    r1, r2 = clock_shift(q, p)
+    pow1 = [np.eye(q, dtype=complex)]
+    pow2 = [np.eye(q, dtype=complex)]
+    for _ in range(q - 1):
+        pow1.append(pow1[-1] @ r1)
+        pow2.append(pow2[-1] @ r2)
+    table = monomial_table(q, p)
+    assert table.shape == (q, q, q, q)
+    assert not table.flags.writeable
+    for i in range(q):
+        for j in range(q):
+            assert np.array_equal(table[i, j], pow1[i] @ pow2[j])
 
 
 def test_torus_rep_input_checks():
