@@ -6,7 +6,8 @@ Subcommands
     fluctuate  inner fluctuations for a perturbation spec
     toric-scan norm grid over a sphere base with stratum labels
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad input.
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input,
+3 a program fault (out of memory, a linear-algebra routine that failed).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).
 """
@@ -15,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from .gauge import (
     MembershipViolated,
@@ -266,6 +269,10 @@ def main(argv=None) -> int:
                 "fluctuate": cmd_fluctuate, "toric-scan": cmd_toric_scan}
     try:
         rep, rows = handlers[args.command](args)
+    # LinAlgError subclasses ValueError: catch the faults before the input errors
+    except (np.linalg.LinAlgError, MemoryError) as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

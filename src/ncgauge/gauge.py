@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, frobenius, op_norm
+from .linalg import (TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, frobenius,
+                     max_op_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import OneForm, RealSpectralTriple, compute_aj
 from .staralg import skew_hermitian_basis
@@ -112,13 +113,17 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     """
     t_skew = tol if tol is not None else 1e-9
     tol = tol if tol is not None else TOL_DERIVED
-    skew = skew_hermitian_basis(triple.algebra)
-    gens = []
-    for x in skew:
+
+    def image(x):  # X -> pi(X) + J X J^-1, on one matrix or a stack
         px = triple.pi(x)
-        gens.append((x, px + triple.j_conjugate(px)))
+        return px + triple.j_conjugate(px)
+
+    skew = skew_hermitian_basis(triple.algebra)
+    xs = np.stack(skew)
+    ts = image(xs)
+    gens = list(zip(skew, ts))
     n = triple.hilbert_dim
-    span = RealSpan.from_spanning([t for _, t in gens], shape=(n, n))
+    span = RealSpan.from_spanning(ts, shape=(n, n))
     aj = compute_aj(triple)
     expected = triple.algebra.dim - aj.dim
 
@@ -126,28 +131,29 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
                  context={"dim": span.dim, "u_A_dim": len(skew), "u_AJ_dim": aj.dim})
     rep.add(CheckRecord.from_residual(
         "skew-images", "every generator is skew-hermitian on H",
-        max(op_norm(t + adjoint(t)) for _, t in gens), t_skew, SCOPE_EXACT))
+        max(op_norm(t + adjoint(t)) for t in ts), t_skew, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "dimension-identity", "dim g equals dim u(A) - dim u(A_J)",
         float(abs(span.dim - expected)), 0.5, SCOPE_EXACT))
 
-    worst_form = 0.0
-    worst_closure = 0.0
-    for i in range(len(gens)):
-        xi, ti = gens[i]
-        for j in range(i + 1, len(gens)):
-            xj, tj = gens[j]
-            br = commutator(ti, tj)
-            xij = commutator(xi, xj)
-            pim = triple.pi(xij)
-            worst_form = max(worst_form, op_norm(br - (pim + triple.j_conjugate(pim))))
-            worst_closure = max(worst_closure, span.residual(br))
+    # row block i holds the pairs (i, j) with j > i
+    def brackets(i):
+        return commutator(ts[i], ts[i + 1:])
+
+    def pair(at):
+        return None if at is None else (at[0], at[0] + 1 + at[1])
+
+    worst, at = max_op_norm(brackets(i) - image(commutator(xs[i], xs[i + 1:]))
+                            for i in range(len(ts) - 1))
     rep.add(CheckRecord.from_residual(
         "bracket-form", "[T, T'] is the generator attached to [X, X']",
-        worst_form, tol, SCOPE_EXACT))
+        worst, tol, SCOPE_EXACT), witness=pair(at))
+    # a 1 x n^2 row's spectral norm is its length: the Frobenius distance from the span
+    worst, at = max_op_norm((brackets(i) - span.project(brackets(i))).reshape(-1, 1, n * n)
+                            for i in range(len(ts) - 1))
     rep.add(CheckRecord.from_residual(
         "bracket-closure", "brackets stay inside the span",
-        worst_closure, tol, SCOPE_EXACT))
+        worst, tol, SCOPE_EXACT), witness=pair(at))
     return GaugeLieAlgebra(span, gens, rep)
 
 

@@ -32,9 +32,9 @@ __all__ = [
     "as_cmatrix",
     "adjoint",
     "commutator",
-    "trace_inner",
     "frobenius",
     "op_norm",
+    "max_op_norm",
     "left_mult_matrix",
     "right_mult_matrix",
     "Subspace",
@@ -61,11 +61,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """tr(a^* b).  Equals the standard inner product of the vectorisations."""
-    return complex(np.vdot(np.ravel(a), np.ravel(b)))
-
-
 def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(m))
 
@@ -76,6 +71,39 @@ def op_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+# Frobenius norms bound spectral norms only up to rounding; a matrix is
+# skipped when its Frobenius norm, widened by this factor, cannot beat the
+# best spectral norm found
+_SCREEN_SLACK = 1.0 + 1e-10
+
+
+def max_op_norm(blocks) -> tuple[float, tuple[int, int] | None]:
+    """Exact max of ``op_norm`` over a sequence of matrix stacks, with its place.
+
+    ``blocks`` yields stacks of matrices (arrays of shape (k, r, c)), for
+    example one row block of a pairwise table at a time.  Returns the
+    largest spectral norm and ``(b, i)``, where matrix i of block b attains
+    it, or ``(0.0, None)`` when there is no matrix at all.
+
+    The Frobenius norm bounds the spectral norm from above, so each block is
+    visited in descending Frobenius order and left as soon as the next
+    Frobenius norm is at most the best spectral norm found so far: nothing
+    after it can be larger.  Only the matrices that could still win get an
+    SVD, and the value is the same ``op_norm`` the unscreened max computes.
+    """
+    best, where = -1.0, None
+    for b, stack in enumerate(blocks):
+        stack = np.asarray(stack)
+        fro = np.linalg.norm(stack, axis=(-2, -1))
+        for i in np.argsort(-fro, kind="stable"):
+            if fro[i] * _SCREEN_SLACK <= best:
+                break
+            value = op_norm(stack[i])
+            if value > best:
+                best, where = value, (b, int(i))
+    return max(best, 0.0), where
 
 
 def left_mult_matrix(a: np.ndarray) -> np.ndarray:
@@ -108,22 +136,45 @@ def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0
     return vh[:rank]
 
 
+def _extend_rows(stack: np.ndarray, rows: np.ndarray, rtol: float, floor: float) -> np.ndarray:
+    """Orthonormal rows spanning what ``rows`` adds to the row space of ``stack``.
+
+    ``stack`` holds orthonormal rows.  ``rows`` is projected off them twice:
+    the second pass removes what rounding left of the first, so the new
+    rows stay orthogonal to ``stack`` to working precision even when
+    ``rows`` lies almost inside its span.  Only the residual goes to
+    :func:`_orthonormal_rows`, with its cut ``max(rtol * s_max, floor)``.
+    A first residual with Frobenius norm at most ``floor > 0`` adds nothing,
+    and the second pass, which can only shrink it, is skipped.
+    """
+    resid = rows - (rows @ stack.conj().T) @ stack
+    if floor > 0 and np.linalg.norm(resid) <= floor:
+        return resid[:0]
+    resid -= (resid @ stack.conj().T) @ stack  # in place: the second pass adds no rows-sized result
+    return _orthonormal_rows(resid, rtol, floor)
+
+
 class Subspace:
     """Complex-linear span of matrices, orthonormal in the trace inner product.
 
     The span is stored as orthonormal rows, one vectorised matrix each.
     ``_vec`` (matrix to row) and ``_mat`` (row to matrix) are the only
-    field-specific code; see :class:`RealSpan`.
+    field-specific code; see :class:`RealSpan`.  Both act on the last two
+    (one) axes, so :meth:`coordinates` and :meth:`project` also take a
+    stack of matrices.
     """
 
     def __init__(self, stack: np.ndarray, shape: tuple[int, int]):
         self._stack = np.asarray(stack)
         self.shape = shape
 
-    _vec = staticmethod(np.ravel)
+    @staticmethod
+    def _vec(m: np.ndarray) -> np.ndarray:
+        *lead, r, c = np.shape(m)
+        return np.reshape(m, (*lead, r * c))
 
     def _mat(self, row: np.ndarray) -> np.ndarray:
-        return row.reshape(self.shape)
+        return row.reshape(row.shape[:-1] + self.shape)
 
     @classmethod
     def from_spanning(cls, mats, shape: tuple[int, int] | None = None, rtol: float = 1e-10) -> "Subspace":
@@ -148,10 +199,14 @@ class Subspace:
         return [self._mat(row) for row in self._stack]
 
     def coordinates(self, m: np.ndarray) -> np.ndarray:
-        return self._stack.conj() @ self._vec(m)
+        return self._vec(m) @ self._stack.conj().T
+
+    def combine(self, coords: np.ndarray) -> np.ndarray:
+        """The matrix (or stack) with these coordinates: the inverse of :meth:`coordinates`."""
+        return self._mat(coords @ self._stack)
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        return self._mat(self.coordinates(m) @ self._stack)
+        return self.combine(self.coordinates(m))
 
     def residual(self, m: np.ndarray) -> float:
         return frobenius(as_cmatrix(m) - self.project(m))
@@ -184,12 +239,12 @@ class RealSpan(Subspace):
 
     @staticmethod
     def _vec(m: np.ndarray) -> np.ndarray:
-        v = np.ravel(m)
-        return np.concatenate([v.real, v.imag])
+        v = Subspace._vec(m)
+        return np.concatenate([v.real, v.imag], axis=-1)
 
     def _mat(self, row: np.ndarray) -> np.ndarray:
         n = row.shape[-1] // 2
-        return (row[:n] + 1j * row[n:]).reshape(self.shape)
+        return super()._mat(row[..., :n] + 1j * row[..., n:])
 
 
 def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
@@ -249,9 +304,7 @@ def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
                 pairs += [(mats[x][fresh[x]:], mats[y]), (mats[x][:fresh[x]], mats[y][fresh[y]:])]
             prods = np.concatenate([np.einsum("aij,bjk->abik", a, b).reshape(-1, full)
                                     for a, b in pairs])
-            resid = prods - (prods @ stack.conj().T) @ stack
-            extra = _orthonormal_rows(resid, _CLOSURE_RTOL, floor=_CLOSURE_RTOL)
-            grown[g] = np.vstack([stack, extra])
+            grown[g] = np.vstack([stack, _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)])
         fresh = [len(s) for s in stacks]
         stacks = grown
     return stacks
@@ -306,8 +359,8 @@ class AntiLinearOp:
         return np.conj(adjoint(self.kernel) @ np.asarray(w, dtype=complex))
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of the linear operator J m J^-1."""
-        return self.kernel @ np.conj(as_cmatrix(m)) @ adjoint(self.kernel)
+        """Matrix of the linear operator J m J^-1 (of each matrix of a stack)."""
+        return self.kernel @ np.conj(np.asarray(m, dtype=complex)) @ adjoint(self.kernel)
 
     def unitarity_residual(self) -> float:
         k = self.kernel

@@ -96,18 +96,26 @@ class CheckRecord:
 
 @dataclass
 class Report:
-    """A titled bundle of check records plus free-form context."""
+    """A titled bundle of check records plus free-form context.
+
+    ``witnesses`` maps the name of a max-over-pairs record to the index pair
+    that attains its residual; it travels with the records through
+    :meth:`extend` and is written out as ``context["witnesses"]``.
+    """
 
     title: str
     records: list[CheckRecord] = field(default_factory=list)
     context: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def add(self, record: CheckRecord) -> CheckRecord:
+    def add(self, record: CheckRecord, witness: tuple[int, int] | None = None) -> CheckRecord:
         self.records.append(record)
+        if witness is not None:
+            self.witnesses[record.name] = list(witness)
         return record
 
     def record(self, name: str) -> CheckRecord:
@@ -118,6 +126,7 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)
+        self.witnesses.update(other.witnesses)
 
     def max_residual(self) -> float:
         return max((r.residual for r in self.records), default=0.0)
@@ -128,7 +137,8 @@ class Report:
             "title": self.title,
             "passed": self.passed,
             "checks": [r.to_dict() for r in self.records],
-            "context": _jsonable(self.context),
+            "context": _jsonable({**self.context, "witnesses": self.witnesses}
+                                 if self.witnesses else self.context),
         }
 
     def to_json(self, indent: int = 2) -> str:

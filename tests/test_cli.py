@@ -9,10 +9,15 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import ncgauge
+from ncgauge import cli
 from ncgauge.cli import main
+from ncgauge.linalg import commutator, op_norm
+from ncgauge.models import load_model
+from ncgauge.spectral import compute_aj, one_form_space
 
 
 def run(capsys, *argv):
@@ -51,6 +56,43 @@ def test_check_hopping_fails_honestly(capsys):
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "order-one-condition" in failed
     assert "real-structure-dirac-sign" not in failed
+
+
+PAIR_RECORDS = ["representation-multiplicative", "commutant-property", "order-one-condition",
+                "commutes-with-one-forms", "bracket-form", "bracket-closure"]
+
+
+def test_check_witnesses_reproduce_the_failing_residuals(capsys):
+    spec = "ym:k=2,N=2,lam=0.1"
+    _, out, _ = run(capsys, "check", spec)
+    doc = json.loads(out)
+    witnesses = doc["context"]["witnesses"]
+    assert list(witnesses) == PAIR_RECORDS
+    records = {c["name"]: c for c in doc["checks"]}
+    t = load_model(spec)
+    i, j = witnesses["order-one-condition"]
+    a, b = t.algebra.basis[i], t.algebra.basis[j]
+    residual = op_norm(commutator(t.dirac_commutator(a), t.b_opposite(b)))
+    assert residual == pytest.approx(records["order-one-condition"]["residual"], rel=1e-12)
+    i, k = witnesses["commutes-with-one-forms"]
+    residual = op_norm(commutator(t.pi(compute_aj(t).basis[i]), one_form_space(t).basis[k]))
+    assert residual == pytest.approx(records["commutes-with-one-forms"]["residual"], rel=1e-12)
+    assert not records["order-one-condition"]["passed"]
+    assert not records["commutes-with-one-forms"]["passed"]
+
+
+@pytest.mark.parametrize("fault", [np.linalg.LinAlgError("SVD did not converge"), MemoryError()])
+def test_program_fault_exits_3(capsys, monkeypatch, fault):
+    # LinAlgError is a ValueError, and must not read as bad input (exit 2)
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(cli, "check_axioms", broken)
+    code, out, err = run(capsys, "check", "hs:N=2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error:")
+    assert type(fault).__name__ in err
 
 
 def test_check_orbifold(capsys):

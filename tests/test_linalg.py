@@ -6,12 +6,14 @@ from scipy.linalg import null_space
 
 from ncgauge.linalg import (
     AntiLinearOp,
+    _extend_rows,
     RealSpan,
     Subspace,
     adjoint,
     commutator,
     generated_algebra,
     left_mult_matrix,
+    max_op_norm,
     nullspace,
     op_norm,
     right_mult_matrix,
@@ -27,6 +29,56 @@ def test_op_norm_matches_numpy():
     for seed in range(5):
         m = rng_matrix(4, seed)
         assert abs(op_norm(m) - np.linalg.norm(m, ord=2)) < 1e-12
+
+
+def assert_screened_max_is_exact(stack, cuts):
+    """max_op_norm over ``stack`` split at ``cuts`` equals the unscreened max."""
+    blocks = np.split(stack, cuts)
+    value, (b, i) = max_op_norm(iter(blocks))
+    assert value == max(op_norm(m) for m in stack)
+    assert op_norm(blocks[b][i]) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 12), rows=st.integers(1, 5), cols=st.integers(1, 5),
+       rank=st.integers(0, 5), seed=st.integers(0, 2 ** 16), data=st.data())
+def test_max_op_norm_matches_unscreened_max(count, rows, cols, rank, seed, data):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    stack = (rng.standard_normal((count, rows, rank)) @ rng.standard_normal((count, rank, cols))
+             * rng.choice([1e-8, 1.0, 1e8], size=(count, 1, 1)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
+    assert_screened_max_is_exact(stack, cuts)
+
+
+def test_max_op_norm_zero_ties_and_dominant_entries():
+    rng = np.random.default_rng(3)
+    assert_screened_max_is_exact(np.zeros((5, 3, 3)), [2])
+    m = rng_matrix(3, 4)
+    # ties: copies, and unitary multiples with the same norms
+    unitaries = [np.linalg.qr(rng_matrix(3, s))[0] for s in range(4)]
+    assert_screened_max_is_exact(np.stack([m, m] + [u @ m for u in unitaries]), [3])
+    # rank one: the Frobenius bound is attained, so screening meets exact ties
+    v = rng.standard_normal((6, 4, 1)) @ rng.standard_normal((1, 4))
+    assert_screened_max_is_exact(np.concatenate([v, v[::-1]]), [5])
+    dominant = 1e-3 * rng.standard_normal((7, 4, 4)).astype(complex)
+    dominant[5] = rng_matrix(4, 5)
+    assert_screened_max_is_exact(dominant, [2, 4])
+    value, where = max_op_norm([])
+    assert (value, where) == (0.0, None)
+    assert max_op_norm([np.zeros((0, 3, 3))]) == (0.0, None)
+
+
+def test_extend_rows_stays_orthonormal_on_nearly_dependent_rows():
+    # rows 1e-9 away from the span: one projection pass leaves rounding of
+    # size 1e-16 against a residual of 1e-9, a 1e-7 loss of orthogonality
+    rng = np.random.default_rng(7)
+    stack = np.linalg.qr(rng_matrix(40, 1))[0][:6].conj()
+    rows = rng.standard_normal((3, 6)) @ stack + 1e-9 * rng_matrix(40, 2)[:3]
+    extra = _extend_rows(stack, rows, 0.0, 1e-13)
+    both = np.vstack([stack, extra])
+    assert len(extra) == 3
+    assert op_norm(both @ both.conj().T - np.eye(9)) < 1e-12
 
 
 def test_left_right_mult_matrices_act_on_vec():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncgauge.linalg import AntiLinearOp, adjoint, commutator, op_norm
-from ncgauge.models import build_finite_ym, build_hs_model, triple_from_config
+from ncgauge.linalg import AntiLinearOp, Subspace, adjoint, commutator, op_norm
+from ncgauge.models import build_finite_ym, build_hs_model, model_from_string, triple_from_config
 from ncgauge.spectral import (
     DimensionMismatch,
     OneForm,
@@ -78,26 +80,77 @@ def test_ym_axioms(k, n):
     assert rep.max_residual() < 1e-9
 
 
-def brute_force_one_form_dim(triple):
-    vecs = []
-    for a in triple.algebra.basis:
-        for b in triple.algebra.basis:
-            vecs.append((triple.pi(a) @ triple.dirac_commutator(b)).reshape(-1))
-    stack = np.stack(vecs)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s > 1e-9 * max(1.0, s[0])))
+def brute_force_one_form_span(triple):
+    """Oracle: one full SVD of all d^2 products pi(a)[D, pi(b)], cut at 1e-10 s_max.
+
+    Returns the span and the list of products it was built from.
+    """
+    n = triple.hilbert_dim
+    prods = [triple.pi(a) @ triple.dirac_commutator(b)
+             for a in triple.algebra.basis for b in triple.algebra.basis]
+    _, s, vh = np.linalg.svd(np.stack([p.reshape(-1) for p in prods]), full_matrices=False)
+    return Subspace(vh[:int(np.sum(s > 1e-10 * s[0]))], (n, n)), prods
+
+
+def assert_one_form_span_matches_oracle(triple):
+    omega = one_form_space(triple)
+    oracle, prods = brute_force_one_form_span(triple)
+    assert omega.dim == oracle.dim
+    assert omega.intersection_dim(oracle) == oracle.dim
+    rows = np.reshape(omega.basis, (omega.dim, triple.hilbert_dim ** 2))
+    assert op_norm(rows @ rows.conj().T - np.eye(omega.dim)) < 1e-12
+    prods = np.stack(prods)
+    gaps = np.linalg.norm(prods - omega.project(prods), axis=(1, 2))
+    assert np.all(gaps <= 1e-10 * np.linalg.norm(prods, axis=(1, 2)))
 
 
 def test_hs_one_form_dimension():
     # N = 2: the commutator image of a generic M is not closed under left
     # multiplication, products a[M,b] fill all of M_2
     t = build_hs_model(2, seed=0)
-    assert brute_force_one_form_dim(t) == 4
+    assert brute_force_one_form_span(t)[0].dim == 4
     assert one_form_space(t).dim == 4
     t1 = build_hs_model(1, seed=0)
     assert one_form_space(t1).dim == 0
     t3 = build_hs_model(3, seed=1)
-    assert one_form_space(t3).dim == brute_force_one_form_dim(t3) == 9
+    assert one_form_space(t3).dim == brute_force_one_form_span(t3)[0].dim == 9
+
+
+def orbifold_triple(spec):
+    """The orbifold algebra in its defining representation, with a random real D."""
+    alg, _ = model_from_string(spec)
+    rng = np.random.default_rng(alg.dim)
+    s = rng.standard_normal((alg.ambient, alg.ambient))
+    return RealSpectralTriple(alg, alg.basis, (s + s.T) / 2, AntiLinearOp(np.eye(alg.ambient)))
+
+
+@pytest.mark.parametrize("spec", [f"hs:N={n}" for n in range(1, 6)] + [
+    "ym:k=2,N=1", "ym:k=2,N=2", "ym:k=2,N=3", "ym:k=3,N=2", "ym:k=3,N=3",
+    "ym:k=2,N=1,lam=0.1", "ym:k=2,N=2,lam=0.1", "ym:k=3,N=2,lam=0.3",
+    "orbifold:q=2,m=1", "orbifold:q=4,p=1,m=1", "orbifold:q=3,p=1,m=2",
+    "orbifold:q=4,p=1,m=2", "orbifold:q=3,p=1,m=3",
+])
+def test_one_form_space_matches_full_svd_oracle(spec):
+    t = orbifold_triple(spec) if spec.startswith("orbifold") else model_from_string(spec)
+    assert_one_form_span_matches_oracle(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(["hs:N=2", "hs:N=3", "ym:k=2,N=2", "ym:k=2,N=2,lam=0.1",
+                             "ym:k=3,N=1", "ym:k=2,N=3"]),
+       scale=st.sampled_from([1e-6, 1.0, 1e6]), rank=st.none() | st.integers(0, 5),
+       seed=st.integers(0, 2 ** 16))
+def test_one_form_space_matches_oracle_on_drawn_triples(spec, scale, rank, seed):
+    # D scaled far from 1, or replaced by a low-rank hermitian matrix
+    t = model_from_string(spec)
+    d = t.dirac
+    if rank is not None:
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((t.hilbert_dim, rank)) + 1j * rng.standard_normal((t.hilbert_dim, rank))
+        d = v @ np.diag(rng.standard_normal(rank)) @ v.conj().T
+    t = RealSpectralTriple(t.algebra, t.pi_images, scale * d, t.real_structure,
+                           eps=t.eps, eps_prime=t.eps_prime)
+    assert_one_form_span_matches_oracle(t)
 
 
 def brute_force_aj_dim(triple):
