@@ -121,7 +121,12 @@ def cmd_check(args) -> tuple[Report, None]:
     triple = model
     rep.extend(check_axioms(triple, tol=args.tol))
     tol = TOL_DERIVED if args.tol is None else args.tol
-    rep.extend(verify_aj_properties(triple, tol=tol))
+    aj = verify_aj_properties(triple, tol=tol)
+    rep.extend(aj)
+    if "closure_error" in aj.context:
+        # A_J is not a *-algebra, so the gauge Lie algebra is undefined
+        rep.context["closure_error"] = aj.context["closure_error"]
+        return rep, None
     g = gauge_lie_algebra(triple, tol=args.tol)
     rep.extend(g.report)
     rep.context["gauge"] = g.report.context

@@ -24,7 +24,7 @@ no x letter (c = 0 throughout).
 
 from __future__ import annotations
 
-from .torus import ModeMismatch, PhaseMode, PhaseScalar
+from .torus import PhaseMode, PhasePolynomial, PhaseScalar
 
 __all__ = [
     "SphereElement",
@@ -38,92 +38,40 @@ __all__ = [
 MonKey = tuple[int, int, int, int, int]
 
 
-class SphereElement:
+class SphereElement(PhasePolynomial):
     """Finite sum of normal-ordered monomials over PhaseScalar coefficients."""
 
-    __slots__ = ("mode", "terms")
-
-    def __init__(self, mode: PhaseMode, terms: dict[MonKey, PhaseScalar] | None = None):
-        self.mode = mode
-        self.terms: dict[MonKey, PhaseScalar] = {}
-        for key, c in (terms or {}).items():
-            key = tuple(int(e) for e in key)
-            if len(key) != 5 or any(e < 0 for e in key):
-                raise ValueError(f"monomial exponents must be 5 nonnegative integers, got {key}")
-            if c.mode != mode:
-                raise ModeMismatch("coefficient mode differs from element mode")
-            if not c.is_zero():
-                self.terms[key] = c
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, mode: PhaseMode, key: MonKey, coeff=1.0) -> "SphereElement":
-        c = coeff if isinstance(coeff, PhaseScalar) else PhaseScalar.const(mode, coeff)
-        return cls(mode, {tuple(key): c})
+        return cls(mode, {tuple(key): cls._scalar(mode, coeff)})
 
-    def _check(self, other: "SphereElement") -> None:
-        if self.mode != other.mode:
-            raise ModeMismatch(f"{self.mode} vs {other.mode}")
+    @staticmethod
+    def _key(key) -> MonKey:
+        key = tuple(int(e) for e in key)
+        if len(key) != 5 or any(e < 0 for e in key):
+            raise ValueError(f"monomial exponents must be 5 nonnegative integers, got {key}")
+        return key
 
-    def __add__(self, other: "SphereElement") -> "SphereElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return SphereElement(self.mode, out)
+    @staticmethod
+    def _product_phase(left: MonKey, right: MonKey) -> int:
+        """Net beta-degree of the left factor times net alpha-degree of the right."""
+        return (left[2] - left[3]) * (right[0] - right[1])
 
-    def __neg__(self) -> "SphereElement":
-        return SphereElement(self.mode, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SphereElement") -> "SphereElement":
-        return self + (-other)
-
-    def scale(self, c) -> "SphereElement":
-        s = c if isinstance(c, PhaseScalar) else PhaseScalar.const(self.mode, c)
-        return SphereElement(self.mode, {k: s * v for k, v in self.terms.items()})
-
-    def __mul__(self, other: "SphereElement") -> "SphereElement":
-        self._check(other)
-        out: dict[MonKey, PhaseScalar] = {}
-        for (a1, a1p, b1, b1p, c1), u in self.terms.items():
-            for (a2, a2p, b2, b2p, c2), v in other.terms.items():
-                key = (a1 + a2, a1p + a2p, b1 + b2, b1p + b2p, c1 + c2)
-                phase = PhaseScalar.t_power(self.mode, (b1 - b1p) * (a2 - a2p))
-                contrib = u * v * phase
-                out[key] = out[key] + contrib if key in out else contrib
-        return SphereElement(self.mode, out)
-
-    def adjoint(self) -> "SphereElement":
-        """Star: flip each exponent pair, then re-normal-order the alpha block.
+    @staticmethod
+    def _star(key: MonKey) -> tuple[MonKey, int]:
+        """Flip each exponent pair, then re-normal-order the alpha block.
 
         (alpha^a alpha*^a' beta^b beta*^b' x^c)* reverses to the beta block
         first; pushing alpha*^a alpha^a' back to the left crosses net
-        beta-degree (b' - b), giving phase t^((b'-b)(a'-a)) on top of the
-        conjugated coefficient.
+        beta-degree (b' - b), giving phase t^((b'-b)(a'-a)).
         """
-        out: dict[MonKey, PhaseScalar] = {}
-        for (a, ap, b, bp, c), u in self.terms.items():
-            key = (ap, a, bp, b, c)
-            contrib = u.conj() * PhaseScalar.t_power(self.mode, (bp - b) * (ap - a))
-            out[key] = out[key] + contrib if key in out else contrib
-        return SphereElement(self.mode, out)
-
-    @property
-    def support(self) -> set[MonKey]:
-        return set(self.terms)
+        a, ap, b, bp, c = key
+        return (ap, a, bp, b, c), (bp - b) * (ap - a)
 
     def coefficient(self, key: MonKey) -> PhaseScalar:
         return self.terms.get(tuple(key), PhaseScalar(self.mode))
-
-    def is_zero(self, tol: float = 1e-14) -> bool:
-        return all(c.is_zero(tol) for c in self.terms.values())
-
-    def allclose(self, other: "SphereElement", tol: float = 1e-12) -> bool:
-        self._check(other)
-        keys = set(self.terms) | set(other.terms)
-        zero = PhaseScalar(self.mode)
-        return all(
-            self.terms.get(k, zero).allclose(other.terms.get(k, zero), tol) for k in keys
-        )
 
     @property
     def uses_x(self) -> bool:

@@ -6,15 +6,17 @@ rational phase p/q every sphere polynomial evaluates into M_q through
     alpha -> (cos chi [cos psi]) z1 R1      beta -> (sin chi [cos psi]) z2 R2
     x     -> (sin psi) 1                    (4-sphere only)
 
-with (R1, R2) the clock/shift pair.  The stratum of a base point is read
-off from which radii vanish, and the fiber at a point is the algebra
-generated by the evaluated generators; its dimension depends only on
-the stratum (scaling a generator by a nonzero scalar never changes a
-generated span).  Norms at a point are maximized over the q*q
-root-of-unity torus coordinates.  Those evaluations are unitarily
-equivalent, so the max samples one class of irreducible representations
-and misses the fiber norm when net degrees collide mod q: ``a^2 - 1`` at
-q = 2 reads 0 where the sup is 2.
+with (R1, R2) the clock/shift pair.  The 3-sphere is the psi = 0 slice,
+so both spheres share one evaluator.  The stratum of a base point is
+read off from which radii vanish, and the fiber at a point is the
+algebra generated by the evaluated generators; its dimension depends
+only on the stratum (scaling a generator by a nonzero scalar never
+changes a generated span), so a norm profile computes it once per
+stratum.  The norm at a point is taken at z = (1, 1), which equals the
+max over the q*q root-of-unity torus coordinates: those evaluations are
+unitarily equivalent.  It therefore samples one class of irreducible
+representations and misses the fiber norm when net degrees collide
+mod q: ``a^2 - 1`` at q = 2 reads 0 where the sup is 2.
 
 The numbers produced here are rational shadows: the irrational-phase
 fibers are infinite-dimensional algebras this module cannot represent,
@@ -34,10 +36,11 @@ from .reporting import SCOPE_CONTINUITY, SCOPE_RATIONAL, CheckRecord, Report
 from .spheres import SphereElement
 from .torus import (
     ModeMismatch,
-    NotOnTorus,
     PhaseMode,
+    PhasePolynomial,
     TorusElement,
     VanishingTrace,
+    check_unit,
     clock_shift,
     monomial_table,
     phase_map,
@@ -70,29 +73,33 @@ _RADIUS_TOL = 1e-12
 _FLAT_JUMP = 1e-12
 
 
-def _check_unit(z: complex) -> complex:
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise NotOnTorus(f"|z| = {abs(z)!r} is not 1")
-    return complex(z)
+def _validate(pt, **angles: float) -> None:
+    """Angles in [0, pi/2]; the torus coordinates become unit complex numbers."""
+    for name, v in angles.items():
+        if not 0.0 <= v <= math.pi / 2:
+            raise ValueError(f"{name} = {v} outside [0, pi/2]")
+    object.__setattr__(pt, "z1", check_unit(pt.z1))
+    object.__setattr__(pt, "z2", check_unit(pt.z2))
 
 
 @dataclass(frozen=True)
 class BasePoint3:
-    """Angle chi in [0, pi/2] plus torus coordinates."""
+    """Angle chi in [0, pi/2] plus torus coordinates: the psi = 0 slice of the 4-sphere."""
 
     chi: float
     z1: complex = 1.0
     z2: complex = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.chi <= math.pi / 2:
-            raise ValueError(f"chi = {self.chi} outside [0, pi/2]")
-        object.__setattr__(self, "z1", _check_unit(self.z1))
-        object.__setattr__(self, "z2", _check_unit(self.z2))
+        _validate(self, chi=self.chi)
 
     @property
     def radii(self) -> tuple[float, float]:
         return (math.cos(self.chi), math.sin(self.chi))
+
+    @property
+    def rsx(self) -> tuple[float, float, float]:
+        return self.radii + (0.0,)
 
 
 @dataclass(frozen=True)
@@ -105,11 +112,7 @@ class BasePoint4:
     z2: complex = 1.0
 
     def __post_init__(self):
-        for name, v in (("chi", self.chi), ("psi", self.psi)):
-            if not 0.0 <= v <= math.pi / 2:
-                raise ValueError(f"{name} = {v} outside [0, pi/2]")
-        object.__setattr__(self, "z1", _check_unit(self.z1))
-        object.__setattr__(self, "z2", _check_unit(self.z2))
+        _validate(self, chi=self.chi, psi=self.psi)
 
     @property
     def rsx(self) -> tuple[float, float, float]:
@@ -118,51 +121,46 @@ class BasePoint4:
                 math.sin(self.psi))
 
 
-def _stratum_from_radii(r: float, s: float, allow_pole: bool) -> tuple[str, str]:
-    """Label plus the fiber-dimension law 'q2' | 'q' | '1'."""
+BasePoint = BasePoint3 | BasePoint4
+
+
+def _stratum(pt: BasePoint, q: int) -> tuple[str, int]:
+    """Label and fiber dimension, read off from which radii vanish.
+
+    Both vanish only at the 4-sphere pole: cos chi and sin chi never do.
+    """
+    r, s, _ = pt.rsx
     r0 = abs(r) < _RADIUS_TOL
     s0 = abs(s) < _RADIUS_TOL
     if r0 and s0:
-        if not allow_pole:
-            raise ValueError("both radii vanish on the 3-sphere")
-        return "Pole", "1"
+        return "Pole", 1
     if s0:
-        return "EdgeAlpha", "q"
+        return "EdgeAlpha", q
     if r0:
-        return "EdgeBeta", "q"
-    return "Interior", "q2"
-
-
-def _expected_dim(law: str, q: int) -> int:
-    return {"q2": q * q, "q": q, "1": 1}[law]
+        return "EdgeBeta", q
+    return "Interior", q * q
 
 
 def stratum3(pt: BasePoint3, q: int) -> tuple[str, int]:
-    r, s = pt.radii
-    label, law = _stratum_from_radii(r, s, allow_pole=False)
-    return label, _expected_dim(law, q)
+    return _stratum(pt, q)
 
 
 def stratum4(pt: BasePoint4, q: int) -> tuple[str, int]:
-    r, s, _ = pt.rsx
-    label, law = _stratum_from_radii(r, s, allow_pole=True)
-    return label, _expected_dim(law, q)
+    return _stratum(pt, q)
 
 
-def _mode_of(e: SphereElement, p: int, q: int) -> PhaseMode:
-    mode = rational_mode(p, q)
-    if e.mode != mode:
+def _mode_of(e: PhasePolynomial, p: int, q: int) -> None:
+    if e.mode != rational_mode(p, q):
         raise ModeMismatch(f"element mode {e.mode} does not match ({p}, {q})")
-    return mode
 
 
-def _eval_monomials(e: SphereElement, ra: float, rb: float, rx: float,
-                    z1: complex, z2: complex, q: int, p: int) -> np.ndarray:
+def _evaluate(e: SphereElement, pt: BasePoint, p: int, q: int) -> np.ndarray:
+    r, s, x = pt.rsx
     table = monomial_table(q, p)
     out = np.zeros((q, q), dtype=complex)
     for (a, ap, b, bp, c), coeff in e.terms.items():
-        scalar = (coeff.value() * ra ** (a + ap) * rb ** (b + bp) * rx ** c
-                  * z1 ** (a - ap) * z2 ** (b - bp))
+        scalar = (coeff.value() * r ** (a + ap) * s ** (b + bp) * x ** c
+                  * pt.z1 ** (a - ap) * pt.z2 ** (b - bp))
         out += scalar * table[(a - ap) % q, (b - bp) % q]
     return out
 
@@ -172,17 +170,18 @@ def s3_eval(e: SphereElement, pt: BasePoint3, p: int, q: int) -> np.ndarray:
     _mode_of(e, p, q)
     if e.uses_x:
         raise ValueError("3-sphere elements cannot contain the x letter")
-    r, s = pt.radii
-    return _eval_monomials(e, r, s, 1.0, pt.z1, pt.z2, q, p)
+    return _evaluate(e, pt, p, q)
 
 
 def s4_eval(e: SphereElement, pt: BasePoint4, p: int, q: int) -> np.ndarray:
     _mode_of(e, p, q)
+    return _evaluate(e, pt, p, q)
+
+
+def _fiber_dim(pt: BasePoint, p: int, q: int) -> int:
+    r1, r2 = clock_shift(q, p)
     r, s, x = pt.rsx
-    return _eval_monomials(e, r, s, x, pt.z1, pt.z2, q, p)
-
-
-def _fiber_dim(gens: list[np.ndarray]) -> int:
+    gens = [r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)]
     return generated_algebra(gens, include_unit=True).dim
 
 
@@ -194,18 +193,12 @@ def s3_fiber_dimension(chi: float, p: int, q: int,
     coordinates, so independence from z is a checkable statement rather
     than a baked-in assumption.
     """
-    pt = BasePoint3(chi, z1, z2)
-    r1, r2 = clock_shift(q, p)
-    r, s = pt.radii
-    return _fiber_dim([r * pt.z1 * r1, s * pt.z2 * r2])
+    return _fiber_dim(BasePoint3(chi, z1, z2), p, q)
 
 
 def s4_fiber_dimension(chi: float, psi: float, p: int, q: int,
                        z1: complex = 1.0, z2: complex = 1.0) -> int:
-    pt = BasePoint4(chi, psi, z1, z2)
-    r1, r2 = clock_shift(q, p)
-    r, s, x = pt.rsx
-    return _fiber_dim([r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)])
+    return _fiber_dim(BasePoint4(chi, psi, z1, z2), p, q)
 
 
 def invariant_subalgebra(mode: PhaseMode, degree: int, which: str = "s3") -> list[SphereElement]:
@@ -241,14 +234,25 @@ def _root_points(q: int) -> list[tuple[complex, complex]]:
 
 
 def fiber_norm3(e: SphereElement, chi: float, p: int, q: int) -> float:
-    """Max evaluation norm over the q^2 root-of-unity torus points."""
-    return max(op_norm(s3_eval(e, BasePoint3(chi, z1, z2), p, q))
-               for z1, z2 in _root_points(q))
+    """Evaluation norm at z = (1, 1), which is the max over the q^2 root-of-unity points.
+
+    Multiplying z1 or z2 by a q-th root of unity conjugates the evaluation
+    by a clock/shift power, so those q^2 evaluations share one norm.
+    """
+    return op_norm(s3_eval(e, BasePoint3(chi), p, q))
 
 
 def fiber_norm4(e: SphereElement, chi: float, psi: float, p: int, q: int) -> float:
-    return max(op_norm(s4_eval(e, BasePoint4(chi, psi, z1, z2), p, q))
-               for z1, z2 in _root_points(q))
+    return op_norm(s4_eval(e, BasePoint4(chi, psi), p, q))
+
+
+def _sphere(which: str):
+    """(base point class, fiber norm, fiber dimension) of a sphere, each taking the angles."""
+    if which == "s3":
+        return BasePoint3, fiber_norm3, s3_fiber_dimension
+    if which == "s4":
+        return BasePoint4, fiber_norm4, s4_fiber_dimension
+    raise ValueError("which must be 's3' or 's4'")
 
 
 def _grid_count(h: float) -> int:
@@ -258,15 +262,12 @@ def _grid_count(h: float) -> int:
 
 
 def _max_jump(values: np.ndarray) -> float:
-    if values.ndim == 1:
-        return float(np.abs(np.diff(values)).max()) if values.size > 1 else 0.0
     return float(max(np.abs(np.diff(values, axis=0)).max(initial=0.0),
                      np.abs(np.diff(values, axis=1)).max(initial=0.0)))
 
 
 def _jump_stats(h: float, fine: np.ndarray, points: int) -> dict:
-    coarse = fine[::2] if fine.ndim == 1 else fine[::2, ::2]
-    big = _max_jump(coarse)
+    big = _max_jump(fine[::2, ::2])
     small = _max_jump(fine)
     ratio = small / big if big > 0 else (0.0 if small == 0 else float("inf"))
     return {"h": h, "points": points, "max_jump": big,
@@ -279,40 +280,33 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
 
     Returns (rows, stats).  Rows carry the base coordinates, the norm,
     the stratum label, and the honestly computed fiber dimension at step
-    h.  Stats holds the maximal adjacent norm jump at steps h and h/2
-    (the fine grid contains the coarse one exactly) and their ratio;
-    jumps shrinking roughly in half is continuity evidence, a ratio near
-    1 flags a discontinuity.
+    h; the 3-sphere is the single psi = 0 column.  The generated algebra
+    is closed once per stratum, at its first grid point, since the radii
+    only rescale its generators.  Stats holds the maximal adjacent norm
+    jump at steps h and h/2 (the fine grid contains the coarse one
+    exactly) and their ratio; jumps shrinking roughly in half is
+    continuity evidence, a ratio near 1 flags a discontinuity.
     """
+    point, fiber_norm, fiber_dimension = _sphere(which)
     _mode_of(e, p, q)
     n = _grid_count(h)
     angles = np.linspace(0.0, math.pi / 2, 2 * n + 1)
-    rows = []
-    if which == "s3":
-        fine = np.array([fiber_norm3(e, chi, p, q) for chi in angles])
-        for i in range(0, 2 * n + 1, 2):
-            chi = float(angles[i])
-            label, _ = stratum3(BasePoint3(chi), q)
-            rows.append({
-                "chi": chi, "r": math.cos(chi), "s": math.sin(chi), "x": 0.0,
-                "norm": float(fine[i]), "stratum": label,
-                "fiber_dim": s3_fiber_dimension(chi, p, q),
-            })
-    elif which == "s4":
-        fine = np.array([[fiber_norm4(e, chi, psi, p, q) for psi in angles]
-                         for chi in angles])
-        for i in range(0, 2 * n + 1, 2):
-            for j in range(0, 2 * n + 1, 2):
-                pt = BasePoint4(float(angles[i]), float(angles[j]))
-                label, _ = stratum4(pt, q)
-                r, s, x = pt.rsx
-                rows.append({
-                    "chi": pt.chi, "psi": pt.psi, "r": r, "s": s, "x": x,
-                    "norm": float(fine[i, j]), "stratum": label,
-                    "fiber_dim": s4_fiber_dimension(pt.chi, pt.psi, p, q),
-                })
-    else:
-        raise ValueError("which must be 's3' or 's4'")
+    names = ("chi", "psi") if which == "s4" else ("chi",)
+    psis = angles if which == "s4" else angles[:1]
+    fine = np.array([[fiber_norm(e, *(chi, psi)[:len(names)], p, q) for psi in psis]
+                     for chi in angles])
+    rows, dims = [], {}
+    for i in range(0, 2 * n + 1, 2):
+        for j in range(0, len(psis), 2):
+            coords = (float(angles[i]), float(psis[j]))[:len(names)]
+            pt = point(*coords)
+            label, _ = _stratum(pt, q)
+            if label not in dims:
+                dims[label] = fiber_dimension(*coords, p, q)
+            r, s, x = pt.rsx
+            rows.append({**dict(zip(names, coords)), "r": r, "s": s, "x": x,
+                         "norm": float(fine[i, j]), "stratum": label,
+                         "fiber_dim": dims[label]})
     return rows, _jump_stats(h, fine, len(rows))
 
 
@@ -342,9 +336,7 @@ def covering_slice_check(u: TorusElement, p: int, q: int, tol: float = 1e-8) -> 
     When the trace vanishes the phase is undefined and the report says
     so instead of guessing.
     """
-    mode = rational_mode(p, q)
-    if u.mode != mode:
-        raise ModeMismatch(f"element mode {u.mode} does not match ({p}, {q})")
+    _mode_of(u, p, q)
     rep = Report("covering_slice", context={"mode": str(u.mode)})
     worst = 0.0
     for z1, z2 in _root_points(q):
@@ -401,28 +393,18 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
                       "interior fibers are infinite-dimensional and cannot be "
                       "represented here; only the rational dimensions are computed",
     })
+    point, _, fiber_dimension = _sphere(which)
     interior = math.pi / 4
-    if which == "s3":
-        cases = [("EdgeAlpha", (0.0,)), ("EdgeBeta", (math.pi / 2,)),
-                 ("Interior", (interior,))]
-        def dim_at(angles, z1, z2):
-            return s3_fiber_dimension(*angles, p, q, z1=z1, z2=z2)
-        def expected(angles):
-            return stratum3(BasePoint3(*angles), q)
-    elif which == "s4":
-        cases = [("EdgeAlpha", (0.0, interior)), ("EdgeBeta", (math.pi / 2, interior)),
-                 ("Interior", (interior, interior)), ("Pole", (interior, math.pi / 2))]
-        def dim_at(angles, z1, z2):
-            return s4_fiber_dimension(*angles, p, q, z1=z1, z2=z2)
-        def expected(angles):
-            return stratum4(BasePoint4(*angles), q)
-    else:
-        raise ValueError("which must be 's3' or 's4'")
-
+    cases = {
+        "s3": [("EdgeAlpha", (0.0,)), ("EdgeBeta", (math.pi / 2,)),
+               ("Interior", (interior,))],
+        "s4": [("EdgeAlpha", (0.0, interior)), ("EdgeBeta", (math.pi / 2, interior)),
+               ("Interior", (interior, interior)), ("Pole", (interior, math.pi / 2))],
+    }[which]
     dims = {}
     for label, angles in cases:
-        got_label, want = expected(angles)
-        seen = {dim_at(angles, z1, z2) for z1, z2 in _root_points(q)}
+        got_label, want = _stratum(point(*angles), q)
+        seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in _root_points(q)}
         dims[label] = sorted(seen)
         rep.add(CheckRecord.from_residual(
             f"stratum-{label}", f"the {label} fiber dimension is {want} at every "

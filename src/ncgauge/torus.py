@@ -189,88 +189,116 @@ class PhaseScalar:
         return " + ".join(bits)
 
 
-class TorusElement:
-    """Finite sum of normal-ordered monomials c(n1,n2) U1^n1 U2^n2."""
+def _accumulate(out: dict, key, c: PhaseScalar) -> None:
+    out[key] = out[key] + c if key in out else c
+
+
+class PhasePolynomial:
+    """Finite sum of normal-ordered monomials over PhaseScalar coefficients.
+
+    Subclasses supply three static methods: ``_key(key)`` normalizes and
+    validates a monomial key, ``_product_phase(left, right)`` is the
+    t-exponent of reordering a product of two monomials, and ``_star(key)``
+    returns the starred monomial's key with its t-exponent.
+    """
 
     __slots__ = ("mode", "terms")
 
-    def __init__(self, mode: PhaseMode, terms: dict[tuple[int, int], PhaseScalar] | None = None):
+    def __init__(self, mode: PhaseMode, terms: dict[tuple, PhaseScalar] | None = None):
         self.mode = mode
-        self.terms: dict[tuple[int, int], PhaseScalar] = {}
+        self.terms: dict[tuple, PhaseScalar] = {}
         for key, c in (terms or {}).items():
+            key = self._key(key)
             if c.mode != mode:
                 raise ModeMismatch("coefficient mode differs from element mode")
             if not c.is_zero():
-                self.terms[(int(key[0]), int(key[1]))] = c
+                self.terms[key] = c
 
-    # -- constructors --------------------------------------------------
+    @staticmethod
+    def _scalar(mode: PhaseMode, c) -> PhaseScalar:
+        return c if isinstance(c, PhaseScalar) else PhaseScalar.const(mode, c)
 
-    @classmethod
-    def monomial(cls, mode: PhaseMode, n1: int, n2: int, coeff=1.0) -> "TorusElement":
-        c = coeff if isinstance(coeff, PhaseScalar) else PhaseScalar.const(mode, coeff)
-        return cls(mode, {(n1, n2): c})
-
-    # -- algebra ---------------------------------------------------------
-
-    def _check(self, other: "TorusElement") -> None:
+    def _check(self, other: "PhasePolynomial") -> None:
         if self.mode != other.mode:
             raise ModeMismatch(f"{self.mode} vs {other.mode}")
 
-    def __add__(self, other: "TorusElement") -> "TorusElement":
+    def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out[k] + c if k in out else c
-        return TorusElement(self.mode, out)
+            _accumulate(out, k, c)
+        return type(self)(self.mode, out)
 
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.mode, {k: -c for k, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.mode, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c) -> "TorusElement":
-        s = c if isinstance(c, PhaseScalar) else PhaseScalar.const(self.mode, c)
-        return TorusElement(self.mode, {k: s * v for k, v in self.terms.items()})
+    def scale(self, c):
+        s = self._scalar(self.mode, c)
+        return type(self)(self.mode, {k: s * v for k, v in self.terms.items()})
 
-    def __mul__(self, other: "TorusElement") -> "TorusElement":
-        """Normal-ordered product; reordering phase t^(m2*n1) per monomial pair."""
+    def __mul__(self, other):
+        """Normal-ordered product: exponents add, times the reordering phase."""
         self._check(other)
-        out: dict[tuple[int, int], PhaseScalar] = {}
-        for (m1, m2), c in self.terms.items():
-            for (n1, n2), d in other.terms.items():
-                key = (m1 + n1, m2 + n2)
-                phase = PhaseScalar.t_power(self.mode, m2 * n1)
-                contrib = c * d * phase
-                out[key] = out[key] + contrib if key in out else contrib
-        return TorusElement(self.mode, out)
+        out: dict[tuple, PhaseScalar] = {}
+        for k1, c in self.terms.items():
+            for k2, d in other.terms.items():
+                phase = PhaseScalar.t_power(self.mode, self._product_phase(k1, k2))
+                _accumulate(out, tuple(a + b for a, b in zip(k1, k2)), c * d * phase)
+        return type(self)(self.mode, out)
 
-    def adjoint(self) -> "TorusElement":
-        """(c U1^m U2^n)^* = conj(c) t^(m n) U1^-m U2^-n."""
-        out: dict[tuple[int, int], PhaseScalar] = {}
-        for (m, n), c in self.terms.items():
-            key = (-m, -n)
-            contrib = c.conj() * PhaseScalar.t_power(self.mode, m * n)
-            out[key] = out[key] + contrib if key in out else contrib
-        return TorusElement(self.mode, out)
+    def adjoint(self):
+        """Conjugated coefficients times the phase of re-normal-ordering each starred monomial."""
+        out: dict[tuple, PhaseScalar] = {}
+        for k, c in self.terms.items():
+            key, exponent = self._star(k)
+            _accumulate(out, key, c.conj() * PhaseScalar.t_power(self.mode, exponent))
+        return type(self)(self.mode, out)
 
     @property
-    def support(self) -> set[tuple[int, int]]:
+    def support(self) -> set[tuple]:
         return set(self.terms)
-
-    def coefficient(self, n1: int, n2: int) -> PhaseScalar:
-        return self.terms.get((n1, n2), PhaseScalar(self.mode))
 
     def is_zero(self, tol: float = PRUNE_TOL) -> bool:
         return all(c.is_zero(tol) for c in self.terms.values())
 
-    def allclose(self, other: "TorusElement", tol: float = 1e-12) -> bool:
+    def allclose(self, other, tol: float = 1e-12) -> bool:
         self._check(other)
         keys = set(self.terms) | set(other.terms)
         zero = PhaseScalar(self.mode)
         return all(
             self.terms.get(k, zero).allclose(other.terms.get(k, zero), tol) for k in keys
         )
+
+
+class TorusElement(PhasePolynomial):
+    """Finite sum of normal-ordered monomials c(n1,n2) U1^n1 U2^n2."""
+
+    __slots__ = ()
+
+    @classmethod
+    def monomial(cls, mode: PhaseMode, n1: int, n2: int, coeff=1.0) -> "TorusElement":
+        return cls(mode, {(n1, n2): cls._scalar(mode, coeff)})
+
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        return (int(key[0]), int(key[1]))
+
+    @staticmethod
+    def _product_phase(left: tuple[int, int], right: tuple[int, int]) -> int:
+        """(U1^m1 U2^m2)(U1^n1 U2^n2) reorders with t^(m2*n1)."""
+        return left[1] * right[0]
+
+    @staticmethod
+    def _star(key: tuple[int, int]) -> tuple[tuple[int, int], int]:
+        """(U1^m U2^n)^* = t^(m n) U1^-m U2^-n."""
+        m, n = key
+        return (-m, -n), m * n
+
+    def coefficient(self, n1: int, n2: int) -> PhaseScalar:
+        return self.terms.get((n1, n2), PhaseScalar(self.mode))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -305,11 +333,8 @@ def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     assignments are tried and the one satisfying the relation for
     zeta = e^(2 pi i p/q) is kept, failing loudly if neither does.
     """
-    if q < 1:
-        raise BadParameters(f"q must be a positive integer, got {q}")
-    if math.gcd(p, q) != 1:
-        raise BadParameters(f"p and q must be coprime, got ({p}, {q})")
-    key = (p % q, q)
+    mode = rational_mode(p, q)
+    key = (mode.p, q)
     if key in _CLOCK_SHIFT_CACHE:
         return _CLOCK_SHIFT_CACHE[key]
     zeta = np.exp(2j * np.pi * p / q)
@@ -349,6 +374,13 @@ def monomial_table(q: int, p: int) -> np.ndarray:
     return _MONOMIAL_CACHE[key]
 
 
+def check_unit(z: complex) -> complex:
+    """z as a complex number; :class:`NotOnTorus` unless |z| = 1 within 1e-12."""
+    if abs(abs(z) - 1.0) > 1e-12:
+        raise NotOnTorus(f"|z| = {abs(z)!r} is not 1")
+    return complex(z)
+
+
 def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
     """Evaluate in the clock/shift representation U1 -> z1 R1, U2 -> z2 R2.
 
@@ -358,9 +390,7 @@ def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
     """
     if not a.mode.is_rational:
         raise ModeMismatch("matrix evaluation needs a rational phase mode")
-    for z in (z1, z2):
-        if abs(abs(z) - 1.0) > 1e-12:
-            raise NotOnTorus(f"|z| = {abs(z)!r} is not 1")
+    z1, z2 = check_unit(z1), check_unit(z2)
     p, q = a.mode.p, a.mode.q
     table = monomial_table(q, p)
     out = np.zeros((q, q), dtype=complex)

@@ -81,6 +81,23 @@ def test_check_witnesses_reproduce_the_failing_residuals(capsys):
     assert not records["commutes-with-one-forms"]["passed"]
 
 
+def test_check_reports_a_non_closed_aj(capsys, tmp_path):
+    # conjugation on the full M_2 puts every a with a = a^T into A_J: not a *-algebra
+    config = tmp_path / "non_closed.json"
+    config.write_text(json.dumps({
+        "algebra": {"kind": "full", "n": 2}, "representation": "defining",
+        "dirac": {"preset": "zero"}, "real_structure": {"preset": "conjugation"}}))
+    code, out, err = run(capsys, "check", str(config))
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    records = {c["name"]: c for c in doc["checks"]}
+    assert doc["checks"][-1]["name"] == "subalgebra-closure"
+    assert not records["subalgebra-closure"]["passed"]
+    assert "not closed" in doc["context"]["closure_error"]
+    assert "gauge" not in doc["context"]
+
+
 @pytest.mark.parametrize("fault", [np.linalg.LinAlgError("SVD did not converge"), MemoryError()])
 def test_program_fault_exits_3(capsys, monkeypatch, fault):
     # LinAlgError is a ValueError, and must not read as bad input (exit 2)

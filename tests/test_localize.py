@@ -1,9 +1,12 @@
 """Localization over the spectrum of A_J and the bundle bookkeeping."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from ncgauge import (
+    FiniteStarAlgebra,
     build_finite_ym,
     build_hs_model,
     fiber_gauge_action,
@@ -14,6 +17,9 @@ from ncgauge import (
     op_norm,
     random_unitary,
 )
+from ncgauge.models import load_model
+
+localize_module = importlib.import_module("ncgauge.localize")
 
 
 def test_hs_gives_a_single_fiber():
@@ -128,3 +134,37 @@ def test_hopping_breaks_cd_centrality_but_localizes():
     assert rep.passed
     assert rep.context["cd_dim"] == 16
     assert rep.context["omega_fiber_dims"] == [8, 8]
+
+
+def serve_rotated_cd(monkeypatch, seed):
+    """Make localize see C_D through its orthonormal basis mixed by a random unitary."""
+    real = localize_module.c_d_algebra
+
+    def rotated(triple):
+        cd, rep = real(triple)
+        m = len(cd.basis)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        mixed = np.einsum("ij,jkl->ikl", u, np.stack(cd.basis))
+        return FiniteStarAlgebra(list(mixed), cd.unit), rep
+
+    monkeypatch.setattr(localize_module, "c_d_algebra", rotated)
+
+
+@pytest.mark.parametrize("spec", ["ym:k=2,N=2,lam=0.1", "ym:k=3,N=2,lam=0.05"])
+def test_base_central_in_cd_does_not_depend_on_the_cd_basis(monkeypatch, spec):
+    want = localize(load_model(spec)).report.record("base-central-in-CD")
+    assert not want.passed
+    for seed in range(3):
+        with monkeypatch.context() as m:
+            serve_rotated_cd(m, seed)
+            got = localize(load_model(spec)).report.record("base-central-in-CD")
+        assert not got.passed
+        assert abs(got.residual - want.residual) <= 1e-12 * want.residual
+
+
+@pytest.mark.parametrize("spec", ["hs:N=3", "hs:N=4", "ym:k=2,N=1", "ym:k=2,N=3"])
+def test_base_central_in_cd_passes_on_presets(monkeypatch, spec):
+    assert localize(load_model(spec)).report.record("base-central-in-CD").passed
+    serve_rotated_cd(monkeypatch, 0)
+    assert localize(load_model(spec)).report.record("base-central-in-CD").passed

@@ -16,10 +16,12 @@ from ncgauge import (
     continuity_report,
     covering_slice_check,
     fiber_norm3,
+    fiber_norm4,
     invariant_subalgebra,
     jump_ratio,
     norm_profile,
     op_norm,
+    parse_sphere,
     rational_mode,
     s3_eval,
     s3_fiber_dimension,
@@ -190,6 +192,48 @@ def test_stratum_scan_s4():
     assert rep.context["dims"]["Interior"] == [9]
 
 
+def root_point_norm(e, angles, p, q):
+    """Max evaluation norm over the q^2 root-of-unity torus points (oracle)."""
+    roots = [np.exp(2j * np.pi * k / q) for k in range(q)]
+    if len(angles) == 1:
+        return max(op_norm(s3_eval(e, BasePoint3(*angles, z1, z2), p, q))
+                   for z1 in roots for z2 in roots)
+    return max(op_norm(s4_eval(e, BasePoint4(*angles, z1, z2), p, q))
+               for z1 in roots for z2 in roots)
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 5), (3, 7)])
+def test_fiber_norm_is_the_root_point_max(p, q):
+    mode = rational_mode(p, q)
+    rng = np.random.default_rng(40 + q)
+    for _ in range(6):
+        chi, psi = (float(a) for a in rng.uniform(0, math.pi / 2, size=2))
+        e3 = random_element(mode, rng, nterms=4, maxexp=3)
+        want = root_point_norm(e3, (chi,), p, q)
+        assert abs(fiber_norm3(e3, chi, p, q) - want) <= 1e-12 * want
+        e4 = random_element(mode, rng, with_x=True, nterms=4, maxexp=3)
+        want = root_point_norm(e4, (chi, psi), p, q)
+        assert abs(fiber_norm4(e4, chi, psi, p, q) - want) <= 1e-12 * want
+
+
+def dense_torus_sup(e, chi, p, q, points=16):
+    """Sup of the 3-sphere evaluation norm over a dense grid of one torus cell."""
+    angles = 2 * np.pi * np.arange(points) / (points * q)
+    return max(op_norm(s3_eval(e, BasePoint3(chi, np.exp(1j * t1), np.exp(1j * t2)), p, q))
+               for t1 in angles for t2 in angles)
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="the root-point norm samples one representation class; "
+                           "net degrees that collide mod q hide the fiber norm")
+@pytest.mark.parametrize("poly,q,chi,sup", [("a^2 - 1", 2, 0.0, 2.0),
+                                            ("a^3 - b^3", 3, math.pi / 4, 0.5 ** 0.5)])
+def test_fiber_norm3_reaches_the_dense_torus_sup(poly, q, chi, sup):
+    e = parse_sphere(poly, rational_mode(1, q))
+    assert dense_torus_sup(e, chi, 1, q) == pytest.approx(sup, rel=1e-12)
+    assert fiber_norm3(e, chi, 1, q) == pytest.approx(sup, rel=1e-9)
+
+
 def test_edge_norms_specialize():
     p, q = 1, 3
     mode = rational_mode(p, q)
@@ -234,6 +278,32 @@ def test_norm_profile_alpha_matches_cosine_and_halves():
     mid = rows[len(rows) // 2]
     assert mid["stratum"] == "Interior"
     assert mid["fiber_dim"] == q * q
+
+
+@pytest.mark.parametrize("which,p,q,h", [("s3", 1, 2, 0.1), ("s3", 2, 5, 0.2), ("s3", 1, 1, 0.3),
+                                         ("s4", 1, 3, 0.3), ("s4", 2, 5, 0.4), ("s4", 1, 1, 0.5)])
+def test_profile_fiber_dim_matches_every_row(which, p, q, h):
+    rows, _ = norm_profile(sphere_alpha(rational_mode(p, q)), h, p, q, which=which)
+    for row in rows:
+        if which == "s3":
+            assert s3_fiber_dimension(row["chi"], p, q) == row["fiber_dim"]
+        else:
+            assert s4_fiber_dimension(row["chi"], row["psi"], p, q) == row["fiber_dim"]
+
+
+@pytest.mark.parametrize("p,q,h", [(1, 2, 0.1), (2, 5, 0.3), (1, 1, 0.2)])
+def test_s3_profile_is_the_psi_zero_column_of_s4(p, q, h):
+    e = random_element(rational_mode(p, q), np.random.default_rng(q), nterms=5)
+    rows3, _ = norm_profile(e, h, p, q, which="s3")
+    rows4, _ = norm_profile(e, h, p, q, which="s4")
+    equator = [{k: v for k, v in row.items() if k != "psi"}
+               for row in rows4 if row["psi"] == 0.0]
+    assert rows3 == equator
+
+
+def test_base_point3_is_the_psi_zero_slice():
+    for chi in (0.0, 0.3, math.pi / 4, math.pi / 2):
+        assert BasePoint3(chi).rsx == BasePoint4(chi, 0.0).rsx == BasePoint3(chi).radii + (0.0,)
 
 
 def test_jump_ratio_matches_profile_stats():

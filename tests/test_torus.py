@@ -193,6 +193,15 @@ def test_monomial_table_matches_rebuilt_powers(p, q):
             assert np.array_equal(table[i, j], pow1[i] @ pow2[j])
 
 
+@pytest.mark.parametrize("p,q,message", [(1, 0, "q must be a positive integer, got 0"),
+                                         (2, 4, "p and q must be coprime, got (2, 4)")])
+def test_clock_shift_rejects_what_rational_mode_rejects(p, q, message):
+    for make in (lambda: rational_mode(p, q), lambda: clock_shift(q, p)):
+        with pytest.raises(BadParameters) as exc:
+            make()
+        assert str(exc.value) == message
+
+
 def test_torus_rep_input_checks():
     mode = rational_mode(1, 3)
     a = torus_generator(mode, 1)
