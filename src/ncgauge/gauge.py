@@ -188,15 +188,17 @@ class Perturbation:
 
     Certificates: sum a_j b_j equals the algebra unit, and the left-right
     operator sum kron(pi(a_j), transpose(pi(b_j))) is invariant under the
-    flip (a, b) -> (b*, a*).
+    flip (a, b) -> (b*, a*).  The terms never change after construction,
+    so the flip residual, an SVD of an n^2 x n^2 operator, is computed once.
     """
 
     def __init__(self, triple: RealSpectralTriple, terms, validate: bool = True,
                  tol: float = TOL_DERIVED):
         self.triple = triple
-        self.terms = [(as_cmatrix(a), as_cmatrix(b)) for a, b in terms]
+        self.terms = tuple((as_cmatrix(a), as_cmatrix(b)) for a, b in terms)
         if not self.terms:
             raise ValueError("a perturbation needs at least one term")
+        self._flip: float | None = None
         if validate:
             self.verify(tol)
 
@@ -205,13 +207,15 @@ class Perturbation:
         return op_norm(total - self.triple.algebra.unit)
 
     def flip_residual(self) -> float:
-        lhs = 0.0
-        rhs = 0.0
-        for a, b in self.terms:
-            pa, pb = self.triple.pi(a), self.triple.pi(b)
-            lhs = lhs + np.kron(pa, pb.T)
-            rhs = rhs + np.kron(adjoint(pb), np.conj(pa))
-        return op_norm(lhs - rhs)
+        if self._flip is None:
+            lhs = 0.0
+            rhs = 0.0
+            for a, b in self.terms:
+                pa, pb = self.triple.pi(a), self.triple.pi(b)
+                lhs = lhs + np.kron(pa, pb.T)
+                rhs = rhs + np.kron(adjoint(pb), np.conj(pa))
+            self._flip = op_norm(lhs - rhs)
+        return self._flip
 
     def verify(self, tol: float = TOL_DERIVED) -> None:
         res = self.normalization_residual()

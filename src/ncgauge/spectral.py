@@ -299,14 +299,29 @@ def one_form_space(triple: RealSpectralTriple) -> Subspace:
 
 
 def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
-    """The algebra generated by pi(A) and [D, pi(A)], with its parity split.
+    """The algebra C_D generated by pi(A) and [D, pi(A)], with its parity split.
 
-    Words are graded by the number of [D, .] letters mod 2.  The graded
-    closure kernel behind :func:`~ncgauge.linalg.generated_algebra`, with
-    two grades, grows the even span from pi(A) and the unit and the odd
-    span from [D, pi(A)].  The grading is consistent exactly when the two
-    spans intersect trivially, which can fail at finite dimension (the even
-    and odd words may collide).  Consistency is reported, not asserted.
+    Words are graded by the number of [D, .] letters mod 2: E is the span
+    of the even words (with the unit), O that of the odd ones, and
+    C_D = E + O.  The grading is consistent when E and O intersect
+    trivially, which can fail at finite dimension (the even and odd words
+    may collide).  Consistency is reported, not asserted.
+
+    Lemma: if the unit lies in the one-form space Omega^1, then
+    E = O = C_D.  Proof: a one-form a [D, b] has exactly one [D, .]
+    letter, so Omega^1 lies in O, and with it the unit.  Then
+    E = E 1 lies in E O, which lies in O, and O = O 1 lies in O O,
+    which lies in E; so E = O, and both equal E + O = C_D.
+
+    So C_D is one closure or two.  When the unit is in Omega^1 (one
+    projection of the unit onto :func:`one_form_space`), one ungraded
+    closure of pi(A), [D, pi(A)] and the unit gives C_D, and even = odd =
+    total.  That seed is *-closed as a span, since pi(a)^* = pi(a^*) and
+    [D, pi(a)]^* = -[D, pi(a^*)], so no adjoints are added.  Otherwise the
+    closure kernel behind :func:`~ncgauge.linalg.generated_algebra` runs
+    with two grades, the even one seeded by pi(A) and the unit and the odd
+    one by [D, pi(A)], and C_D is the union of the two spans.  The unit's
+    distance from Omega^1 is reported as ``unit_one_form_distance``.
 
     The ``generated-closure`` record is a one-pass certificate, not a second
     closure: the worst of the generators' and the unit's relative distance
@@ -319,17 +334,22 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
     d_comms = [triple.dirac_commutator(b) for b in triple.algebra.basis]
-    even_rows, odd_rows = _graded_closure([triple.pi_images + [eye], d_comms], n)
-    even, odd = Subspace(even_rows, (n, n)), Subspace(odd_rows, (n, n))
-    total = even.union(odd)
-    algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})")
     generators = triple.pi_images + d_comms + [eye]
+    omega = one_form_space(triple)
+    if omega.contains(eye):
+        even = odd = total = Subspace(_graded_closure([generators], n)[0], (n, n))
+    else:
+        even_rows, odd_rows = _graded_closure([triple.pi_images + [eye], d_comms], n)
+        even, odd = Subspace(even_rows, (n, n)), Subspace(odd_rows, (n, n))
+        total = even.union(odd)
+    algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})")
     missing = max(total.residual(g) / max(1.0, frobenius(g)) for g in generators)
     rep = Report(f"c_d_algebra[{triple.label or 'triple'}]",
                  context={"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
-                          "grading_consistent": even.dim + odd.dim == total.dim})
+                          "grading_consistent": even.dim + odd.dim == total.dim,
+                          "unit_one_form_distance": omega.residual(eye)})
     rep.add(CheckRecord.from_residual(
-        "generated-closure", "the graded closure equals the two-sided generated span",
+        "generated-closure", "the closure equals the two-sided generated span",
         max(missing, *algebra.closure_residuals), TOL_DERIVED, SCOPE_EXACT))
     triple._cd = (algebra, rep)
     return triple._cd

@@ -6,16 +6,20 @@ and round.  The kernel multiplies only new basis elements; both must find
 the same spans.
 """
 
+import json
+import re
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncgauge import spectral
 from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
-from ncgauge.models import model_from_string
-from ncgauge.spectral import c_d_algebra
+from ncgauge.models import model_from_string, triple_from_config
+from ncgauge.spectral import c_d_algebra, one_form_space
 from ncgauge.torus import clock_shift
 
 
@@ -85,6 +89,66 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         even.dim, odd.dim, total.dim, even.dim + odd.dim == total.dim) == CD_PRESETS[spec]
+    assert rep.record("generated-closure").passed
+
+
+def closure_grades(monkeypatch, triple):
+    """c_d_algebra's report and the number of grades each closure it ran had."""
+    grades = []
+
+    def spy(seeds, n):
+        grades.append(len(seeds))
+        return _graded_closure(seeds, n)
+
+    monkeypatch.setattr(spectral, "_graded_closure", spy)
+    _, rep = c_d_algebra(triple)
+    return rep, grades
+
+
+@pytest.mark.parametrize("spec", sorted(CD_PRESETS))
+def test_unit_in_one_forms_picks_the_ungraded_closure(monkeypatch, spec):
+    """The unit lies in Omega^1 exactly when the oracle finds the grading inconsistent.
+
+    That is when E = O = C_D, and one ungraded closure must be the only one run.
+    """
+    triple = model_from_string(spec)
+    eye = np.eye(triple.hilbert_dim)
+    omega = one_form_space(triple)
+    unit_in_omega = omega.contains(eye)
+    assert unit_in_omega == (not CD_PRESETS[spec][3])
+    rep, grades = closure_grades(monkeypatch, triple)
+    assert grades == ([1] if unit_in_omega else [2])
+    assert rep.context["unit_one_form_distance"] == omega.residual(eye)
+
+
+@pytest.mark.parametrize("spec", ["ym:k=2,N=1", "ym:k=2,N=1,lam=0.1"])
+def test_unit_outside_one_forms_keeps_the_graded_closure(monkeypatch, spec):
+    rep, grades = closure_grades(monkeypatch, model_from_string(spec))
+    assert grades == [2]
+    ctx = rep.context
+    assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
+        CD_PRESETS[spec])
+    assert ctx["unit_one_form_distance"] == pytest.approx(np.sqrt(2), rel=1e-12)
+
+
+def readme_config(kind):
+    """The README's JSON config block whose algebra has this kind."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for block in re.findall(r"```json\n(.*?)```", readme, re.S):
+        doc = json.loads(block)
+        if doc.get("algebra", {}).get("kind") == kind:
+            return doc
+    raise AssertionError(f"README has no {kind!r} config")
+
+
+def test_readme_diagonal_config_takes_the_graded_closure(monkeypatch):
+    """diag(C^2) with D the flip: Omega^1 is the off-diagonal, orthogonal to the unit."""
+    rep, grades = closure_grades(monkeypatch, triple_from_config(readme_config("diagonal")))
+    assert grades == [2]
+    ctx = rep.context
+    assert ctx["unit_one_form_distance"] == pytest.approx(np.sqrt(2), rel=1e-12)
+    assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
+        2, 2, 4, True)
     assert rep.record("generated-closure").passed
 
 

@@ -141,6 +141,33 @@ def test_product_keeps_certificates_and_composes(seed):
     assert op_norm(prod.act_on(t.dirac) - p.act_on(r.act_on(t.dirac))) < 1e-10
 
 
+def kron_flip_residual(p):
+    """The flip residual straight from its definition, never cached."""
+    pi = p.triple.pi
+    lhs = sum(np.kron(pi(a), pi(b).T) for a, b in p.terms)
+    rhs = sum(np.kron(adjoint(pi(b)), np.conj(pi(a))) for a, b in p.terms)
+    return op_norm(lhs - rhs)
+
+
+def test_flip_residual_is_computed_once(monkeypatch):
+    t = build_hs_model(3)
+    p = random_perturbation(t, n_terms=3, seed=5)
+    r = random_perturbation(t, n_terms=2, seed=6)
+    # a one-term pair of generic elements breaks the flip, so the value is not 0
+    broken = Perturbation(t, [(t.algebra.random_element(seed=1),
+                               t.algebra.random_element(seed=2))], validate=False)
+    perts = [p, pert_product(p, r), broken]
+    want = [kron_flip_residual(q) for q in perts]
+    assert want[2] > 0.1
+    assert [q.flip_residual() for q in perts] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def no_svd(*_):
+        raise AssertionError("flip residual recomputed")
+
+    monkeypatch.setattr("ncgauge.gauge.op_norm", no_svd)
+    assert [q.flip_residual() for q in perts] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_bad_normalization_rejected():
     t = build_hs_model(2)
     e = t.algebra.unit
