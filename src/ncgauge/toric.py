@@ -7,16 +7,16 @@ rational phase p/q every sphere polynomial evaluates into M_q through
     x     -> (sin psi) 1                    (4-sphere only)
 
 with (R1, R2) the clock/shift pair.  The 3-sphere is the psi = 0 slice,
-so both spheres share one evaluator.  The stratum of a base point is
-read off from which radii vanish, and the fiber at a point is the
-algebra generated by the evaluated generators; its dimension depends
-only on the stratum (scaling a generator by a nonzero scalar never
-changes a generated span), so a norm profile computes it once per
-stratum.  The norm at a point is taken at z = (1, 1), which equals the
-max over the q*q root-of-unity torus coordinates: those evaluations are
-unitarily equivalent.  It therefore samples one class of irreducible
-representations and misses the fiber norm when net degrees collide
-mod q: ``a^2 - 1`` at q = 2 reads 0 where the sup is 2.
+so both spheres share one evaluator, which fills a stack of base points
+at once.  A base point's stratum is read off from which radii vanish;
+its fiber is the algebra generated by the evaluated generators.  Radii
+and torus coordinates only rescale those, which never changes a
+generated span, so a profile closes it once per stratum and the stratum
+scan at two torus points per stratum.  The norm at a point is taken at
+z = (1, 1), which equals the max over the q*q root-of-unity torus
+coordinates (unitarily equivalent evaluations).  It thus samples one
+class of irreducible representations and misses the fiber norm when net
+degrees collide mod q: ``a^2 - 1`` at q = 2 reads 0 where the sup is 2.
 
 The numbers produced here are rational shadows: the irrational-phase
 fibers are infinite-dimensional algebras this module cannot represent,
@@ -26,8 +26,10 @@ carry those scope labels.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice, product
 
 import numpy as np
 
@@ -149,33 +151,39 @@ def stratum4(pt: BasePoint4, q: int) -> tuple[str, int]:
     return _stratum(pt, q)
 
 
-def _mode_of(e: PhasePolynomial, p: int, q: int) -> None:
+def _check_element(e: PhasePolynomial, p: int, q: int, which: str = "s4") -> None:
     if e.mode != rational_mode(p, q):
         raise ModeMismatch(f"element mode {e.mode} does not match ({p}, {q})")
+    if which == "s3" and e.uses_x:
+        raise ValueError("3-sphere elements cannot contain the x letter")
 
 
-def _evaluate(e: SphereElement, pt: BasePoint, p: int, q: int) -> np.ndarray:
-    r, s, x = pt.rsx
+def _evaluate(e: SphereElement, rsx: list[tuple[float, float, float]],
+              z1: complex, z2: complex, p: int, q: int) -> np.ndarray:
+    """The (m, q, q) stack of evaluations at m radii triples and one torus point.
+
+    Per-point term scalars are Python float products (numpy's vector
+    power rounds differently), so each matrix is bit for bit a stack of one.
+    """
     table = monomial_table(q, p)
-    out = np.zeros((q, q), dtype=complex)
+    out = np.zeros((len(rsx), q, q), dtype=complex)
     for (a, ap, b, bp, c), coeff in e.terms.items():
-        scalar = (coeff.value() * r ** (a + ap) * s ** (b + bp) * x ** c
-                  * pt.z1 ** (a - ap) * pt.z2 ** (b - bp))
-        out += scalar * table[(a - ap) % q, (b - bp) % q]
+        w, w1, w2 = coeff.value(), z1 ** (a - ap), z2 ** (b - bp)
+        scalars = np.array([w * r ** (a + ap) * s ** (b + bp) * x ** c * w1 * w2
+                            for r, s, x in rsx])
+        out += scalars[:, None, None] * table[(a - ap) % q, (b - bp) % q]
     return out
 
 
 def s3_eval(e: SphereElement, pt: BasePoint3, p: int, q: int) -> np.ndarray:
     """Evaluate a 3-sphere polynomial at a base point; x-letters are rejected."""
-    _mode_of(e, p, q)
-    if e.uses_x:
-        raise ValueError("3-sphere elements cannot contain the x letter")
-    return _evaluate(e, pt, p, q)
+    _check_element(e, p, q, "s3")
+    return _evaluate(e, [pt.rsx], pt.z1, pt.z2, p, q)[0]
 
 
 def s4_eval(e: SphereElement, pt: BasePoint4, p: int, q: int) -> np.ndarray:
-    _mode_of(e, p, q)
-    return _evaluate(e, pt, p, q)
+    _check_element(e, p, q, "s4")
+    return _evaluate(e, [pt.rsx], pt.z1, pt.z2, p, q)[0]
 
 
 def _fiber_dim(pt: BasePoint, p: int, q: int) -> int:
@@ -228,9 +236,8 @@ def invariant_subalgebra(mode: PhaseMode, degree: int, which: str = "s3") -> lis
     return out
 
 
-def _root_points(q: int) -> list[tuple[complex, complex]]:
-    roots = [np.exp(2j * np.pi * k / q) for k in range(q)]
-    return [(z1, z2) for z1 in roots for z2 in roots]
+# (1, 1) stands for the q^2 roots of unity; (e^i, e^{i sqrt 2}) is one for no q
+_CLASS_POINTS = ((1 + 0j, 1 + 0j), (cmath.exp(1j), cmath.exp(1j * math.sqrt(2))))
 
 
 def fiber_norm3(e: SphereElement, chi: float, p: int, q: int) -> float:
@@ -247,17 +254,18 @@ def fiber_norm4(e: SphereElement, chi: float, psi: float, p: int, q: int) -> flo
 
 
 def _sphere(which: str):
-    """(base point class, fiber norm, fiber dimension) of a sphere, each taking the angles."""
+    """(base point class, fiber dimension) of a sphere, each taking the angles."""
     if which == "s3":
-        return BasePoint3, fiber_norm3, s3_fiber_dimension
+        return BasePoint3, s3_fiber_dimension
     if which == "s4":
-        return BasePoint4, fiber_norm4, s4_fiber_dimension
+        return BasePoint4, s4_fiber_dimension
     raise ValueError("which must be 's3' or 's4'")
 
 
 def _grid_count(h: float) -> int:
-    if h <= 0:
-        raise ValueError("grid step must be positive")
+    """Coarse grid intervals per angle: the one check of a grid step."""
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("grid step must be a positive finite number")
     return max(1, round((math.pi / 2) / h))
 
 
@@ -280,33 +288,37 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
 
     Returns (rows, stats).  Rows carry the base coordinates, the norm,
     the stratum label, and the honestly computed fiber dimension at step
-    h; the 3-sphere is the single psi = 0 column.  The generated algebra
-    is closed once per stratum, at its first grid point, since the radii
-    only rescale its generators.  Stats holds the maximal adjacent norm
-    jump at steps h and h/2 (the fine grid contains the coarse one
-    exactly) and their ratio; jumps shrinking roughly in half is
-    continuity evidence, a ratio near 1 flags a discontinuity.
+    h; the 3-sphere is the single psi = 0 column.  The norms are those of
+    ``fiber_norm3/4``, one stack of evaluations and one batched SVD per
+    fine-grid chi row (the whole column on the 3-sphere), so memory stays
+    at one row at any h.  The generated algebra is closed once per
+    stratum.  Stats holds the maximal adjacent norm jump at steps h and
+    h/2 (the fine grid contains the coarse one exactly) and their ratio;
+    jumps shrinking roughly in half is continuity evidence, a ratio near
+    1 flags a discontinuity.
     """
-    point, fiber_norm, fiber_dimension = _sphere(which)
-    _mode_of(e, p, q)
+    point, fiber_dimension = _sphere(which)
+    _check_element(e, p, q, which)
     n = _grid_count(h)
     angles = np.linspace(0.0, math.pi / 2, 2 * n + 1)
     names = ("chi", "psi") if which == "s4" else ("chi",)
     psis = angles if which == "s4" else angles[:1]
-    fine = np.array([[fiber_norm(e, *(chi, psi)[:len(names)], p, q) for psi in psis]
-                     for chi in angles])
+    # the radii exactly as BasePoint4.rsx forms them; psi = 0 gives BasePoint3's
+    trig = [(math.cos(a), math.sin(a)) for a in angles.tolist()]
+    radii = ((c1 * c2, s1 * c2, s2) for c1, s1 in trig for c2, s2 in trig[:len(psis)])
+    fine = np.empty((len(angles), len(psis)))
+    for row in fine.reshape(-1, len(angles)):  # a chi row on s4, the whole column on s3
+        stack = _evaluate(e, list(islice(radii, len(angles))), 1 + 0j, 1 + 0j, p, q)
+        row[:] = np.linalg.svd(stack, compute_uv=False)[:, 0]
     rows, dims = [], {}
-    for i in range(0, 2 * n + 1, 2):
-        for j in range(0, len(psis), 2):
-            coords = (float(angles[i]), float(psis[j]))[:len(names)]
-            pt = point(*coords)
-            label, _ = _stratum(pt, q)
-            if label not in dims:
-                dims[label] = fiber_dimension(*coords, p, q)
-            r, s, x = pt.rsx
-            rows.append({**dict(zip(names, coords)), "r": r, "s": s, "x": x,
-                         "norm": float(fine[i, j]), "stratum": label,
-                         "fiber_dim": dims[label]})
+    for i, j in product(range(0, 2 * n + 1, 2), range(0, len(psis), 2)):
+        coords = (float(angles[i]), float(psis[j]))[:len(names)]
+        pt = point(*coords)
+        label, _ = _stratum(pt, q)
+        if label not in dims:
+            dims[label] = fiber_dimension(*coords, p, q)
+        rows.append({**dict(zip(names, coords)), **dict(zip("rsx", pt.rsx)),
+                     "norm": float(fine[i, j]), "stratum": label, "fiber_dim": dims[label]})
     return rows, _jump_stats(h, fine, len(rows))
 
 
@@ -330,62 +342,52 @@ def covering_slice_check(u: TorusElement, p: int, q: int, tol: float = 1e-8) -> 
     """Phase-of-trace diagnostics for a torus element.
 
     Computes phi(u) = tau(u)/|tau(u)| when the trace does not vanish,
-    verifies unitarity of the matrix evaluations at the root-of-unity
-    points, and runs the kernel argument at matrix scale: an element
-    that is a scalar within tolerance and has phase 1 must be the unit.
-    When the trace vanishes the phase is undefined and the report says
-    so instead of guessing.
+    verifies unitarity of the matrix evaluations at the torus points of
+    ``stratum_scan`` (the root-of-unity points conjugate to z = (1, 1)),
+    and runs the kernel argument at matrix scale: an element that is a
+    scalar within tolerance and has phase 1 must be the unit.  When the
+    trace vanishes the phase is undefined and the report says so.
     """
-    _mode_of(u, p, q)
+    _check_element(u, p, q)
     rep = Report("covering_slice", context={"mode": str(u.mode)})
-    worst = 0.0
-    for z1, z2 in _root_points(q):
-        m = torus_rep(u, z1, z2)
-        worst = max(worst, op_norm(m @ m.conj().T - np.eye(q)))
+    worst = max(op_norm(m @ m.conj().T - np.eye(q))
+                for m in (torus_rep(u, z1, z2) for z1, z2 in _CLASS_POINTS))
     rep.add(CheckRecord.from_residual(
         "unitary-at-samples", "the matrix evaluations of u are unitary",
         worst, tol, SCOPE_RATIONAL))
-
+    kernel = "a scalar element with trivial phase is the unit"
     try:
         phi = phase_map(u)
     except VanishingTrace:
-        rep.context["applicable"] = False
-        rep.context["note"] = "trace numerically zero; the phase map is undefined here"
-        rep.add(CheckRecord(
-            "kernel-argument", "a scalar element with trivial phase is the unit "
-            "(inapplicable: the trace vanishes)",
-            0.0, tol, True, SCOPE_RATIONAL))
+        rep.context.update(applicable=False,
+                           note="trace numerically zero; the phase map is undefined here")
+        rep.add(CheckRecord("kernel-argument", kernel + " (inapplicable: the trace vanishes)",
+                            0.0, tol, True, SCOPE_RATIONAL))
         return rep
-    rep.context["applicable"] = True
-    rep.context["phase"] = phi
-
-    off_scalar = 0.0
-    for key, c in u.terms.items():
-        if key != (0, 0):
-            off_scalar = max(off_scalar, abs(c.value()))
-    is_scalar = off_scalar <= tol
-    phase_is_one = abs(phi - 1.0) <= tol
+    rep.context.update(applicable=True, phase=phi)
+    off_scalar = max((abs(c.value()) for key, c in u.terms.items() if key != (0, 0)),
+                     default=0.0)
+    is_scalar, phase_is_one = off_scalar <= tol, abs(phi - 1.0) <= tol
     if is_scalar and phase_is_one:
         dist = abs(trace_state(u).value() - 1.0) + off_scalar
-        rep.add(CheckRecord.from_residual(
-            "kernel-argument", "a scalar element with trivial phase is the unit",
-            dist, 1e-7, SCOPE_RATIONAL))
+        rep.add(CheckRecord.from_residual("kernel-argument", kernel, dist, 1e-7, SCOPE_RATIONAL))
     else:
-        rep.add(CheckRecord(
-            "kernel-argument", "a scalar element with trivial phase is the unit "
-            "(vacuous here: premise not met)",
-            0.0, tol, True, SCOPE_RATIONAL))
-        rep.context["kernel_premise"] = {"is_scalar": is_scalar,
-                                         "phase_is_one": phase_is_one}
+        rep.add(CheckRecord("kernel-argument", kernel + " (vacuous here: premise not met)",
+                            0.0, tol, True, SCOPE_RATIONAL))
+        rep.context["kernel_premise"] = {"is_scalar": is_scalar, "phase_is_one": phase_is_one}
     return rep
 
 
 def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
-    """Fiber dimensions per stratum, checked over all q^2 torus points.
+    """Fiber dimensions per stratum, checked at two torus coordinates each.
 
-    A representative angle per stratum is scanned across every
-    root-of-unity coordinate pair; the dimension must match the stratum
-    law and never depend on the coordinates.
+    A representative angle per stratum is closed at z = (1, 1) and at
+    (e^i, e^{i sqrt 2}), a root of unity for no q, two closures at every
+    q; the dimension must match the stratum law.  The two stand for every
+    torus coordinate: z_i -> w z_i scales the generator z_i R_i by the
+    unit w, which never changes the generated algebra.  At the q^2 roots
+    of unity it is a unitary conjugation, R2 R1 R2^-1 = zeta R1 and
+    R1^-1 R2 R1 = zeta R2 (zeta = e^{2 pi i p/q}): those are one class.
     """
     rep = Report(f"strata[{which},p={p},q={q}]", context={
         "p": p, "q": q,
@@ -393,24 +395,21 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
                       "interior fibers are infinite-dimensional and cannot be "
                       "represented here; only the rational dimensions are computed",
     })
-    point, _, fiber_dimension = _sphere(which)
+    point, fiber_dimension = _sphere(which)
     interior = math.pi / 4
     cases = {
-        "s3": [("EdgeAlpha", (0.0,)), ("EdgeBeta", (math.pi / 2,)),
-               ("Interior", (interior,))],
+        "s3": [("EdgeAlpha", (0.0,)), ("EdgeBeta", (math.pi / 2,)), ("Interior", (interior,))],
         "s4": [("EdgeAlpha", (0.0, interior)), ("EdgeBeta", (math.pi / 2, interior)),
                ("Interior", (interior, interior)), ("Pole", (interior, math.pi / 2))],
     }[which]
     dims = {}
     for label, angles in cases:
         got_label, want = _stratum(point(*angles), q)
-        seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in _root_points(q)}
+        seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in _CLASS_POINTS}
         dims[label] = sorted(seen)
         rep.add(CheckRecord.from_residual(
-            f"stratum-{label}", f"the {label} fiber dimension is {want} at every "
-            "torus coordinate",
-            float(0 if seen == {want} and got_label == label else 1), 0.5,
-            SCOPE_RATIONAL))
+            f"stratum-{label}", f"the {label} fiber dimension is {want} at every torus coordinate",
+            float(0 if seen == {want} and got_label == label else 1), 0.5, SCOPE_RATIONAL))
     rep.context["dims"] = dims
     return rep
 

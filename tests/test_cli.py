@@ -218,6 +218,14 @@ def test_toric_scan_bad_mode(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("h", ["nan", "inf", "0", "-0.1"])
+def test_toric_scan_bad_grid_step(capsys, h):
+    code, out, err = run(capsys, "toric-scan", "s3", "1", "3", h)
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid step must be a positive finite number\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "ym:k=2,N=2"),
     ("fluctuate", "hs:N=2", "random"),

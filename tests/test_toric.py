@@ -35,7 +35,10 @@ from ncgauge import (
     torus_exp,
     torus_generator,
     torus_one,
+    torus_rep,
 )
+from ncgauge import toric
+from ncgauge.cli import main
 
 
 def random_element(mode, rng, with_x=False, nterms=3, maxexp=2):
@@ -192,6 +195,56 @@ def test_stratum_scan_s4():
     assert rep.context["dims"]["Interior"] == [9]
 
 
+def root_points(q):
+    roots = [np.exp(2j * np.pi * k / q) for k in range(q)]
+    return [(z1, z2) for z1 in roots for z2 in roots]
+
+
+def root_point_scan(p, q, which):
+    """Per-stratum dimensions and verdicts over all q^2 root-of-unity points (oracle)."""
+    interior = math.pi / 4
+    if which == "s3":
+        cases = [("EdgeAlpha", (0.0,)), ("EdgeBeta", (math.pi / 2,)), ("Interior", (interior,))]
+        point, fiber_dimension = BasePoint3, s3_fiber_dimension
+    else:
+        cases = [("EdgeAlpha", (0.0, interior)), ("EdgeBeta", (math.pi / 2, interior)),
+                 ("Interior", (interior, interior)), ("Pole", (interior, math.pi / 2))]
+        point, fiber_dimension = BasePoint4, s4_fiber_dimension
+    dims, verdicts = {}, []
+    for label, angles in cases:
+        got_label, want = toric._stratum(point(*angles), q)
+        seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in root_points(q)}
+        dims[label] = sorted(seen)
+        verdicts.append((f"stratum-{label}", seen == {want} and got_label == label))
+    return dims, verdicts
+
+
+@pytest.mark.parametrize("which", ["s3", "s4"])
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 5), (3, 7)])
+def test_stratum_scan_matches_the_root_point_scan(which, p, q):
+    rep = stratum_scan(p, q, which=which)
+    dims, verdicts = root_point_scan(p, q, which)
+    assert rep.context["dims"] == dims
+    assert [(c.name, c.passed) for c in rep.records] == verdicts
+
+
+def test_stratum_scan_closes_a_fixed_number_per_stratum(monkeypatch, capsys):
+    """Two class representatives per stratum in the scan, one closure per stratum in the profile."""
+    fiber_dim, calls = toric._fiber_dim, []
+
+    def spy(pt, p, q):
+        calls.append(q)
+        return fiber_dim(pt, p, q)
+
+    monkeypatch.setattr(toric, "_fiber_dim", spy)
+    for q in (2, 7):
+        assert main(["toric-scan", "s3", "1", str(q), "0.1"]) == 0
+    capsys.readouterr()
+    counts = {q: calls.count(q) for q in (2, 7)}
+    assert counts[2] == counts[7]
+    assert counts[7] <= 2 * 3 + 3
+
+
 def root_point_norm(e, angles, p, q):
     """Max evaluation norm over the q^2 root-of-unity torus points (oracle)."""
     roots = [np.exp(2j * np.pi * k / q) for k in range(q)]
@@ -291,6 +344,41 @@ def test_profile_fiber_dim_matches_every_row(which, p, q, h):
             assert s4_fiber_dimension(row["chi"], row["psi"], p, q) == row["fiber_dim"]
 
 
+def per_point_fine_norms(e, h, p, q, which):
+    """Fine-grid norms from one ``op_norm(s*_eval(...))`` per point (oracle)."""
+    n = max(1, round((math.pi / 2) / h))
+    angles = np.linspace(0.0, math.pi / 2, 2 * n + 1)
+    if which == "s3":
+        return np.array([[op_norm(s3_eval(e, BasePoint3(chi), p, q))] for chi in angles])
+    return np.array([[op_norm(s4_eval(e, BasePoint4(chi, psi), p, q)) for psi in angles]
+                     for chi in angles])
+
+
+def assert_norms_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.where(np.abs(want) > 1e-9, 1e-12 * np.abs(want), 0.0)
+    assert np.all(np.abs(got - want) <= np.maximum(scale, 1e-15))
+
+
+@pytest.mark.parametrize("which,with_x", [("s3", False), ("s4", False), ("s4", True)])
+@pytest.mark.parametrize("p,q,h", [(1, 2, 0.3), (1, 3, 0.2), (2, 5, 0.4), (3, 7, 0.5)])
+def test_norm_profile_matches_the_per_point_loop(which, with_x, p, q, h):
+    mode = rational_mode(p, q)
+    rng = np.random.default_rng(100 * q + 2 * p + with_x)
+    for _ in range(2):
+        e = random_element(mode, rng, with_x=with_x, nterms=4, maxexp=3)
+        rows, stats = norm_profile(e, h, p, q, which=which)
+        fine = per_point_fine_norms(e, h, p, q, which)
+        # every grid has rows on both edges, the interior and (s4) the pole
+        labels = {"EdgeAlpha", "EdgeBeta", "Interior"} | ({"Pole"} if which == "s4" else set())
+        assert {row["stratum"] for row in rows} == labels
+        assert_norms_close([row["norm"] for row in rows], fine[::2, ::2].ravel())
+        for key, grid in (("max_jump", fine[::2, ::2]), ("max_jump_half_step", fine)):
+            jump = max(np.abs(np.diff(grid, axis=0)).max(initial=0.0),
+                       np.abs(np.diff(grid, axis=1)).max(initial=0.0))
+            assert abs(stats[key] - jump) <= 1e-12 * max(1.0, jump)
+
+
 @pytest.mark.parametrize("p,q,h", [(1, 2, 0.1), (2, 5, 0.3), (1, 1, 0.2)])
 def test_s3_profile_is_the_psi_zero_column_of_s4(p, q, h):
     e = random_element(rational_mode(p, q), np.random.default_rng(q), nterms=5)
@@ -350,6 +438,41 @@ def test_covering_slice_vanishing_trace_is_flagged():
     assert rep.passed
     assert rep.context["applicable"] is False
     assert "note" in rep.context
+
+
+def root_point_unitarity(u, q):
+    """Worst unitarity residual over the q^2 root-of-unity points (oracle)."""
+    worst = 0.0
+    for z1, z2 in root_points(q):
+        m = torus_rep(u, z1, z2)
+        worst = max(worst, op_norm(m @ m.conj().T - np.eye(q)))
+    return worst
+
+
+def covering_slice_elements():
+    mode = rational_mode(1, 3)
+    u1 = torus_generator(mode, 1)
+    yield torus_exp((u1 + u1.adjoint()).scale(0.3j)), 1, 3
+    yield torus_one(mode), 1, 3
+    yield u1, 1, 3
+    rng = np.random.default_rng(23)
+    for p, q in ((1, 2), (1, 3), (2, 5)):
+        mode = rational_mode(p, q)
+        for _ in range(3):
+            x = torus_one(mode).scale(complex(rng.standard_normal()))
+            for i in (1, 2):
+                x = x + torus_generator(mode, i).scale(complex(rng.standard_normal(),
+                                                               rng.standard_normal()))
+            yield torus_exp((x + x.adjoint()).scale(0.4j)), p, q
+
+
+@pytest.mark.parametrize("u,p,q", list(covering_slice_elements()))
+def test_covering_slice_unitarity_matches_the_root_point_loop(u, p, q):
+    rep = covering_slice_check(u, p, q)
+    record = next(c for c in rep.records if c.name == "unitary-at-samples")
+    want = root_point_unitarity(u, q)
+    assert record.passed == (want <= record.tolerance)
+    assert abs(record.residual - want) <= 1e-12
 
 
 def test_covering_slice_mode_mismatch():
