@@ -80,6 +80,7 @@ from .gauge import (
     NotUnitary,
     Perturbation,
     ad_kernel_check,
+    covariance_residual,
     doubled_fluctuation,
     fluctuate,
     from_unitary,

@@ -10,12 +10,18 @@ The inner fluctuation of a self-adjoint one-form omega is
 
     D_omega = D + omega + eps' J omega J^-1.
 
-The flip condition is tested on the full matrix space of H: x -> a x b
-has matrix kron(a, transpose(b)), and the left-right representation of
-M_n tensor M_n-op on M_n hits every linear map of matrices, so equality
-of the left-right operators is equality in the tensor product (the
-restriction of an injective map stays injective on the subalgebra
-A tensor A-op).
+The flip certificate is the norm of sum_j a_j (x) b_j - b_j^* (x) a_j^*
+in A tensor A-op, computed in A's defining representation on d x d
+matrices: x -> a x b has matrix kron(a, transpose(b)), and the
+left-right representation of M_d tensor M_d-op on M_d is an isomorphism
+onto all linear maps of M_d, so it stays injective on the subalgebra
+A tensor A-op.  That is one SVD of a d^2 x d^2 matrix.  For a faithful
+*-representation pi, the left-right operator on H built from pi (an
+n^2 x n^2 matrix) has the same norm: pi (x) transpose(pi) is an
+injective *-homomorphism of A tensor A-op, and an injective
+*-homomorphism between finite-dimensional C*-algebras is isometric.
+When pi is not faithful, the number on H could only be smaller; the
+norm in A tensor A-op is the certificate the semigroup asks for.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "fluctuate",
     "doubled_fluctuation",
     "gauge_transform_field",
+    "covariance_residual",
 ]
 
 
@@ -184,12 +191,17 @@ def ad_kernel_check(triple: RealSpectralTriple, u: np.ndarray,
 
 
 class Perturbation:
-    """Term list (a_j, b_j) with the two membership certificates.
+    """Term list (a_j, b_j) of elements of A with the two membership certificates.
 
-    Certificates: sum a_j b_j equals the algebra unit, and the left-right
-    operator sum kron(pi(a_j), transpose(pi(b_j))) is invariant under the
-    flip (a, b) -> (b*, a*).  The terms never change after construction,
-    so the flip residual, an SVD of an n^2 x n^2 operator, is computed once.
+    Certificates: sum a_j b_j equals the algebra unit, and the tensor
+    sum a_j (x) b_j in A tensor A-op is invariant under the flip
+    (a, b) -> (b*, a*).  The flip residual is the norm in A tensor A-op,
+    the largest singular value of sum kron(a_j, b_j^T) - kron(b_j^*, conj(a_j))
+    on A's own d x d matrices (a d^2 x d^2 SVD).  For a faithful pi it
+    equals the left-right operator norm on H, since an injective
+    *-homomorphism of finite-dimensional C*-algebras is isometric.  A
+    term outside A raises ``AlgebraError`` at construction.  The terms
+    never change afterwards, so the flip residual is computed once.
     """
 
     def __init__(self, triple: RealSpectralTriple, terms, validate: bool = True,
@@ -198,6 +210,7 @@ class Perturbation:
         self.terms = tuple((as_cmatrix(a), as_cmatrix(b)) for a, b in terms)
         if not self.terms:
             raise ValueError("a perturbation needs at least one term")
+        triple.algebra.member_coordinates(np.stack([m for term in self.terms for m in term]))
         self._flip: float | None = None
         if validate:
             self.verify(tol)
@@ -208,13 +221,8 @@ class Perturbation:
 
     def flip_residual(self) -> float:
         if self._flip is None:
-            lhs = 0.0
-            rhs = 0.0
-            for a, b in self.terms:
-                pa, pb = self.triple.pi(a), self.triple.pi(b)
-                lhs = lhs + np.kron(pa, pb.T)
-                rhs = rhs + np.kron(adjoint(pb), np.conj(pa))
-            self._flip = op_norm(lhs - rhs)
+            self._flip = op_norm(sum(np.kron(a, b.T) - np.kron(adjoint(b), np.conj(a))
+                                     for a, b in self.terms))
         return self._flip
 
     def verify(self, tol: float = TOL_DERIVED) -> None:
@@ -227,11 +235,7 @@ class Perturbation:
 
     def act_on(self, d: np.ndarray) -> np.ndarray:
         """The semigroup action sum pi(a_j) d pi(b_j) on an operator of H."""
-        n = self.triple.hilbert_dim
-        out = np.zeros((n, n), dtype=complex)
-        for a, b in self.terms:
-            out += self.triple.pi(a) @ d @ self.triple.pi(b)
-        return out
+        return sum(self.triple.pi(a) @ d @ self.triple.pi(b) for a, b in self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -308,16 +312,9 @@ def doubled_fluctuation(triple: RealSpectralTriple, p: Perturbation) -> np.ndarr
     fluctuate(gauge_field(p)) once the order-one condition collapses the
     cross terms.
     """
-    n = triple.hilbert_dim
-    d = triple.dirac
-    out = np.zeros((n, n), dtype=complex)
-    hats = [(triple.j_conjugate(triple.pi(a)), triple.j_conjugate(triple.pi(b)))
-            for a, b in p.terms]
-    for a, b in p.terms:
-        pa, pb = triple.pi(a), triple.pi(b)
-        for ahat, bhat in hats:
-            out += pa @ ahat @ d @ pb @ bhat
-    return out
+    pis = [(triple.pi(a), triple.pi(b)) for a, b in p.terms]
+    hats = [(triple.j_conjugate(pa), triple.j_conjugate(pb)) for pa, pb in pis]
+    return sum(pa @ ahat @ triple.dirac @ pb @ bhat for pa, pb in pis for ahat, bhat in hats)
 
 
 def gauge_transform_field(triple: RealSpectralTriple, omega0: OneForm, omega: OneForm,
@@ -327,7 +324,8 @@ def gauge_transform_field(triple: RealSpectralTriple, omega0: OneForm, omega: On
 
     Conjugating a term a[D,b] re-expands as (ua)[D, bu*] - (uab)[D, u*],
     so the term lists stay term lists.  When ``check`` is on, covariance
-    of the total fluctuation D -> U D U* is asserted.
+    of the total fluctuation D -> U D U* is asserted: its
+    :func:`covariance_residual` must be at most ``tol``.
     """
     u = _require_unitary(triple, u)
     ustar = adjoint(u)
@@ -344,11 +342,16 @@ def gauge_transform_field(triple: RealSpectralTriple, omega0: OneForm, omega: On
     new_rel = OneForm(triple, conjugated_terms(omega))
 
     if check:
-        big_u = gauge_matrix(triple, u)
-        lhs = fluctuate(triple, new_bg + new_rel)
-        rhs = big_u @ fluctuate(triple, omega0 + omega) @ adjoint(big_u)
-        res = op_norm(lhs - rhs)
-        if res > tol * max(1.0, op_norm(rhs)):
+        res = covariance_residual(triple, u, omega0 + omega, new_bg + new_rel)
+        if res > tol:
             raise MembershipViolated(
-                f"gauge covariance of the fluctuation fails by {res:.2e}")
+                f"gauge covariance of the fluctuation fails by {res:.2e} (relative)")
     return new_bg, new_rel
+
+
+def covariance_residual(triple: RealSpectralTriple, u: np.ndarray, before: OneForm,
+                        after: OneForm) -> float:
+    """||D_after - U D_before U*|| / max(1, ||U D_before U*||), U the gauge unitary of u."""
+    big_u = gauge_matrix(triple, u)
+    rhs = big_u @ fluctuate(triple, before) @ adjoint(big_u)
+    return op_norm(fluctuate(triple, after) - rhs) / max(1.0, op_norm(rhs))

@@ -93,6 +93,19 @@ class FiniteStarAlgebra:
     def contains(self, a: np.ndarray, tol: float = 1e-8) -> bool:
         return self._span.contains(a, tol)
 
+    def member_coordinates(self, a: np.ndarray) -> np.ndarray:
+        """Coordinates of an element, or of each matrix of a stack.
+
+        Raises :class:`AlgebraError` unless every matrix lies within
+        1e-6 * max(1, ||a||_F) of the span.
+        """
+        a = np.asarray(a, dtype=complex)
+        coords = self._span.coordinates(a)
+        gap = np.linalg.norm(a - self._span.combine(coords), axis=(-2, -1))
+        if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
+            raise AlgebraError("element lies outside the algebra span")
+        return coords
+
     def span(self) -> Subspace:
         return self._span
 

@@ -73,6 +73,7 @@ __all__ = [
 
 _RADIUS_TOL = 1e-12
 _FLAT_JUMP = 1e-12
+_MAX_GRID_POINTS = 10 ** 6  # norm_profile's fine grid (step h/2) over all its angles
 
 
 def _validate(pt, **angles: float) -> None:
@@ -262,11 +263,18 @@ def _sphere(which: str):
     raise ValueError("which must be 's3' or 's4'")
 
 
-def _grid_count(h: float) -> int:
-    """Coarse grid intervals per angle: the one check of a grid step."""
+def _grid_count(h: float, angles: int) -> int:
+    """Coarse grid intervals n per angle: the one check of a grid step.
+
+    The fine grid has (2n + 1)^angles points; more than ``_MAX_GRID_POINTS``
+    is rejected before anything is allocated.
+    """
     if not (math.isfinite(h) and h > 0):
         raise ValueError("grid step must be a positive finite number")
-    return max(1, round((math.pi / 2) / h))
+    n = max(1, round(min((math.pi / 2) / h, _MAX_GRID_POINTS)))
+    if (2 * n + 1) ** angles > _MAX_GRID_POINTS:
+        raise ValueError(f"grid step {h:g} needs more than {_MAX_GRID_POINTS} grid points")
+    return n
 
 
 def _max_jump(values: np.ndarray) -> float:
@@ -299,9 +307,9 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     """
     point, fiber_dimension = _sphere(which)
     _check_element(e, p, q, which)
-    n = _grid_count(h)
-    angles = np.linspace(0.0, math.pi / 2, 2 * n + 1)
     names = ("chi", "psi") if which == "s4" else ("chi",)
+    n = _grid_count(h, len(names))
+    angles = np.linspace(0.0, math.pi / 2, 2 * n + 1)
     psis = angles if which == "s4" else angles[:1]
     # the radii exactly as BasePoint4.rsx forms them; psi = 0 gives BasePoint3's
     trig = [(math.cos(a), math.sin(a)) for a in angles.tolist()]

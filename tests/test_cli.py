@@ -15,9 +15,12 @@ import pytest
 import ncgauge
 from ncgauge import cli
 from ncgauge.cli import main
+from ncgauge.gauge import (covariance_residual, gauge_field, gauge_transform_field,
+                           random_perturbation)
 from ncgauge.linalg import commutator, op_norm
 from ncgauge.models import load_model
-from ncgauge.spectral import compute_aj, one_form_space
+from ncgauge.spectral import OneForm, compute_aj, one_form_space
+from ncgauge.staralg import random_unitary
 
 
 def run(capsys, *argv):
@@ -224,6 +227,50 @@ def test_toric_scan_bad_grid_step(capsys, h):
     assert code == 2
     assert out == ""
     assert err == "error: grid step must be a positive finite number\n"
+
+
+@pytest.mark.parametrize("h", ["5e-324", "1e-9"])
+def test_toric_scan_grid_too_fine(capsys, h):
+    code, out, err = run(capsys, "toric-scan", "s3", "1", "3", h)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: grid step ")
+    assert "1000000" in err
+    assert "Traceback" not in err
+
+
+def reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def covariance_record(capsys, model):
+    """Exit code and strictly parsed ``gauge-covariance`` record of ``fluctuate model random``."""
+    code, out, _ = run(capsys, "fluctuate", model, "random")
+    doc = json.loads(out, parse_constant=reject_constant)
+    jsonschema.validate(instance=doc, schema=report_schema())
+    return code, next(c for c in doc["checks"] if c["name"] == "gauge-covariance")
+
+
+def test_gauge_covariance_reports_the_measured_residual(capsys):
+    code, rec = covariance_record(capsys, "hs:N=2")
+    assert code == 0
+    t = load_model("hs:N=2")
+    omega = gauge_field(random_perturbation(t, n_terms=2, seed=0))
+    u = random_unitary(t.algebra, seed=1)
+    new_bg, new_rel = gauge_transform_field(t, OneForm.zero(t), omega, u, check=False)
+    assert np.isfinite(rec["residual"])
+    assert rec["residual"] == covariance_residual(t, u, omega, new_bg + new_rel)
+    assert rec["passed"] and rec["residual"] <= rec["tolerance"]
+
+
+def test_failing_gauge_covariance_is_strict_json(capsys):
+    """The hopping fixture breaks covariance; its record keeps the statement and a finite residual."""
+    code, rec = covariance_record(capsys, "ym:k=2,N=2,lam=0.1")
+    assert code == 1
+    assert not rec["passed"]
+    assert rec["tolerance"] < rec["residual"] < 1.0
+    assert rec["statement"] == covariance_record(capsys, "hs:N=2")[1]["statement"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ncgauge import (
+    AlgebraError,
     GaugeElement,
     MembershipViolated,
     NotUnitary,
@@ -26,6 +27,8 @@ from ncgauge import (
     random_perturbation,
     random_unitary,
 )
+from ncgauge.models import load_model, triple_from_config
+from test_closure import readme_config
 
 
 def commutator(x, y):
@@ -166,6 +169,65 @@ def test_flip_residual_is_computed_once(monkeypatch):
 
     monkeypatch.setattr("ncgauge.gauge.op_norm", no_svd)
     assert [q.flip_residual() for q in perts] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def broken_pair(t):
+    """A one-term pair of generic elements: it breaks the flip, so the residual is not 0."""
+    return Perturbation(t, [(t.algebra.random_element(seed=1),
+                             t.algebra.random_element(seed=2))], validate=False)
+
+
+FLIP_TRIPLES = {
+    "hs:N=2": lambda: build_hs_model(2),
+    "hs:N=3": lambda: build_hs_model(3),
+    "ym:k=2,N=2": lambda: build_finite_ym(2, 2),
+    "ym:k=3,N=2": lambda: build_finite_ym(3, 2),
+    "ym:k=2,N=2,lam=0.1": lambda: load_model("ym:k=2,N=2,lam=0.1"),
+    "readme-diagonal": lambda: triple_from_config(readme_config("diagonal")),
+}
+
+
+def flip_cases(t):
+    p = random_perturbation(t, n_terms=3, seed=3)
+    r = from_unitary(t, random_unitary(t.algebra, seed=4))
+    return [p, r, pert_product(p, r), broken_pair(t)]
+
+
+@pytest.mark.parametrize("name", FLIP_TRIPLES)
+def test_flip_residual_matches_the_kronecker_oracle(name):
+    """The norm in A tensor A-op equals the left-right operator norm on H."""
+    perts = flip_cases(FLIP_TRIPLES[name]())
+    want = [kron_flip_residual(q) for q in perts]
+    assert want[-1] > 0.1
+    got = [Perturbation(q.triple, q.terms, validate=False).flip_residual() for q in perts]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["hs:N=3", "ym:k=3,N=2"])
+def test_flip_residual_stays_in_the_algebra(monkeypatch, name):
+    """No norm larger than d^2 x d^2 is taken, d the algebra's own matrix size."""
+    t = FLIP_TRIPLES[name]()
+    d = t.algebra.ambient
+    assert d * d < t.hilbert_dim ** 2
+    shapes = []
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return op_norm(m)
+
+    monkeypatch.setattr("ncgauge.gauge.op_norm", spy)
+    for q in flip_cases(t):
+        q.flip_residual()
+    assert shapes
+    assert max(max(s) for s in shapes) <= d * d
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_term_outside_the_algebra_rejected(validate):
+    t = build_finite_ym(2, 1)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(AlgebraError):
+        Perturbation(t, [(swap, swap)], validate=validate)
 
 
 def test_bad_normalization_rejected():
