@@ -143,24 +143,20 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
         "dimension-identity", "dim g equals dim u(A) - dim u(A_J)",
         float(abs(span.dim - expected)), 0.5, SCOPE_EXACT))
 
-    # row block i holds the pairs (i, j) with j > i
-    def brackets(i):
-        return commutator(ts[i], ts[i + 1:])
+    # row block i holds the pairs (i, j) with j > i; each block of brackets is
+    # formed once and feeds both maxima, and only one block is held at a time
+    def residuals(i):
+        br = commutator(ts[i], ts[i + 1:])
+        # a 1 x n^2 row's spectral norm is its length: the Frobenius distance from the span
+        return (br - image(commutator(xs[i], xs[i + 1:])),
+                (br - span.project(br)).reshape(-1, 1, n * n))
 
-    def pair(at):
-        return None if at is None else (at[0], at[0] + 1 + at[1])
-
-    worst, at = max_op_norm(brackets(i) - image(commutator(xs[i], xs[i + 1:]))
-                            for i in range(len(ts) - 1))
-    rep.add(CheckRecord.from_residual(
-        "bracket-form", "[T, T'] is the generator attached to [X, X']",
-        worst, tol, SCOPE_EXACT), witness=pair(at))
-    # a 1 x n^2 row's spectral norm is its length: the Frobenius distance from the span
-    worst, at = max_op_norm((brackets(i) - span.project(brackets(i))).reshape(-1, 1, n * n)
-                            for i in range(len(ts) - 1))
-    rep.add(CheckRecord.from_residual(
-        "bracket-closure", "brackets stay inside the span",
-        worst, tol, SCOPE_EXACT), witness=pair(at))
+    for (worst, at), name, statement in zip(
+            max_op_norm((residuals(i) for i in range(len(ts) - 1)), tracks=2),
+            ("bracket-form", "bracket-closure"),
+            ("[T, T'] is the generator attached to [X, X']", "brackets stay inside the span")):
+        rep.add(CheckRecord.from_residual(name, statement, worst, tol, SCOPE_EXACT),
+                witness=None if at is None else (at[0], at[0] + 1 + at[1]))
     return GaugeLieAlgebra(span, gens, rep)
 
 

@@ -79,13 +79,16 @@ def op_norm(m: np.ndarray) -> float:
 _SCREEN_SLACK = 1.0 + 1e-10
 
 
-def max_op_norm(blocks) -> tuple[float, tuple[int, int] | None]:
+def max_op_norm(blocks, tracks: int | None = None):
     """Exact max of ``op_norm`` over a sequence of matrix stacks, with its place.
 
     ``blocks`` yields stacks of matrices (arrays of shape (k, r, c)), for
     example one row block of a pairwise table at a time.  Returns the
     largest spectral norm and ``(b, i)``, where matrix i of block b attains
-    it, or ``(0.0, None)`` when there is no matrix at all.
+    it, or ``(0.0, None)`` when there is no matrix at all.  With ``tracks``
+    set to t, each block is a tuple of t stacks and a list of t such pairs
+    comes back, one per tuple position: several maxima from one pass, so
+    blocks that share their costly part are built once.
 
     The Frobenius norm bounds the spectral norm from above, so each block is
     visited in descending Frobenius order and left as soon as the next
@@ -93,17 +96,19 @@ def max_op_norm(blocks) -> tuple[float, tuple[int, int] | None]:
     after it can be larger.  Only the matrices that could still win get an
     SVD, and the value is the same ``op_norm`` the unscreened max computes.
     """
-    best, where = -1.0, None
-    for b, stack in enumerate(blocks):
-        stack = np.asarray(stack)
-        fro = np.linalg.norm(stack, axis=(-2, -1))
-        for i in np.argsort(-fro, kind="stable"):
-            if fro[i] * _SCREEN_SLACK <= best:
-                break
-            value = op_norm(stack[i])
-            if value > best:
-                best, where = value, (b, int(i))
-    return max(best, 0.0), where
+    best = [[-1.0, None] for _ in range(tracks or 1)]
+    for b, stacks in enumerate(blocks):
+        for track, stack in zip(best, stacks if tracks else (stacks,)):
+            stack = np.asarray(stack)
+            fro = np.linalg.norm(stack, axis=(-2, -1))
+            for i in np.argsort(-fro, kind="stable"):
+                if fro[i] * _SCREEN_SLACK <= track[0]:
+                    break
+                value = op_norm(stack[i])
+                if value > track[0]:
+                    track[:] = value, (b, int(i))
+    found = [(max(value, 0.0), where) for value, where in best]
+    return found if tracks else found[0]
 
 
 def left_mult_matrix(a: np.ndarray) -> np.ndarray:
@@ -147,7 +152,8 @@ def _extend_rows(stack: np.ndarray, rows: np.ndarray, rtol: float, floor: float)
     A first residual with Frobenius norm at most ``floor > 0`` adds nothing,
     and the second pass, which can only shrink it, is skipped.
     """
-    resid = rows - (rows @ stack.conj().T) @ stack
+    resid = (rows @ stack.conj().T) @ stack
+    np.subtract(rows, resid, out=resid)  # in place: one rows-sized temporary, not two
     if floor > 0 and np.linalg.norm(resid) <= floor:
         return resid[:0]
     resid -= (resid @ stack.conj().T) @ stack  # in place: the second pass adds no rows-sized result
@@ -247,15 +253,17 @@ class RealSpan(Subspace):
         return super()._mat(row[..., :n] + 1j * row[..., n:])
 
 
-def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
+def nullspace(domain_basis, images, rcond: float = 1e-9, floor: float = 0.0) -> Subspace:
     """Nullspace of a linear map given on an orthonormal basis of its domain.
 
     ``domain_basis`` is an orthonormal family of matrices and ``images[i]``
     is the image of ``domain_basis[i]`` (any array; it is only ravelled).
     A combination v = sum c_i e_i is kept when ||L(v)|| falls below
-    ``rcond`` times the largest singular value of L, matching a relative
-    threshold ||L(v)|| < rcond * ||L|| * ||v||.  Rank plus nullity equals
-    the domain dimension by construction.
+    ``max(rcond * s_max, floor)``, where s_max is the largest singular
+    value of L: a relative threshold ||L(v)|| < rcond * ||L|| * ||v||, and
+    an absolute one for a map whose natural scale is known, so that a map
+    that is zero up to rounding has the whole domain as its nullspace.
+    Rank plus nullity equals the domain dimension by construction.
 
     The coefficient nullspace is the complement of the row space R of
     a^H, where a stacks the ravelled images as rows: the rows of
@@ -270,7 +278,7 @@ def nullspace(domain_basis, images, rcond: float = 1e-9) -> Subspace:
         raise ValueError("empty domain")
     shape = domain[0].shape
     a = np.stack([np.ravel(np.asarray(img, dtype=complex)) for img in images])
-    r = _orthonormal_rows(a.conj().T, rcond)
+    r = _orthonormal_rows(a.conj().T, rcond, floor)
     # the absolute floor drops the noise rows an injective map leaves
     coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
     dom_stack = np.stack([m.ravel() for m in domain])
@@ -302,8 +310,7 @@ def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
             for x in range(k):  # new x all, old x new
                 y = (g - x) % k
                 pairs += [(mats[x][fresh[x]:], mats[y]), (mats[x][:fresh[x]], mats[y][fresh[y]:])]
-            prods = np.concatenate([np.einsum("aij,bjk->abik", a, b).reshape(-1, full)
-                                    for a, b in pairs])
+            prods = np.concatenate([(a[:, None] @ b[None]).reshape(-1, full) for a, b in pairs])
             grown[g] = np.vstack([stack, _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)])
         fresh = [len(s) for s in stacks]
         stacks = grown

@@ -354,16 +354,21 @@ def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
 
     Solved as a nullspace inside A and wrapped as a *-algebra; closure of
     the wrap is re-verified, so a kernel K violating the axioms can make
-    this raise :class:`~ncgauge.staralg.NotClosed`.
+    this raise :class:`~ncgauge.staralg.NotClosed`.  The image of a basis
+    element e_i has Frobenius norm at most 2 ||pi(e_i)||_F, so the cut is
+    1e-9 times the larger of s_max and the largest ||pi(e_i)||_F: when A_J
+    is all of A in a rotated frame, the map is zero only up to rounding,
+    and the rounding must not count as rank.
     """
     if triple._aj is not None:
         return triple._aj
     k = triple.real_structure.kernel
     images = [triple.pi_images[i] @ k - k @ triple.pi_images[i].T
               for i in range(triple.algebra.dim)]
-    sub = nullspace(triple.algebra.basis, images)
+    sub = nullspace(triple.algebra.basis, images,
+                    floor=1e-9 * max(frobenius(p) for p in triple.pi_images))
     if sub.dim == 0:
-        raise NotClosed("the real-structure condition has trivial solution space")
+        raise NotClosed("the real-structure condition has trivial solution space", 1.0)
     alg = FiniteStarAlgebra(sub.basis, triple.algebra.unit,
                             label=f"A_J({triple.label or 'A'})")
     triple._aj = alg
@@ -394,7 +399,7 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
         aj = compute_aj(triple)
     except NotClosed as exc:
         rep.add(CheckRecord("subalgebra-closure", "the solution span is a *-algebra",
-                            float("inf"), tol, False, SCOPE_EXACT))
+                            exc.residual, tol, False, SCOPE_EXACT))
         rep.context["closure_error"] = str(exc)
         return rep
 

@@ -16,7 +16,8 @@ from .linalg import (
     Subspace,
     adjoint,
     as_cmatrix,
-    commutator,
+    frobenius,
+    max_op_norm,
     nullspace,
     op_norm,
 )
@@ -44,7 +45,16 @@ class AlgebraError(Exception):
 
 
 class NotClosed(AlgebraError):
-    """The candidate span is not closed under products/adjoints, or has no unit."""
+    """The candidate span is not closed under products/adjoints, or has no unit.
+
+    ``residual`` is the number the failing check measured: a closure,
+    orthonormality or unit residual, or 1.0 (the unit's relative distance
+    from a zero span) when there is no span to measure.
+    """
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 class NonCommutative(AlgebraError):
@@ -60,7 +70,10 @@ class FiniteStarAlgebra:
 
     Closure and the unit property are verified at construction, which
     keeps the worst product- and adjoint-closure residuals in
-    ``closure_residuals``.
+    ``closure_residuals``.  The closure check computes the coordinates of
+    every product of two basis elements, and keeps them as the structure
+    constants: ``structure_constants[a, b, k]`` is the k-th coordinate of
+    basis[a] @ basis[b], a d x d x d array.
     """
 
     def __init__(self, basis: list[np.ndarray], unit: np.ndarray, label: str = "",
@@ -69,7 +82,7 @@ class FiniteStarAlgebra:
         self.unit = as_cmatrix(unit)
         self.label = label
         if not self.basis:
-            raise NotClosed("an algebra needs at least one basis element")
+            raise NotClosed("an algebra needs at least one basis element", 1.0)
         self.ambient = self.basis[0].shape[0]
         self._stack = np.stack([b.ravel() for b in self.basis])
         self._span = Subspace(self._stack, (self.ambient, self.ambient))
@@ -110,11 +123,12 @@ class FiniteStarAlgebra:
         return self._span
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
-        return all(
-            op_norm(commutator(a, b)) <= tol
-            for i, a in enumerate(self.basis)
-            for b in self.basis[i + 1:]
-        )
+        """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
+
+        [b_a, b_b] has the coordinates c[a, b] - c[b, a] in the orthonormal basis.
+        """
+        c = self.structure_constants
+        return bool(np.linalg.norm(c - np.swapaxes(c, 0, 1), axis=2).max() <= tol)
 
     def random_element(self, seed: int = 0, hermitian: bool = False) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -134,24 +148,26 @@ class FiniteStarAlgebra:
         """Raise unless closed, orthonormal and unital; return the closure residuals."""
         b = np.stack(self.basis)
         d, n = self.dim, self.ambient
-        closure = []
-        for kind, rows in (("products", np.einsum("aij,bjk->abik", b, b).reshape(d * d, n * n)),
+        closure, coords = [], []
+        for kind, rows in (("products", (b[:, None] @ b[None]).reshape(d * d, n * n)),
                            ("adjoints", np.conj(np.swapaxes(b, 1, 2)).reshape(d, n * n))):
-            resid = rows - (rows @ self._stack.conj().T) @ self._stack
-            closure.append(float(np.max(np.linalg.norm(resid, axis=1))))
+            coords.append(rows @ self._stack.conj().T)
+            rows -= coords[-1] @ self._stack  # in place: rows, once read, become the residual
+            closure.append(float(np.max(np.linalg.norm(rows, axis=1))))
             if closure[-1] > tol:
-                raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})")
-        gram = self._stack @ self._stack.conj().T
-        if op_norm(gram - np.eye(d)) > 1e-9:
-            raise NotClosed("basis is not orthonormal in the trace inner product")
-        worst = max(
-            max(op_norm(self.unit @ x - x), op_norm(x @ self.unit - x))
-            for x in self.basis
-        )
+                raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
+                                closure[-1])
+        self.structure_constants = coords[0].reshape(d, d, d)
+        gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
+        if gram > 1e-9:
+            raise NotClosed("basis is not orthonormal in the trace inner product", gram)
+        worst = max_op_norm([self.unit @ b - b, b @ self.unit - b])[0]
         if worst > 1e-9:
-            raise NotClosed(f"stored unit does not act as the identity (residual {worst:.2e})")
-        if not self.contains(self.unit, 1e-9):
-            raise NotClosed("stored unit lies outside the span")
+            raise NotClosed(f"stored unit does not act as the identity (residual {worst:.2e})",
+                            worst)
+        gap = self.residual(self.unit) / max(1.0, frobenius(self.unit))
+        if gap > 1e-9:
+            raise NotClosed("stored unit lies outside the span", gap)
         return closure[0], closure[1]
 
 
@@ -159,22 +175,15 @@ def _find_unit(stack: np.ndarray, ambient: int) -> np.ndarray:
     """Solve e b = b = b e for e inside the span; raise if no solution."""
     d = stack.shape[0]
     basis = stack.reshape(d, ambient, ambient)
-    rows = []
-    rhs = []
-    for b in basis:
-        rows.append(np.stack([(x @ b).ravel() for x in basis]).T)  # columns indexed by k
-        rhs.append(b.ravel())
-        rows.append(np.stack([(b @ x).ravel() for x in basis]).T)
-        rhs.append(b.ravel())
-    a = np.vstack(rows)
-    y = np.concatenate(rhs)
+    prods = basis[:, None] @ basis[None]  # prods[k, b] = basis[k] @ basis[b]
+    # rows (b, side, i, j), columns k: first (basis[k] @ b)_ij, then (b @ basis[k])_ij
+    a = np.moveaxis(np.stack([np.swapaxes(prods, 0, 1), prods], axis=1), 2, -1).reshape(-1, d)
+    y = np.repeat(basis[:, None], 2, axis=1).reshape(-1)
     c, *_ = np.linalg.lstsq(a, y, rcond=None)
     e = (c @ stack).reshape(ambient, ambient)
-    worst = max(
-        max(op_norm(e @ b - b), op_norm(b @ e - b)) for b in basis
-    )
+    worst = max_op_norm([e @ basis - basis, basis @ e - basis])[0]
     if worst > 1e-9:
-        raise NotClosed(f"span has no unit (best residual {worst:.2e})")
+        raise NotClosed(f"span has no unit (best residual {worst:.2e})", worst)
     return e
 
 
@@ -189,11 +198,11 @@ def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStar
     else:
         sub = Subspace.from_spanning(list(span))
     if sub.dim == 0:
-        raise NotClosed("empty span")
+        raise NotClosed("empty span", 1.0)
     stack = np.stack([b.ravel() for b in sub.basis])
     ambient = sub.shape[0]
     if sub.shape[0] != sub.shape[1]:
-        raise NotClosed("algebra elements must be square matrices")
+        raise NotClosed("algebra elements must be square matrices", 1.0)
     unit = _find_unit(stack, ambient)
     return FiniteStarAlgebra(sub.basis, unit, label=label, tol=tol)
 
@@ -238,13 +247,22 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     """Elements commuting with the whole algebra, as a subalgebra.
 
     Computed as the nullspace of a -> ([a, b_1], ..., [a, b_d]) restricted
-    to the span.  The center of a *-closed algebra is itself *-closed and
-    contains the unit, so the wrap step cannot fail on consistent input.
+    to the span, read from the structure constants: [b_a, b_b] has the
+    coordinates c[a, b] - c[b, a], so the map is d x d^2 in coordinates.
+    The basis is orthonormal and every commutator lies in A, so taking
+    coordinates is an isometry on the image: this is the same linear map
+    as on the d n^2 commutator matrices, with the same singular values.
+
+    The nullspace cut is ``1e-9 * max(s_max, 1)``.  Every coordinate row
+    of [b_a, b_b] has norm at most 2, so 1 is the map's natural scale, and
+    a commutative algebra in a rotated basis, whose map is zero up to
+    rounding, keeps its whole span as the center instead of counting
+    rounding as rank.
+    The center of a *-closed algebra is itself *-closed and contains the
+    unit, so the wrap step cannot fail on consistent input.
     """
-    images = []
-    for a in algebra.basis:
-        images.append(np.stack([commutator(a, b) for b in algebra.basis]))
-    sub = nullspace(algebra.basis, images)
+    c = algebra.structure_constants
+    sub = nullspace(algebra.basis, c - np.swapaxes(c, 0, 1), floor=1e-9)
     return subalgebra_from_span(sub, label=f"Z({algebra.label})" if algebra.label else "center")
 
 

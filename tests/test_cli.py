@@ -98,6 +98,14 @@ def test_check_reports_a_non_closed_aj(capsys, tmp_path):
     assert doc["checks"][-1]["name"] == "subalgebra-closure"
     assert not records["subalgebra-closure"]["passed"]
     assert "not closed" in doc["context"]["closure_error"]
+
+    def reject(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+
+    strict = json.loads(out, parse_constant=reject)
+    closure = strict["checks"][-1]
+    # the residual is the one the failing closure check measured, above its tolerance
+    assert closure["tolerance"] < closure["residual"] < 10
     assert "gauge" not in doc["context"]
 
 

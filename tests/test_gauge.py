@@ -27,6 +27,7 @@ from ncgauge import (
     random_perturbation,
     random_unitary,
 )
+from ncgauge.linalg import max_op_norm
 from ncgauge.models import load_model, triple_from_config
 from test_closure import readme_config
 
@@ -89,6 +90,33 @@ def test_gauge_generators_span_brackets():
     for x in mats:
         for y in mats:
             assert g.span.residual(commutator(x, y)) < 1e-8
+
+
+def two_pass_brackets(triple, g):
+    """Oracle: the bracket-form and bracket-closure maxima as two separate passes."""
+    xs = np.stack([x for x, _ in g.generators])
+    ts = np.stack([t for _, t in g.generators])
+    n = triple.hilbert_dim
+
+    def image(x):
+        return triple.pi(x) + triple.j_conjugate(triple.pi(x))
+
+    rows = range(len(ts) - 1)
+    form = max_op_norm(commutator(ts[i], ts[i + 1:]) - image(commutator(xs[i], xs[i + 1:]))
+                       for i in rows)
+    closure = max_op_norm((commutator(ts[i], ts[i + 1:])
+                           - g.span.project(commutator(ts[i], ts[i + 1:]))).reshape(-1, 1, n * n)
+                          for i in rows)
+    return form, closure
+
+
+@pytest.mark.parametrize("spec", ["hs:N=3", "ym:k=2,N=2", "ym:k=2,N=2,lam=0.1"])
+def test_bracket_records_match_two_pass_oracle(spec):
+    triple = load_model(spec)
+    g = gauge_lie_algebra(triple)
+    for name, (worst, at) in zip(("bracket-form", "bracket-closure"), two_pass_brackets(triple, g)):
+        assert g.report.record(name).residual == worst
+        assert g.report.witnesses[name] == [at[0], at[0] + 1 + at[1]]
 
 
 def test_ad_kernel_both_directions():

@@ -9,6 +9,7 @@ from ncgauge import (
     FiniteStarAlgebra,
     build_finite_ym,
     build_hs_model,
+    conjugate_triple,
     fiber_gauge_action,
     group_bundle_dims,
     localize,
@@ -41,6 +42,19 @@ def test_ym_fiber_dims(k, n):
     assert len(dec) == k
     assert [f.dim for f in dec.fibers] == [n * n] * k
     assert sum(f.dim for f in dec.fibers) == t.algebra.dim
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 2), (2, 1), (3, 1)])
+def test_conjugated_triple_keeps_its_fibers(k, n):
+    # conjugation rotates the frame: the maps that cut out A_J (all of A when n = 1)
+    # and its center are then zero only up to rounding, which must not count as rank
+    t = build_finite_ym(k, n)
+    rng = np.random.default_rng(k)
+    u = np.linalg.qr(rng.standard_normal((t.hilbert_dim,) * 2)
+                     + 1j * rng.standard_normal((t.hilbert_dim,) * 2))[0]
+    moved = localize(conjugate_triple(t, u))
+    assert moved.report.context["fiber_dims"] == localize(t).report.context["fiber_dims"]
+    assert moved.report.context["fiber_dims"] == [n * n] * k
 
 
 def test_commutative_algebra_has_scalar_fibers():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncgauge.linalg import Subspace, adjoint, op_norm
+from ncgauge.linalg import Subspace, adjoint, commutator, nullspace, op_norm
+from ncgauge.models import build_finite_ym, build_hs_model, build_orbifold_algebra
 from ncgauge.staralg import (
     FiniteStarAlgebra,
     NotClosed,
@@ -69,8 +72,16 @@ def test_contains_rejects_outside():
 
 def test_subalgebra_from_span_requires_closure():
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(NotClosed):
+    with pytest.raises(NotClosed) as info:
         subalgebra_from_span(Subspace.from_spanning([e12], shape=(2, 2)))
+    # the span has no unit; the raise carries the residual it measured
+    assert 1e-9 < info.value.residual < 10
+
+
+def test_empty_span_carries_unit_distance():
+    with pytest.raises(NotClosed) as info:
+        subalgebra_from_span(Subspace.from_spanning([np.zeros((2, 2))]))
+    assert info.value.residual == 1.0
 
 
 def test_minimal_projections_of_diagonal():
@@ -120,3 +131,80 @@ def test_random_element_spans_algebra():
     els = [alg.random_element(seed=s) for s in range(6)]
     sp = Subspace.from_spanning(els, shape=(2, 2))
     assert sp.dim == 4
+
+
+# -- the product table and the center against the dense oracles ----------------
+
+
+def einsum_products(alg):
+    """Oracle: every product basis[a] @ basis[b] as row a d + b, by einsum."""
+    b = np.stack(alg.basis)
+    return np.einsum("aij,bjk->abik", b, b).reshape(alg.dim ** 2, alg.ambient ** 2)
+
+
+def dense_center(alg):
+    """Oracle: the nullspace of a -> ([a, b_1], ..., [a, b_d]) on n x n commutators.
+
+    The cut is the one ``center`` states, 1e-9 * max(s_max, 1).
+    """
+    images = [np.stack([commutator(a, b) for b in alg.basis]) for a in alg.basis]
+    return nullspace(alg.basis, images, floor=1e-9)
+
+
+def haar_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(alg, seed):
+    """The algebra conjugated by a random unitary of C^n, in a random orthonormal basis."""
+    rng = np.random.default_rng(seed)
+    v, w = haar_unitary(alg.ambient, rng), haar_unitary(alg.dim, rng)
+    moved = [v @ b @ adjoint(v) for b in alg.basis]
+    basis = [sum(c * m for c, m in zip(row, moved)) for row in w]
+    return FiniteStarAlgebra(basis, v @ alg.unit @ adjoint(v), label=alg.label)
+
+
+def assert_matches_oracles(alg, center_dim):
+    prods = einsum_products(alg)
+    stack = np.stack(alg.basis).reshape(alg.dim, -1)
+    rebuilt = alg.structure_constants.reshape(alg.dim ** 2, alg.dim) @ stack
+    scale = np.linalg.norm(prods, axis=1).max()
+    assert np.linalg.norm(rebuilt - prods, axis=1).max() <= 1e-12 * scale
+    z, want = center(alg).span(), dense_center(alg)
+    assert z.dim == want.dim == center_dim
+    assert z.intersection_dim(want) == center_dim
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hs_products_and_center_match_oracles(n):
+    assert_matches_oracles(build_hs_model(n).algebra, 1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ym_products_and_center_match_oracles(k):
+    assert_matches_oracles(build_finite_ym(k, 2).algebra, k)
+
+
+@pytest.mark.parametrize("q,p,m", [(4, 1, 1), (3, 1, 2), (4, 1, 2), (3, 1, 3)])
+def test_orbifold_products_and_center_match_oracles(q, p, m):
+    assert_matches_oracles(build_orbifold_algebra(q, p, m)[0], m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2 ** 16))
+def test_rotated_block_diagonal_matches_oracles(sizes, seed):
+    assert_matches_oracles(rotated(block_diagonal_algebra(sizes), seed), len(sizes))
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_rotated_commutative_algebra_is_its_own_center(k):
+    # every commutator is zero up to rounding: the absolute cut keeps the whole span
+    alg = rotated(diagonal_algebra(k), seed=k)
+    assert alg.is_commutative()
+    assert center(alg).dim == k
+    assert len(minimal_projections(alg)) == k
+
+
+def test_rotated_m2_plus_c_has_two_central_scalars():
+    assert center(rotated(block_diagonal_algebra([2, 1]), seed=7)).dim == 2
