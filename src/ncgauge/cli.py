@@ -7,7 +7,8 @@ Subcommands
     toric-scan norm grid over a sphere base with stratum labels
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 bad input,
-3 a program fault (out of memory, a linear-algebra routine that failed).
+3 a program fault (out of memory, a linear-algebra routine that failed,
+an algebra construction that raised).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).
 """
@@ -41,8 +42,9 @@ from .localize import (
 from .models import BadModelSpec, _parse_kv, load_model
 from .parsing import ParseError, parse_sphere
 from .reporting import SCOPE_CONTINUITY, SCOPE_EXACT, CheckRecord, Report, rows_to_csv
-from .spectral import OneForm, RealSpectralTriple, check_axioms, verify_aj_properties
-from .staralg import random_unitary
+from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check_axioms,
+                       verify_aj_properties)
+from .staralg import AlgebraError, random_unitary
 from .torus import BadParameters, ModeMismatch, NotOnTorus, rational_mode
 from .toric import jump_verdict, norm_profile, stratum_scan
 
@@ -136,11 +138,13 @@ def cmd_check(args) -> tuple[Report, None]:
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
     tol = TOL_DERIVED if args.tol is None else args.tol
-    dec = localize(triple, seed=args.seed, tol=args.tol)
     rep = Report(f"localize[{args.model}]",
                  context={"model": args.model, "seed": args.seed,
-                          "tol_override": args.tol,
-                          "localization": dec.report.context})
+                          "tol_override": args.tol})
+    if aj_or_closure_failure(triple, rep, tol) is None:
+        return rep, None  # no base to localize over: A_J is not a *-algebra
+    dec = localize(triple, seed=args.seed, tol=args.tol)
+    rep.context["localization"] = dec.report.context
     rep.extend(dec.report)
 
     alg = triple.algebra
@@ -272,7 +276,7 @@ def main(argv=None) -> int:
     try:
         rep, rows = handlers[args.command](args)
     # LinAlgError subclasses ValueError: catch the faults before the input errors
-    except (np.linalg.LinAlgError, MemoryError) as exc:
+    except (np.linalg.LinAlgError, MemoryError, AlgebraError) as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus,

@@ -35,8 +35,8 @@ __all__ = [
     "frobenius",
     "op_norm",
     "max_op_norm",
-    "left_mult_matrix",
-    "right_mult_matrix",
+    "commutator_map_norm",
+    "pair_products",
     "Subspace",
     "RealSpan",
     "nullspace",
@@ -111,16 +111,19 @@ def max_op_norm(blocks, tracks: int | None = None):
     return found if tracks else found[0]
 
 
-def left_mult_matrix(a: np.ndarray) -> np.ndarray:
-    """Matrix of x -> a x on row-major vectorised matrix space."""
-    a = as_cmatrix(a)
-    return np.kron(a, np.eye(a.shape[1], dtype=complex))
+def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:
+    """Norm of x -> [p, x] on the span of an orthonormal stack, Frobenius to Frobenius.
+
+    The map's matrix has the rows vec([p, s_k]).  Another orthonormal basis
+    of the span multiplies it from the left by a unitary, so the norm does
+    not depend on which basis the stack holds.
+    """
+    return op_norm(commutator(p, stack).reshape(len(stack), np.size(p)))
 
 
-def right_mult_matrix(b: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x b on row-major vectorised matrix space."""
-    b = as_cmatrix(b)
-    return np.kron(np.eye(b.shape[0], dtype=complex), b.T)
+def pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every product a[i] @ b[j] of two matrix stacks, vectorised as row i len(b) + j."""
+    return (a[:, None] @ b[None]).reshape(len(a) * len(b), a.shape[1] * b.shape[2])
 
 
 def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
@@ -222,10 +225,12 @@ class Subspace:
         return self.residual(m) <= tol * scale
 
     def union(self, other: "Subspace", rtol: float = 1e-10) -> "Subspace":
-        if type(other) is not type(self) or other.shape != self.shape:
+        """The span of both, as a plain span of their field (also for subclasses)."""
+        field = RealSpan if isinstance(self, RealSpan) else Subspace
+        if isinstance(other, RealSpan) is not (field is RealSpan) or other.shape != self.shape:
             raise ValueError("spans differ in field or shape")
         stack = np.vstack([self._stack, other._stack])
-        return type(self)(_orthonormal_rows(stack, rtol), self.shape)
+        return field(_orthonormal_rows(stack, rtol), self.shape)
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.union(other).dim
@@ -310,7 +315,7 @@ def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
             for x in range(k):  # new x all, old x new
                 y = (g - x) % k
                 pairs += [(mats[x][fresh[x]:], mats[y]), (mats[x][:fresh[x]], mats[y][fresh[y]:])]
-            prods = np.concatenate([(a[:, None] @ b[None]).reshape(-1, full) for a, b in pairs])
+            prods = np.concatenate([pair_products(a, b) for a, b in pairs])
             grown[g] = np.vstack([stack, _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)])
         fresh = [len(s) for s in stacks]
         stacks = grown

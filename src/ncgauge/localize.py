@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import TOL_DERIVED, Subspace, adjoint, as_cmatrix, commutator, op_norm
+from .linalg import (TOL_DERIVED, Subspace, adjoint, as_cmatrix, commutator,
+                     commutator_map_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import RealSpectralTriple, c_d_algebra, compute_aj, one_form_space
-from .staralg import (
-    FiniteStarAlgebra,
-    ProjectionFamily,
-    minimal_projections,
-    random_unitary,
-    skew_hermitian_basis,
-)
+from .staralg import FiniteStarAlgebra, ProjectionFamily, minimal_projections, random_unitary
 from .gauge import gauge_lie_algebra
 
 __all__ = [
@@ -115,10 +110,7 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
 
     cd, _ = c_d_algebra(triple)
     cd_stack = np.stack(cd.basis)
-    # the norm of x -> [p, x] on C_D (Frobenius to Frobenius): rows vec([p, c_k])
-    # over an orthonormal basis, so no choice of that basis changes it
-    worst = max(op_norm(commutator(triple.pi(p), cd_stack).reshape(len(cd_stack), -1))
-                for _, p in base)
+    worst = max(commutator_map_norm(triple.pi(p), cd_stack) for _, p in base)
     rep.add(CheckRecord.from_residual(
         "base-central-in-CD", "each point projection is central in the algebra "
         "generated by A and [D, A]",
@@ -229,18 +221,17 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
 def group_bundle_dims(dec: FiberDecomposition) -> tuple[list[dict], Report]:
     """Per-point unitary and gauge dimensions with the two sum identities.
 
-    dim_R u(fiber) is computed from an actual skew-hermitian basis; the
-    gauge fiber removes the one circle that acts trivially.  Summing over
-    points recovers dim u(A) and, after the -1 per point, the gauge Lie
-    algebra dimension.
+    dim_R u(B) = dim_C B for every *-algebra B (asserted by
+    :func:`~ncgauge.staralg.skew_hermitian_basis`), so the unitary
+    dimensions are the fiber dimensions and dim A; the gauge fiber removes
+    the one circle that acts trivially.  Summing over points recovers
+    dim u(A) and, after the -1 per point, the gauge Lie algebra dimension.
     """
     triple = dec.triple
-    rows = []
-    for (label, _), fib in zip(dec.base, dec.fibers):
-        u_dim = len(skew_hermitian_basis(fib))
-        rows.append({"point": label, "fiber_dim": fib.dim,
-                     "unitary_dim": u_dim, "gauge_fiber_dim": u_dim - 1})
-    u_total = len(skew_hermitian_basis(triple.algebra))
+    rows = [{"point": label, "fiber_dim": fib.dim,
+             "unitary_dim": fib.dim, "gauge_fiber_dim": fib.dim - 1}
+            for (label, _), fib in zip(dec.base, dec.fibers)]
+    u_total = triple.algebra.dim
     g = gauge_lie_algebra(triple)
     rep = Report(f"group_bundle[{triple.label or 'triple'}]",
                  context={"rows": rows, "u_A_dim": u_total, "gauge_dim": g.dim})

@@ -99,7 +99,8 @@ class Report:
     """A titled bundle of check records plus free-form context.
 
     ``witnesses`` maps the name of a max-over-pairs record to the index pair
-    that attains its residual; it travels with the records through
+    that attains its residual (a max over single basis elements gives one
+    index); it travels with the records through
     :meth:`extend` and is written out as ``context["witnesses"]``.
     """
 
@@ -112,7 +113,7 @@ class Report:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def add(self, record: CheckRecord, witness: tuple[int, int] | None = None) -> CheckRecord:
+    def add(self, record: CheckRecord, witness: tuple[int, ...] | None = None) -> CheckRecord:
         self.records.append(record)
         if witness is not None:
             self.witnesses[record.name] = list(witness)

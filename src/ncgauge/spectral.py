@@ -36,6 +36,7 @@ from .linalg import (
     adjoint,
     as_cmatrix,
     commutator,
+    commutator_map_norm,
     frobenius,
     max_op_norm,
     nullspace,
@@ -53,6 +54,8 @@ __all__ = [
     "one_form_space",
     "c_d_algebra",
     "compute_aj",
+    "aj_or_closure_failure",
+    "real_structure_residuals",
     "verify_aj_properties",
     "unitary_equivalent",
     "conjugate_triple",
@@ -201,7 +204,6 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
 
     alg = triple.algebra
     n = triple.hilbert_dim
-    k = triple.real_structure.kernel
     d = triple.dirac
     rep = Report(f"axioms[{triple.label or 'triple'}]",
                  context={"model": triple.label, "algebra_dim": alg.dim,
@@ -232,17 +234,14 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
     rep.add(CheckRecord.from_residual(
         "dirac-self-adjoint", "D = D*", op_norm(d - adjoint(d)), t_con, SCOPE_EXACT))
 
+    isometry, square, dirac_sign = real_structure_residuals(triple)
     rep.add(CheckRecord.from_residual(
-        "real-structure-isometry", "the kernel K of J is unitary",
-        triple.real_structure.unitarity_residual(), t_j, SCOPE_EXACT))
-
+        "real-structure-isometry", "the kernel K of J is unitary", isometry, t_j, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
-        "real-structure-square", "J^2 = eps, i.e. K conj(K) = eps 1",
-        op_norm(k @ np.conj(k) - triple.eps * np.eye(n)), t_j, SCOPE_EXACT))
-
+        "real-structure-square", "J^2 = eps, i.e. K conj(K) = eps 1", square, t_j, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "real-structure-dirac-sign", "JD = eps' DJ, i.e. K conj(D) = eps' D K",
-        op_norm(k @ np.conj(d) - triple.eps_prime * d @ k), t_j, SCOPE_EXACT))
+        dirac_sign, t_j, SCOPE_EXACT))
 
     b_opp = triple.b_opposite(basis)
     worst, at = max_op_norm(commutator(p, b_opp) for p in pis)
@@ -254,6 +253,14 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
         "order-one-condition", "[[D, pi(a)], Jb*J^-1] = 0 for all basis pairs",
         worst, t_der, SCOPE_EXACT), witness=at)
     return rep
+
+
+def real_structure_residuals(triple: RealSpectralTriple) -> tuple[float, float, float]:
+    """J-axiom residuals in kernel form: K unitary, K conj(K) = eps 1, K conj(D) = eps' D K."""
+    k, d = triple.real_structure.kernel, triple.dirac
+    return (triple.real_structure.unitarity_residual(),
+            op_norm(k @ np.conj(k) - triple.eps * np.eye(triple.hilbert_dim)),
+            op_norm(k @ np.conj(d) - triple.eps_prime * d @ k))
 
 
 # -- derived structures ------------------------------------------------------
@@ -381,26 +388,20 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     The three headline assertions (central, *-closed, commutes with
     one-forms) are all trivially true of the scalar algebra, so a
     corrupted real structure that merely shrinks A_J would slip through
-    them; the premise record pins the J axioms themselves.
+    them; the premise record pins the J axioms themselves.  Commuting with
+    one-forms is measured, for each basis element p of A_J, as the norm of
+    x -> [pi(p), x] on Omega^1 (:func:`~ncgauge.linalg.commutator_map_norm`),
+    which no choice of orthonormal basis of Omega^1 changes; the witness is
+    the index of the worst p.
     """
     n = triple.hilbert_dim
     k = triple.real_structure.kernel
-    d = triple.dirac
     rep = Report(f"aj_properties[{triple.label or 'triple'}]")
-    premise = max(
-        triple.real_structure.unitarity_residual(),
-        op_norm(k @ np.conj(k) - triple.eps * np.eye(n)),
-        op_norm(k @ np.conj(d) - triple.eps_prime * d @ k),
-    )
     rep.add(CheckRecord.from_residual(
         "real-structure-premise", "the real-structure axioms behind the construction hold",
-        premise, tol, SCOPE_EXACT))
-    try:
-        aj = compute_aj(triple)
-    except NotClosed as exc:
-        rep.add(CheckRecord("subalgebra-closure", "the solution span is a *-algebra",
-                            exc.residual, tol, False, SCOPE_EXACT))
-        rep.context["closure_error"] = str(exc)
+        max(real_structure_residuals(triple)), tol, SCOPE_EXACT))
+    aj = aj_or_closure_failure(triple, rep, tol)
+    if aj is None:
         return rep
 
     rep.context["aj_dim"] = aj.dim
@@ -419,11 +420,28 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
         "star-closed", "A_J is closed under the adjoint", worst, tol, SCOPE_EXACT))
 
     omega = np.reshape(one_form_space(triple).basis, (-1, n, n))
-    worst, at = max_op_norm(commutator(p, omega) for p in triple.pi(np.stack(aj.basis)))
+    norms = [commutator_map_norm(p, omega) for p in triple.pi(np.stack(aj.basis))]
+    at = int(np.argmax(norms))
     rep.add(CheckRecord.from_residual(
         "commutes-with-one-forms", "A_J commutes with every one-form a[D,b]",
-        worst, tol, SCOPE_EXACT), witness=at)
+        norms[at], tol, SCOPE_EXACT), witness=(at,))
     return rep
+
+
+def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report,
+                          tol: float = TOL_DERIVED) -> FiniteStarAlgebra | None:
+    """A_J, or None after recording in ``rep`` why its span is not a *-algebra.
+
+    The failing ``subalgebra-closure`` record carries the residual the failed
+    check measured, and ``closure_error`` in the context names the check.
+    """
+    try:
+        return compute_aj(triple)
+    except NotClosed as exc:
+        rep.add(CheckRecord("subalgebra-closure", "the solution span is a *-algebra",
+                            exc.residual, tol, False, SCOPE_EXACT))
+        rep.context["closure_error"] = str(exc)
+        return None
 
 
 # -- unitary equivalence -----------------------------------------------------

@@ -20,6 +20,7 @@ from .linalg import (
     max_op_norm,
     nullspace,
     op_norm,
+    pair_products,
 )
 
 __all__ = [
@@ -65,8 +66,8 @@ class DegenerateDraw(AlgebraError):
     """Random spectral draws kept producing clustered eigenvalues."""
 
 
-class FiniteStarAlgebra:
-    """A *-closed span of matrices with its unit.
+class FiniteStarAlgebra(Subspace):
+    """A *-closed span of n x n matrices with its unit: a verified :class:`Subspace`.
 
     Closure and the unit property are verified at construction, which
     keeps the worst product- and adjoint-closure residuals in
@@ -74,37 +75,35 @@ class FiniteStarAlgebra:
     every product of two basis elements, and keeps them as the structure
     constants: ``structure_constants[a, b, k]`` is the k-th coordinate of
     basis[a] @ basis[b], a d x d x d array.
+
+    An omitted unit is solved from the structure constants: e = sum_k e_k
+    b_k acts as the identity when sum_k e_k c[k, j] and sum_k e_k c[j, k]
+    are both the j-th unit vector for every j, a 2 d^2 x d least-squares
+    system.  A finite-dimensional *-algebra of matrices always has a unit,
+    so on a closed span this fails only by rounding; the solved unit is
+    checked in matrix space like a given one.
     """
 
-    def __init__(self, basis: list[np.ndarray], unit: np.ndarray, label: str = "",
-                 tol: float = 1e-8):
-        self.basis = [as_cmatrix(b) for b in basis]
-        self.unit = as_cmatrix(unit)
-        self.label = label
-        if not self.basis:
+    def __init__(self, basis: list[np.ndarray], unit: np.ndarray | None = None,
+                 label: str = "", tol: float = 1e-8):
+        basis = [as_cmatrix(b) for b in basis]
+        if not basis:
             raise NotClosed("an algebra needs at least one basis element", 1.0)
-        self.ambient = self.basis[0].shape[0]
-        self._stack = np.stack([b.ravel() for b in self.basis])
-        self._span = Subspace(self._stack, (self.ambient, self.ambient))
-        self.closure_residuals = self._verify(tol)
+        n = basis[0].shape[0]
+        if basis[0].shape != (n, n):
+            raise NotClosed("algebra elements must be square matrices", 1.0)
+        super().__init__(np.stack([b.ravel() for b in basis]), (n, n))
+        self.ambient = n
+        self.label = label
+        self._skew: list[np.ndarray] | None = None  # u(A), kept by skew_hermitian_basis
+        self.closure_residuals = self._verify(tol, unit)
+
+    @classmethod
+    def from_spanning(cls, mats, shape=None, rtol: float = 1e-10) -> "FiniteStarAlgebra":
+        """The span of ``mats`` as a verified algebra, its unit solved."""
+        return subalgebra_from_span(Subspace.from_spanning(mats, shape, rtol))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def coordinates(self, a: np.ndarray) -> np.ndarray:
-        return self._span.coordinates(as_cmatrix(a))
-
-    def project(self, a: np.ndarray) -> np.ndarray:
-        return self._span.project(as_cmatrix(a))
-
-    def residual(self, a: np.ndarray) -> float:
-        return self._span.residual(a)
-
-    def contains(self, a: np.ndarray, tol: float = 1e-8) -> bool:
-        return self._span.contains(a, tol)
 
     def member_coordinates(self, a: np.ndarray) -> np.ndarray:
         """Coordinates of an element, or of each matrix of a stack.
@@ -113,14 +112,11 @@ class FiniteStarAlgebra:
         1e-6 * max(1, ||a||_F) of the span.
         """
         a = np.asarray(a, dtype=complex)
-        coords = self._span.coordinates(a)
-        gap = np.linalg.norm(a - self._span.combine(coords), axis=(-2, -1))
+        coords = self.coordinates(a)
+        gap = np.linalg.norm(a - self.combine(coords), axis=(-2, -1))
         if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
             raise AlgebraError("element lies outside the algebra span")
         return coords
-
-    def span(self) -> Subspace:
-        return self._span
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
         """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
@@ -133,7 +129,7 @@ class FiniteStarAlgebra:
     def random_element(self, seed: int = 0, hermitian: bool = False) -> np.ndarray:
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a = (c @ self._stack).reshape(self.ambient, self.ambient)
+        a = self.combine(c)
         if hermitian:
             a = (a + adjoint(a)) / 2
         return a
@@ -144,67 +140,46 @@ class FiniteStarAlgebra:
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, tol: float) -> tuple[float, float]:
-        """Raise unless closed, orthonormal and unital; return the closure residuals."""
-        b = np.stack(self.basis)
-        d, n = self.dim, self.ambient
+    def _verify(self, tol: float, unit: np.ndarray | None) -> tuple[float, float]:
+        """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
+        b = self._mat(self._stack)
+        d = self.dim
         closure, coords = [], []
-        for kind, rows in (("products", (b[:, None] @ b[None]).reshape(d * d, n * n)),
-                           ("adjoints", np.conj(np.swapaxes(b, 1, 2)).reshape(d, n * n))):
+        for kind, rows in (("products", pair_products(b, b)),
+                           ("adjoints", self._vec(np.conj(np.swapaxes(b, 1, 2))))):
             coords.append(rows @ self._stack.conj().T)
             rows -= coords[-1] @ self._stack  # in place: rows, once read, become the residual
             closure.append(float(np.max(np.linalg.norm(rows, axis=1))))
             if closure[-1] > tol:
                 raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
                                 closure[-1])
-        self.structure_constants = coords[0].reshape(d, d, d)
+        c = self.structure_constants = coords[0].reshape(d, d, d)
         gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
+        if unit is None:
+            # rows (j, m): sum_k e_k c[k, j, m] (e b_j), then sum_k e_k c[j, k, m] (b_j e)
+            system = np.concatenate([np.moveaxis(c, 0, -1), np.moveaxis(c, 1, -1)]).reshape(-1, d)
+            e, *_ = np.linalg.lstsq(system, np.tile(np.eye(d).ravel(), 2), rcond=None)
+            unit = self.combine(e)
+        self.unit = as_cmatrix(unit)
         worst = max_op_norm([self.unit @ b - b, b @ self.unit - b])[0]
         if worst > 1e-9:
-            raise NotClosed(f"stored unit does not act as the identity (residual {worst:.2e})",
-                            worst)
+            raise NotClosed(f"unit does not act as the identity (residual {worst:.2e})", worst)
         gap = self.residual(self.unit) / max(1.0, frobenius(self.unit))
         if gap > 1e-9:
             raise NotClosed("stored unit lies outside the span", gap)
         return closure[0], closure[1]
 
 
-def _find_unit(stack: np.ndarray, ambient: int) -> np.ndarray:
-    """Solve e b = b = b e for e inside the span; raise if no solution."""
-    d = stack.shape[0]
-    basis = stack.reshape(d, ambient, ambient)
-    prods = basis[:, None] @ basis[None]  # prods[k, b] = basis[k] @ basis[b]
-    # rows (b, side, i, j), columns k: first (basis[k] @ b)_ij, then (b @ basis[k])_ij
-    a = np.moveaxis(np.stack([np.swapaxes(prods, 0, 1), prods], axis=1), 2, -1).reshape(-1, d)
-    y = np.repeat(basis[:, None], 2, axis=1).reshape(-1)
-    c, *_ = np.linalg.lstsq(a, y, rcond=None)
-    e = (c @ stack).reshape(ambient, ambient)
-    worst = max_op_norm([e @ basis - basis, basis @ e - basis])[0]
-    if worst > 1e-9:
-        raise NotClosed(f"span has no unit (best residual {worst:.2e})", worst)
-    return e
-
-
 def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStarAlgebra:
-    """Verify a span is a unital *-subalgebra and wrap it.
+    """Verify a span is a unital *-subalgebra and wrap it, with its unit solved.
 
     Accepts a :class:`~ncgauge.linalg.Subspace` or a list of matrices.
     Closure is verified, not assumed.
     """
-    if isinstance(span, Subspace):
-        sub = span
-    else:
-        sub = Subspace.from_spanning(list(span))
-    if sub.dim == 0:
-        raise NotClosed("empty span", 1.0)
-    stack = np.stack([b.ravel() for b in sub.basis])
-    ambient = sub.shape[0]
-    if sub.shape[0] != sub.shape[1]:
-        raise NotClosed("algebra elements must be square matrices", 1.0)
-    unit = _find_unit(stack, ambient)
-    return FiniteStarAlgebra(sub.basis, unit, label=label, tol=tol)
+    sub = span if isinstance(span, Subspace) else Subspace.from_spanning(list(span))
+    return FiniteStarAlgebra(sub.basis, label=label, tol=tol)
 
 
 def full_matrix_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
@@ -347,16 +322,21 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
 
     A *-closed complex algebra splits over R as u(A) + i u(A), so the real
     dimension of u(A) equals the complex dimension of A; this is asserted.
+    The basis is computed once per algebra and kept on it, so every caller
+    (random unitaries, minimal projections, the gauge Lie algebra) shares
+    one SVD.
     """
-    cands = []
-    for b in algebra.basis:
-        cands.append((b - adjoint(b)) / 2)
-        cands.append(1j * (b + adjoint(b)) / 2)
-    span = RealSpan.from_spanning(cands, (algebra.ambient, algebra.ambient))
-    if span.dim != algebra.dim:
-        raise AlgebraError(
-            f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
-    return span.basis
+    if algebra._skew is None:
+        cands = []
+        for b in algebra.basis:
+            cands.append((b - adjoint(b)) / 2)
+            cands.append(1j * (b + adjoint(b)) / 2)
+        span = RealSpan.from_spanning(cands, algebra.shape)
+        if span.dim != algebra.dim:
+            raise AlgebraError(
+                f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
+        algebra._skew = span.basis
+    return algebra._skew
 
 
 def random_unitary(algebra: FiniteStarAlgebra, seed: int = 0) -> np.ndarray:

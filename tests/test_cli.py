@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import importlib
 import json
 import os
 import resource
@@ -17,10 +18,12 @@ from ncgauge import cli
 from ncgauge.cli import main
 from ncgauge.gauge import (covariance_residual, gauge_field, gauge_transform_field,
                            random_perturbation)
-from ncgauge.linalg import commutator, op_norm
+from ncgauge.linalg import commutator, commutator_map_norm, op_norm
 from ncgauge.models import load_model
 from ncgauge.spectral import OneForm, compute_aj, one_form_space
-from ncgauge.staralg import random_unitary
+from ncgauge.staralg import DegenerateDraw, NonCommutative, random_unitary
+
+localize_module = importlib.import_module("ncgauge.localize")
 
 
 def run(capsys, *argv):
@@ -77,20 +80,29 @@ def test_check_witnesses_reproduce_the_failing_residuals(capsys):
     a, b = t.algebra.basis[i], t.algebra.basis[j]
     residual = op_norm(commutator(t.dirac_commutator(a), t.b_opposite(b)))
     assert residual == pytest.approx(records["order-one-condition"]["residual"], rel=1e-12)
-    i, k = witnesses["commutes-with-one-forms"]
-    residual = op_norm(commutator(t.pi(compute_aj(t).basis[i]), one_form_space(t).basis[k]))
+    # a max of map norms over A_J's basis: the witness is the worst basis element
+    [i] = witnesses["commutes-with-one-forms"]
+    residual = commutator_map_norm(t.pi(compute_aj(t).basis[i]), np.stack(one_form_space(t).basis))
     assert residual == pytest.approx(records["commutes-with-one-forms"]["residual"], rel=1e-12)
     assert not records["order-one-condition"]["passed"]
     assert not records["commutes-with-one-forms"]["passed"]
 
 
-def test_check_reports_a_non_closed_aj(capsys, tmp_path):
+def non_closed_aj_config(tmp_path):
     # conjugation on the full M_2 puts every a with a = a^T into A_J: not a *-algebra
     config = tmp_path / "non_closed.json"
     config.write_text(json.dumps({
         "algebra": {"kind": "full", "n": 2}, "representation": "defining",
         "dirac": {"preset": "zero"}, "real_structure": {"preset": "conjugation"}}))
-    code, out, err = run(capsys, "check", str(config))
+    return str(config)
+
+
+def reject(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def test_check_reports_a_non_closed_aj(capsys, tmp_path):
+    code, out, err = run(capsys, "check", non_closed_aj_config(tmp_path))
     assert code == 1
     assert err == ""
     doc = json.loads(out)
@@ -99,14 +111,40 @@ def test_check_reports_a_non_closed_aj(capsys, tmp_path):
     assert not records["subalgebra-closure"]["passed"]
     assert "not closed" in doc["context"]["closure_error"]
 
-    def reject(constant):
-        raise ValueError(f"non-strict JSON constant {constant}")
-
     strict = json.loads(out, parse_constant=reject)
     closure = strict["checks"][-1]
     # the residual is the one the failing closure check measured, above its tolerance
     assert closure["tolerance"] < closure["residual"] < 10
     assert "gauge" not in doc["context"]
+
+
+def test_localize_reports_a_non_closed_aj(capsys, tmp_path):
+    # a failed check (exit 1) with a record, not a traceback
+    code, out, err = run(capsys, "localize", non_closed_aj_config(tmp_path))
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out, parse_constant=reject)
+    jsonschema.validate(instance=doc, schema=report_schema())
+    [closure] = doc["checks"]
+    assert closure["name"] == "subalgebra-closure" and not closure["passed"]
+    assert closure["tolerance"] < closure["residual"] < 10
+    assert "not closed" in doc["context"]["closure_error"]
+    assert "localization" not in doc["context"]
+
+
+@pytest.mark.parametrize("fault", [NonCommutative("algebra of dim 2 has center of dim 1"),
+                                   DegenerateDraw("no well-separated spectral draw in 10 tries")])
+def test_algebra_error_exits_3(capsys, monkeypatch, fault):
+    # minimal_projections' failures are program faults, not failed checks
+    def broken(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(localize_module, "minimal_projections", broken)
+    code, out, err = run(capsys, "localize", "hs:N=2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error:")
+    assert type(fault).__name__ in err
 
 
 @pytest.mark.parametrize("fault", [np.linalg.LinAlgError("SVD did not converge"), MemoryError()])

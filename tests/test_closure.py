@@ -85,7 +85,7 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     assert_same_span(got_odd, odd)
 
     cd, rep = c_d_algebra(triple)
-    assert_same_span(cd.span(), total)
+    assert_same_span(cd, total)
     ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         even.dim, odd.dim, total.dim, even.dim + odd.dim == total.dim) == CD_PRESETS[spec]

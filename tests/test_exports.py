@@ -10,7 +10,8 @@ import pytest
 import ncgauge
 
 MODULES = sorted(f"ncgauge.{m.name}" for m in pkgutil.iter_modules(ncgauge.__path__))
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS_FILE = PERFBENCH / "spans.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -33,3 +34,16 @@ def test_perfbench_spans_resolve():
         for part in cls_path:
             owner = getattr(owner, part)
         assert attr in vars(owner), f"{module_name}.{path}"
+
+
+def test_perfbench_imports_resolve():
+    """Every name a benchmark script imports from the package exists."""
+    wanted = [(node.module, alias.name)
+              for path in sorted(PERFBENCH.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "ncgauge"
+              for alias in node.names]
+    assert wanted
+    for module_name, attr in wanted:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"

@@ -11,12 +11,12 @@ from ncgauge.linalg import (
     Subspace,
     adjoint,
     commutator,
+    commutator_map_norm,
     generated_algebra,
-    left_mult_matrix,
     max_op_norm,
     nullspace,
     op_norm,
-    right_mult_matrix,
+    pair_products,
 )
 
 
@@ -93,13 +93,29 @@ def test_extend_rows_stays_orthonormal_on_nearly_dependent_rows():
     assert op_norm(both @ both.conj().T - np.eye(9)) < 1e-12
 
 
-def test_left_right_mult_matrices_act_on_vec():
-    a = rng_matrix(3, 1)
-    b = rng_matrix(3, 2)
-    v = rng_matrix(3, 3)
-    vec = v.reshape(-1)
-    assert np.allclose(left_mult_matrix(a) @ vec, (a @ v).reshape(-1))
-    assert np.allclose(right_mult_matrix(b) @ vec, (v @ b).reshape(-1))
+def test_pair_products_rows():
+    a = np.stack([rng_matrix(3, s) for s in range(2)])
+    b = np.stack([rng_matrix(3, s) for s in range(2, 5)])
+    rows = pair_products(a, b)
+    assert rows.shape == (6, 9)
+    assert np.allclose(rows[1 * 3 + 2], (a[1] @ b[2]).ravel())
+    assert pair_products(a[:0], b).shape == (0, 9)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_commutator_map_norm_is_basis_free(seed):
+    rng = np.random.default_rng(seed)
+    p = rng_matrix(4, seed)
+    span = Subspace.from_spanning([rng_matrix(4, seed + 1 + i) for i in range(5)])
+    stack = np.stack(span.basis)
+    q, r = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    rotated = np.einsum("ab,bij->aij", q * (np.diag(r) / np.abs(np.diag(r))), stack)
+    value = commutator_map_norm(p, stack)
+    assert commutator_map_norm(p, rotated) == pytest.approx(value, rel=1e-12)
+    # each basis element is a unit vector of the domain: the map norm bounds every [p, s_k]
+    assert value >= max(op_norm(commutator(p, s)) for s in stack)
+    assert commutator_map_norm(p, stack[:0]) == 0.0
 
 
 def test_subspace_membership_and_dim():

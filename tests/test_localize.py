@@ -17,6 +17,7 @@ from ncgauge import (
     omega_bundle,
     op_norm,
     random_unitary,
+    skew_hermitian_basis,
 )
 from ncgauge.models import load_model
 
@@ -129,6 +130,16 @@ def test_group_bundle_hs():
     assert rep.passed
     assert rows == [{"point": rows[0]["point"], "fiber_dim": 4,
                      "unitary_dim": 4, "gauge_fiber_dim": 3}]
+
+
+@pytest.mark.parametrize("spec", ["hs:N=3", "ym:k=2,N=2", "ym:k=3,N=2"])
+def test_group_bundle_rows_equal_skew_basis_counts(spec):
+    # the rows read dim_C of each fiber; dim_R of its skew-hermitian part must agree
+    t = load_model(spec)
+    dec = localize(t)
+    rows, rep = group_bundle_dims(dec)
+    assert [r["unitary_dim"] for r in rows] == [len(skew_hermitian_basis(f)) for f in dec.fibers]
+    assert rep.context["u_A_dim"] == len(skew_hermitian_basis(t.algebra))
 
 
 def test_hopping_breaks_cd_centrality_but_localizes():

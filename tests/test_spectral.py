@@ -15,6 +15,7 @@ from ncgauge.spectral import (
     compute_aj,
     conjugate_triple,
     one_form_space,
+    real_structure_residuals,
     transpose_permutation,
     unitary_equivalent,
     verify_aj_properties,
@@ -185,6 +186,35 @@ def test_aj_properties_reports_pass():
         for name in ("real-structure-premise", "defining-condition",
                      "inside-center", "star-closed", "commutes-with-one-forms"):
             assert rep.record(name).passed
+
+
+@pytest.mark.parametrize("spec", ["hs:N=2", "ym:k=2,N=2,lam=0.1"])
+def test_real_structure_residuals_feed_both_reports(spec):
+    t = model_from_string(spec)
+    isometry, square, dirac_sign = real_structure_residuals(t)
+    ax = check_axioms(t)
+    assert ax.record("real-structure-isometry").residual == isometry
+    assert ax.record("real-structure-square").residual == square
+    assert ax.record("real-structure-dirac-sign").residual == dirac_sign
+    premise = verify_aj_properties(t).record("real-structure-premise").residual
+    assert premise == max(isometry, square, dirac_sign)
+
+
+def test_commutes_with_one_forms_ignores_the_omega_basis():
+    # Omega^1's singular values repeat here, so a per-basis max moved with the basis
+    t = model_from_string("ym:k=2,N=2,lam=0.1")
+    before = verify_aj_properties(t).record("commutes-with-one-forms").residual
+    omega = one_form_space(t)
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.standard_normal((omega.dim,) * 2)
+                        + 1j * rng.standard_normal((omega.dim,) * 2))
+    t._omega1 = Subspace(q @ omega._stack, omega.shape)
+    after = verify_aj_properties(t).record("commutes-with-one-forms").residual
+    assert after == pytest.approx(before, rel=1e-12)
+    assert before == pytest.approx(np.sqrt(0.5), rel=1e-9)
+    per_basis = max(op_norm(commutator(t.pi(a), w))
+                    for a in compute_aj(t).basis for w in omega.basis)
+    assert before >= per_basis
 
 
 def test_corrupted_real_structure_is_flagged():

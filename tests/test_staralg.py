@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgauge.linalg import Subspace, adjoint, commutator, nullspace, op_norm
+from ncgauge import linalg, staralg
+from ncgauge.linalg import Subspace, adjoint, commutator, max_op_norm, nullspace, op_norm
 from ncgauge.models import build_finite_ym, build_hs_model, build_orbifold_algebra
 from ncgauge.staralg import (
     FiniteStarAlgebra,
@@ -171,7 +172,7 @@ def assert_matches_oracles(alg, center_dim):
     rebuilt = alg.structure_constants.reshape(alg.dim ** 2, alg.dim) @ stack
     scale = np.linalg.norm(prods, axis=1).max()
     assert np.linalg.norm(rebuilt - prods, axis=1).max() <= 1e-12 * scale
-    z, want = center(alg).span(), dense_center(alg)
+    z, want = center(alg), dense_center(alg)
     assert z.dim == want.dim == center_dim
     assert z.intersection_dim(want) == center_dim
 
@@ -208,3 +209,98 @@ def test_rotated_commutative_algebra_is_its_own_center(k):
 
 def test_rotated_m2_plus_c_has_two_central_scalars():
     assert center(rotated(block_diagonal_algebra([2, 1]), seed=7)).dim == 2
+
+
+# -- the unit solved from the structure constants against the matrix-space solve --
+
+
+def find_unit_oracle(alg):
+    """Oracle: solve e b = b = b e for e in the span, in matrix space (2 d n^2 x d)."""
+    d, n = alg.dim, alg.ambient
+    basis = np.stack(alg.basis)
+    prods = basis[:, None] @ basis[None]  # prods[k, b] = basis[k] @ basis[b]
+    # rows (b, side, i, j), columns k: first (basis[k] @ b)_ij, then (b @ basis[k])_ij
+    a = np.moveaxis(np.stack([np.swapaxes(prods, 0, 1), prods], axis=1), 2, -1).reshape(-1, d)
+    y = np.repeat(basis[:, None], 2, axis=1).reshape(-1)
+    c, *_ = np.linalg.lstsq(a, y, rcond=None)
+    e = (c @ basis.reshape(d, n * n)).reshape(n, n)
+    assert max_op_norm([e @ basis - basis, basis @ e - basis])[0] <= 1e-9
+    return e
+
+
+def assert_unit_matches_oracle(alg):
+    solved = FiniteStarAlgebra(alg.basis)
+    assert op_norm(solved.unit - find_unit_oracle(alg)) <= 1e-12
+    assert op_norm(solved.unit - alg.unit) <= 1e-12
+
+
+@pytest.mark.parametrize("q,p,m", [(4, 1, 1), (3, 1, 2), (4, 1, 2), (3, 1, 3)])
+def test_orbifold_center_unit_matches_oracle(q, p, m):
+    z = center(build_orbifold_algebra(q, p, m)[0])
+    assert op_norm(z.unit - find_unit_oracle(z)) <= 1e-12
+    assert op_norm(z.unit - np.eye(z.ambient)) <= 1e-12
+
+
+@pytest.mark.parametrize("alg", [rotated(diagonal_algebra(3), 3), rotated(diagonal_algebra(4), 4),
+                                 rotated(diagonal_algebra(6), 6),
+                                 rotated(block_diagonal_algebra([2, 1]), 7)],
+                         ids=["C3", "C4", "C6", "M2+C"])
+def test_rotated_algebra_unit_matches_oracle(alg):
+    assert_unit_matches_oracle(alg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2 ** 16))
+def test_rotated_block_diagonal_unit_matches_oracle(sizes, seed):
+    assert_unit_matches_oracle(rotated(block_diagonal_algebra(sizes), seed))
+
+
+def test_solved_unit_of_a_corner_is_its_projection():
+    # the span of the upper-left M_2 corner inside M_3 has the corner projection as unit
+    alg = subalgebra_from_span([full_matrix_algebra(3).basis[i] for i in (0, 1, 3, 4)])
+    assert op_norm(alg.unit - np.diag([1.0, 1.0, 0.0])) <= 1e-12
+
+
+def test_an_algebra_is_a_subspace_without_forwarding_methods():
+    assert issubclass(FiniteStarAlgebra, Subspace)
+    own = vars(FiniteStarAlgebra)
+    assert not {"coordinates", "project", "residual", "contains", "span"} & set(own)
+    alg = block_diagonal_algebra([2, 1])
+    assert alg.union(Subspace.from_spanning([np.eye(3)])).dim == alg.dim
+    rebuilt = FiniteStarAlgebra.from_spanning(alg.basis)
+    assert rebuilt.dim == alg.dim and op_norm(rebuilt.unit - np.eye(3)) <= 1e-12
+    with pytest.raises(ValueError):
+        alg.union(linalg.RealSpan.from_spanning([np.eye(3)]))
+
+
+def test_center_forms_one_product_table(monkeypatch):
+    alg = build_orbifold_algebra(3, 1, 2)[0]
+    tables = []
+
+    def spy(a, b):
+        tables.append((len(a) * len(b), a.shape[1] * b.shape[2]))
+        return linalg.pair_products(a, b)
+
+    monkeypatch.setattr(staralg, "pair_products", spy)
+    z = center(alg)
+    assert tables == [(z.dim ** 2, alg.ambient ** 2)]
+
+
+def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
+    # random_unitary and minimal_projections share the u(A) basis kept on the algebra
+    shapes = []
+    real = linalg._orthonormal_rows
+
+    def spy(stack, *args, **kwargs):
+        shapes.append(np.shape(stack))
+        return real(stack, *args, **kwargs)
+
+    alg = diagonal_algebra(3)
+    monkeypatch.setattr(linalg, "_orthonormal_rows", spy)
+    for s in range(4):
+        u = random_unitary(alg, seed=s)
+        assert op_norm(u @ adjoint(u) - np.eye(3)) < 1e-10
+    assert len(minimal_projections(alg)) == 3
+    # the skew candidates: 2d real rows of length 2 n^2
+    assert shapes.count((2 * alg.dim, 2 * alg.ambient ** 2)) == 1
+    assert skew_hermitian_basis(alg) is skew_hermitian_basis(alg)
