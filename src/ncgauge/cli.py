@@ -8,7 +8,8 @@ Subcommands
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 bad input,
 3 a program fault (out of memory, a linear-algebra routine that failed,
-an algebra construction that raised).
+an algebra construction that raised, a NaN or infinity bound for a JSON
+report).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).
 """
@@ -41,12 +42,12 @@ from .localize import (
 )
 from .models import BadModelSpec, _parse_kv, load_model
 from .parsing import ParseError, parse_sphere
-from .reporting import SCOPE_CONTINUITY, SCOPE_EXACT, CheckRecord, Report, rows_to_csv
+from .reporting import SCOPE_EXACT, CheckRecord, NonFiniteReport, Report, rows_to_csv
 from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check_axioms,
                        verify_aj_properties)
 from .staralg import AlgebraError, random_unitary
 from .torus import BadParameters, ModeMismatch, NotOnTorus, rational_mode
-from .toric import jump_verdict, norm_profile, stratum_scan
+from .toric import jump_record, norm_profile, stratum_scan
 
 _PROFILE_COLUMNS = {
     "s3": ["chi", "r", "s", "x", "norm", "stratum", "fiber_dim"],
@@ -62,11 +63,11 @@ def _parser() -> argparse.ArgumentParser:
                                               "gauge theories from spectral data")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json"):
+    def common(p, default_format="json",
+               tol_help="override every residual tolerance with one value"):
         p.add_argument("--out", help="write the main output to this path")
         p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override every check tolerance with one value")
+        p.add_argument("--tol", type=float, default=None, help=tol_help)
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
     p = sub.add_parser("check", help="axioms, A_J, gauge Lie algebra")
@@ -90,7 +91,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("h", type=float)
     p.add_argument("--poly", default="a + b",
                    help="sphere polynomial in a, ad, b, bd (s4 also x)")
-    common(p, default_format="csv")
+    common(p, default_format="csv",
+           tol_help="recorded as tol_override only: the records are integer identities "
+                    "(tolerance 0.5) and the fixed jump band [0.3, 0.7] (tolerance 0.2), "
+                    "and --tol changes neither")
     return top
 
 
@@ -251,11 +255,7 @@ def cmd_toric_scan(args) -> tuple[Report, list[dict]]:
     scan = stratum_scan(args.p, args.q, which=args.sphere)
     rep.extend(scan)
     rep.context["strata"] = scan.context
-
-    ok, resid = jump_verdict(stats)
-    rep.add(CheckRecord(
-        "profile-jump-halving", "halving the grid step roughly halves the largest "
-        "adjacent norm jump", resid, 0.2, ok, SCOPE_CONTINUITY))
+    rep.add(jump_record("profile-jump-halving", stats))
     return rep, rows
 
 
@@ -275,15 +275,15 @@ def main(argv=None) -> int:
                 "fluctuate": cmd_fluctuate, "toric-scan": cmd_toric_scan}
     try:
         rep, rows = handlers[args.command](args)
+        text = _render(args, rep, rows)
     # LinAlgError subclasses ValueError: catch the faults before the input errors
-    except (np.linalg.LinAlgError, MemoryError, AlgebraError) as exc:
+    except (np.linalg.LinAlgError, MemoryError, AlgebraError, NonFiniteReport) as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(args, rep, rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -296,29 +296,27 @@ def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
     """Orthonormal row stacks of the smallest product-closed graded span.
 
     ``seeds[g]`` lists n x n matrices of grade g, for k = len(seeds) grades;
-    a product of grades x and y lands in grade (x + y) mod k.  Semi-naive
-    iteration: each round multiplies only the rows added in the previous
-    round, new x all and old x new, so no product is formed twice.  A grade
-    that already holds n^2 rows takes no more products, and the loop ends
-    once every grade does.
+    a product of grades x and y lands in grade (x + y) mod k.  Word closure:
+    the algebra generated by a seed S is the span W of the words in S.  With
+    W_0 = span S and W_{j+1} = W_j + S W_j, the rows new at step j only need
+    multiplying on the left by S (the orthonormalised seed rows S_x of each
+    grade x).  At the fixed point S W ⊆ W, hence W W ⊆ W, since W is spanned
+    by words.  That costs |S| products per new row, not one per row of W.  A
+    grade that already holds n^2 rows takes no more products, and the loop
+    ends once no grade gains a row or every grade is full.
     """
     k, full = len(seeds), n * n
-    stacks = [_orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in seeds]
-    fresh = [0] * k
-    while min(len(s) for s in stacks) < full and any(f < len(s) for f, s in zip(fresh, stacks)):
-        mats = [s.reshape(-1, n, n) for s in stacks]
-        grown = list(stacks)
+    stacks = fresh = [_orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in seeds]
+    letters = [s.reshape(-1, n, n) for s in stacks]
+    while min(len(s) for s in stacks) < full and any(len(f) for f in fresh):
+        words = [f.reshape(-1, n, n) for f in fresh]
+        fresh = [stack[:0] for stack in stacks]
         for g, stack in enumerate(stacks):
-            if len(stack) >= full:
-                continue
-            pairs = []
-            for x in range(k):  # new x all, old x new
-                y = (g - x) % k
-                pairs += [(mats[x][fresh[x]:], mats[y]), (mats[x][:fresh[x]], mats[y][fresh[y]:])]
-            prods = np.concatenate([pair_products(a, b) for a, b in pairs])
-            grown[g] = np.vstack([stack, _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)])
-        fresh = [len(s) for s in stacks]
-        stacks = grown
+            if len(stack) < full:
+                prods = np.concatenate([pair_products(letters[x], words[(g - x) % k])
+                                        for x in range(k)])
+                fresh[g] = _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)
+        stacks = [np.vstack([s, f]) for s, f in zip(stacks, fresh)]
     return stacks
 
 

@@ -68,17 +68,10 @@ def _random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def build_hs_model(n: int, seed: int = 0) -> RealSpectralTriple:
-    """Matrix algebra on matrix space with the two-sided Dirac operator."""
-    if n < 1:
-        raise BadModelSpec(f"n must be >= 1, got {n}")
-    alg = full_matrix_algebra(n)
-    eye = np.eye(n, dtype=complex)
-    pi_images = [np.kron(b, eye) for b in alg.basis]
-    m = _random_hermitian(n, np.random.default_rng(seed))
-    dirac = np.kron(m, eye) + np.kron(eye, m.T)
-    kernel = transpose_permutation(n)
-    return RealSpectralTriple(alg, pi_images, dirac, AntiLinearOp(kernel),
-                              eps=1, eps_prime=1, label=f"hs(N={n},seed={seed})")
+    """Matrix algebra on matrix space with the two-sided Dirac operator: the one-point ym model."""
+    triple = build_finite_ym(1, n, seed=seed)
+    triple.label = f"hs(N={n},seed={seed})"
+    return triple
 
 
 def _check_hopping(hopping: np.ndarray, k: int) -> np.ndarray:

@@ -33,6 +33,10 @@ SCOPE_CONTINUITY = "continuity-evidence"
 _SCOPES = {SCOPE_EXACT, SCOPE_FINITE, SCOPE_RATIONAL, SCOPE_CONTINUITY}
 
 
+class NonFiniteReport(ArithmeticError):
+    """A NaN or an infinity reached a JSON report, which strict JSON cannot hold."""
+
+
 def _jsonable(value):
     import numpy as np
 
@@ -143,7 +147,10 @@ class Report:
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+        try:
+            return json.dumps(self.to_dict(), indent=indent, sort_keys=False, allow_nan=False)
+        except ValueError as exc:  # allow_nan=False raises it on a NaN or an infinity
+            raise NonFiniteReport(f"{self.title}: {exc}") from exc
 
     def __str__(self) -> str:
         lines = [self.title]

@@ -184,26 +184,15 @@ def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStar
 
 def full_matrix_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
     """M_n with the matrix-unit basis (already orthonormal)."""
-    basis = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            basis.append(e)
-    return FiniteStarAlgebra(basis, np.eye(n, dtype=complex), label=label or f"M{n}")
+    return block_diagonal_algebra([n], label or f"M{n}")
 
 
 def diagonal_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    return FiniteStarAlgebra(basis, np.eye(n, dtype=complex), label=label or f"C^{n}")
+    return block_diagonal_algebra([1] * n, label or f"C^{n}")
 
 
 def block_diagonal_algebra(sizes: list[int], label: str = "") -> FiniteStarAlgebra:
-    """Direct sum of full matrix blocks along the diagonal."""
+    """Direct sum of full matrix blocks along the diagonal, with the matrix-unit basis."""
     total = sum(sizes)
     basis = []
     off = 0

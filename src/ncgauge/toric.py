@@ -66,6 +66,7 @@ __all__ = [
     "norm_profile",
     "jump_ratio",
     "jump_verdict",
+    "jump_record",
     "covering_slice_check",
     "stratum_scan",
     "continuity_report",
@@ -285,7 +286,7 @@ def _max_jump(values: np.ndarray) -> float:
 def _jump_stats(h: float, fine: np.ndarray, points: int) -> dict:
     big = _max_jump(fine[::2, ::2])
     small = _max_jump(fine)
-    ratio = small / big if big > 0 else (0.0 if small == 0 else float("inf"))
+    ratio = small / big if big > 0 else (0.0 if small == 0 else None)
     return {"h": h, "points": points, "max_jump": big,
             "max_jump_half_step": small, "jump_ratio": ratio}
 
@@ -301,7 +302,8 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     fine-grid chi row (the whole column on the 3-sphere), so memory stays
     at one row at any h.  The generated algebra is closed once per
     stratum.  Stats holds the maximal adjacent norm jump at steps h and
-    h/2 (the fine grid contains the coarse one exactly) and their ratio;
+    h/2 (the fine grid contains the coarse one exactly) and their ratio,
+    ``None`` when only the coarse jump is 0;
     jumps shrinking roughly in half is continuity evidence, a ratio near
     1 flags a discontinuity.
     """
@@ -340,10 +342,27 @@ def jump_verdict(stats: dict, lo: float = 0.3, hi: float = 0.7) -> tuple[bool, f
     """Pass flag and residual |ratio - 1/2| of a two-resolution jump statistic.
 
     A flat profile jumps only by float noise and passes with residual 0.
+    When only the coarse profile is flat the ratio is undefined (``None``);
+    its coarse jump is at most ``_FLAT_JUMP``, so the ratio would be at
+    least ``max_jump_half_step / _FLAT_JUMP``, and that finite lower bound
+    gives the (failing) residual.
     """
     if stats["max_jump"] <= _FLAT_JUMP and stats["max_jump_half_step"] <= _FLAT_JUMP:
         return True, 0.0
-    return lo <= stats["jump_ratio"] <= hi, abs(stats["jump_ratio"] - 0.5)
+    ratio = stats["jump_ratio"]
+    if ratio is None:
+        ratio = stats["max_jump_half_step"] / _FLAT_JUMP
+    return lo <= ratio <= hi, abs(ratio - 0.5)
+
+
+def jump_record(name: str, stats: dict, lo: float = 0.3, hi: float = 0.7) -> CheckRecord:
+    """The jump-halving record of a two-resolution statistic, by :func:`jump_verdict`.
+
+    Its tolerance is the largest residual the band [lo, hi] lets pass.
+    """
+    ok, resid = jump_verdict(stats, lo, hi)
+    return CheckRecord(name, "halving the grid step roughly halves the largest adjacent "
+                       "norm jump", resid, max(hi - 0.5, 0.5 - lo), ok, SCOPE_CONTINUITY)
 
 
 def covering_slice_check(u: TorusElement, p: int, q: int, tol: float = 1e-8) -> Report:
@@ -438,10 +457,6 @@ def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int
     for i, e in enumerate(polynomials):
         stats = jump_ratio(e, h, p, q, which)
         ratios.append(stats)
-        ok, resid = jump_verdict(stats, lo, hi)
-        rep.add(CheckRecord(
-            f"jump-halving-{i}", "halving the grid step roughly halves the largest "
-            "adjacent norm jump",
-            resid, hi - 0.5, ok, SCOPE_CONTINUITY))
+        rep.add(jump_record(f"jump-halving-{i}", stats, lo, hi))
     rep.context["ratios"] = ratios
     return rep

@@ -20,8 +20,12 @@ from ncgauge.gauge import (covariance_residual, gauge_field, gauge_transform_fie
                            random_perturbation)
 from ncgauge.linalg import commutator, commutator_map_norm, op_norm
 from ncgauge.models import load_model
+from ncgauge.parsing import parse_sphere
+from ncgauge.reporting import CheckRecord, Report
 from ncgauge.spectral import OneForm, compute_aj, one_form_space
 from ncgauge.staralg import DegenerateDraw, NonCommutative, random_unitary
+from ncgauge.toric import continuity_report
+from ncgauge.torus import rational_mode
 
 localize_module = importlib.import_module("ncgauge.localize")
 
@@ -161,6 +165,22 @@ def test_program_fault_exits_3(capsys, monkeypatch, fault):
     assert type(fault).__name__ in err
 
 
+def test_non_finite_report_exits_3(capsys, monkeypatch):
+    # strict JSON has no infinity: a non-finite number in a report is a fault, not a verdict
+    def broken(*args, **kwargs):
+        rep = Report("axioms")
+        rep.add(CheckRecord("broken", "a record with no finite residual", float("inf"), 1e-8,
+                            False))
+        return rep
+
+    monkeypatch.setattr(cli, "check_axioms", broken)
+    code, out, err = run(capsys, "check", "hs:N=2")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("internal error:")
+    assert "NonFiniteReport" in err
+
+
 def test_check_orbifold(capsys):
     code, out, _ = run(capsys, "check", "orbifold:q=2,m=1")
     assert code == 0
@@ -239,6 +259,43 @@ def test_toric_scan_json_and_trivial_mode(capsys):
     jsonschema.validate(instance=doc, schema=report_schema())
     assert all(row["fiber_dim"] == 1 for row in doc["context"]["rows"])
     assert doc["context"]["strata"]["dims"]["Interior"] == [1]
+
+
+def test_toric_scan_undefined_jump_ratio_is_strict_json(capsys):
+    # cos 2 chi has norm 1 at both coarse points of h = 1.5 and 0 between them
+    code, out, _ = run(capsys, "toric-scan", "s3", "1", "1", "1.5", "--poly", "a*ad - b*bd",
+                       "--format", "json")
+    assert code == 1
+    doc = json.loads(out, parse_constant=reject)
+    jsonschema.validate(instance=doc, schema=report_schema())
+    stats = doc["context"]["stats"]
+    assert stats["max_jump"] == 0.0 and stats["max_jump_half_step"] > 0.5
+    assert stats["jump_ratio"] is None
+    record = doc["checks"][-1]
+    assert record["name"] == "profile-jump-halving" and not record["passed"]
+    assert record["tolerance"] == 0.2 < record["residual"]
+
+
+def test_toric_scan_and_continuity_report_share_the_jump_record(capsys):
+    code, out, _ = run(capsys, "toric-scan", "s3", "1", "2", "0.2", "--format", "json")
+    assert code == 0
+    [scan] = [c for c in json.loads(out)["checks"] if c["name"] == "profile-jump-halving"]
+    family = continuity_report([parse_sphere("a + b", rational_mode(1, 2))], 0.2, 1, 2)
+    [record] = family.to_dict()["checks"]
+    assert record["name"] == "jump-halving-0"
+    assert {**record, "name": scan["name"]} == scan
+
+
+def test_toric_scan_tol_is_only_recorded(capsys):
+    # integer identities keep 0.5 and the jump band keeps 0.2 under any --tol
+    code, out, _ = run(capsys, "toric-scan", "s4", "1", "2", "0.4", "--format", "json",
+                       "--tol", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["context"]["tol_override"] == 0.0
+    assert {c["name"]: c["tolerance"] for c in doc["checks"]} == {
+        "stratum-EdgeAlpha": 0.5, "stratum-EdgeBeta": 0.5, "stratum-Interior": 0.5,
+        "stratum-Pole": 0.5, "profile-jump-halving": 0.2}
 
 
 def test_toric_scan_s4_poly_with_x(capsys):

@@ -2,12 +2,17 @@
 
 The oracle re-spans every grade from all pairwise products of the current
 bases until no dimension grows, with one SVD of the whole stack per grade
-and round.  The kernel multiplies only new basis elements; both must find
-the same spans.
+and round.  The kernel multiplies only new basis elements, on the left by
+the seed; both must find the same spans.
 """
 
 import json
+import math
+import os
 import re
+import resource
+import subprocess
+import sys
 from math import gcd
 from pathlib import Path
 
@@ -16,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgauge import spectral
+import ncgauge
+from ncgauge import linalg, spectral
 from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
 from ncgauge.models import model_from_string, triple_from_config
 from ncgauge.spectral import c_d_algebra, one_form_space
+from ncgauge.toric import BasePoint3, BasePoint4, s3_fiber_dimension, stratum_scan
 from ncgauge.torus import clock_shift
 
 
@@ -195,3 +202,69 @@ def test_generated_algebra_of_e12_without_unit(n):
     e12[0, 1] = 1.0
     assert generated_algebra([e12]).dim == 4
     assert_matches_ungraded_oracle([e12], False)
+
+
+# each stratum's representative angles, as stratum_scan closes them
+STRATA = {
+    "s3": {"EdgeAlpha": BasePoint3(0.0), "EdgeBeta": BasePoint3(math.pi / 2),
+           "Interior": BasePoint3(math.pi / 4)},
+    "s4": {"EdgeAlpha": BasePoint4(0.0, math.pi / 4),
+           "EdgeBeta": BasePoint4(math.pi / 2, math.pi / 4),
+           "Interior": BasePoint4(math.pi / 4, math.pi / 4),
+           "Pole": BasePoint4(math.pi / 4, math.pi / 2)},
+}
+
+
+def fiber_seed(pt, p, q):
+    """The fiber's generators at z = (1, 1), their adjoints and the unit."""
+    r1, r2 = clock_shift(q, p)
+    r, s, x = pt.rsx
+    gens = [r * r1, s * r2, x * np.eye(q, dtype=complex)]
+    return gens + [adjoint(g) for g in gens] + [np.eye(q, dtype=complex)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("which", sorted(STRATA))
+def test_stratum_scan_dims_match_the_pairwise_oracle(which, q):
+    dims = stratum_scan(1, q, which).context["dims"]
+    assert dims.keys() == STRATA[which].keys()
+    for label, pt in STRATA[which].items():
+        (want,) = closure_oracle([fiber_seed(pt, 1, q)], q)
+        assert dims[label] == [want.dim], label
+
+
+def test_every_closure_product_has_a_seed_row_on_the_left(monkeypatch):
+    """|S| products per new row: every left factor is at most the orthonormalised seed."""
+    q = 13
+    shapes = []
+    pair_products = linalg.pair_products
+
+    def spy(a, b):
+        shapes.append((len(a), len(b)))
+        return pair_products(a, b)
+
+    monkeypatch.setattr(linalg, "pair_products", spy)
+    rank = Subspace.from_spanning(fiber_seed(STRATA["s3"]["Interior"], 1, q)).dim
+    assert s3_fiber_dimension(math.pi / 4, 1, q) == q * q
+    assert shapes and max(a for a, _ in shapes) <= rank
+    assert sum(a * b for a, b in shapes) <= rank * q * q
+
+
+def _cap_address_space():
+    cap = 4 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_interior_fiber_closes_at_q_23_under_a_memory_cap():
+    """M_23 closes to dimension 529 in a child capped at 4 GiB of address space.
+
+    A table of all 529^2 pair products of 23 x 23 matrices alone would take
+    2.4 GB; the word closure forms at most |S| q^2 of them.
+    """
+    code = ("import math; from ncgauge.toric import s3_fiber_dimension as f; "
+            "print(f(math.pi / 4, 1, 23))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == str(23 * 23)
