@@ -6,10 +6,8 @@ Subcommands
     fluctuate  inner fluctuations for a perturbation spec
     toric-scan norm grid over a sphere base with stratum labels
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad input,
-3 a program fault (out of memory, a linear-algebra routine that failed,
-an algebra construction that raised, a NaN or infinity bound for a JSON
-report).
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input, 3 a program
+fault, which is any unexpected exception (out of memory, a failed SVD, a bug).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).
 """
@@ -42,10 +40,10 @@ from .localize import (
 )
 from .models import BadModelSpec, _parse_kv, load_model
 from .parsing import ParseError, parse_sphere
-from .reporting import SCOPE_EXACT, CheckRecord, NonFiniteReport, Report, rows_to_csv
+from .reporting import SCOPE_EXACT, CheckRecord, Report, rows_to_csv
 from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check_axioms,
                        verify_aj_properties)
-from .staralg import AlgebraError, random_unitary
+from .staralg import random_unitary
 from .torus import BadParameters, ModeMismatch, NotOnTorus, rational_mode
 from .toric import jump_record, norm_profile, stratum_scan
 
@@ -276,14 +274,16 @@ def main(argv=None) -> int:
     try:
         rep, rows = handlers[args.command](args)
         text = _render(args, rep, rows)
-    # LinAlgError subclasses ValueError: catch the faults before the input errors
-    except (np.linalg.LinAlgError, MemoryError, AlgebraError, NonFiniteReport) as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError: caught before the input errors
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other exception is a program fault, never a failed check
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

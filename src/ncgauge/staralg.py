@@ -9,7 +9,6 @@ central projection p carry p as their unit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import (
     RealSpan,
@@ -329,17 +328,18 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
 
 
 def random_unitary(algebra: FiniteStarAlgebra, seed: int = 0) -> np.ndarray:
-    """exp(X) for a random skew-hermitian X in the algebra.
+    """exp(X) for a random skew-hermitian X in the algebra, from one eigendecomposition.
 
-    Returns u with u u* equal to the algebra unit.  For a non-ambient unit
-    e the exponential is taken inside the algebra: e + X + X^2/2 + ...,
-    which equals expm(X) - 1 + e since X e = e X = X.
+    H = -iX is hermitian, and H = V diag(l) V* gives exp(X) = V diag(e^{il}) V*.
+    Returns u with u u* equal to the algebra unit: for a non-ambient unit e,
+    X e = e X = X, so exp(X) - 1 + e = e + X + X^2/2 + ... lies in the algebra.
     """
     rng = np.random.default_rng(seed)
     skew = skew_hermitian_basis(algebra)
     coeff = rng.standard_normal(len(skew)) / np.sqrt(len(skew))
     x = sum(c * s for c, s in zip(coeff, skew))
-    u = expm(x) - np.eye(algebra.ambient) + algebra.unit
+    lam, v = np.linalg.eigh(-1j * x)
+    u = (v * np.exp(1j * lam)) @ adjoint(v) - np.eye(algebra.ambient) + algebra.unit
     if op_norm(u @ adjoint(u) - algebra.unit) > 1e-9:
         raise AlgebraError("exponential drifted off the unitary group")
     if not algebra.contains(u, 1e-8):

@@ -151,9 +151,13 @@ def test_algebra_error_exits_3(capsys, monkeypatch, fault):
     assert type(fault).__name__ in err
 
 
-@pytest.mark.parametrize("fault", [np.linalg.LinAlgError("SVD did not converge"), MemoryError()])
+@pytest.mark.parametrize("fault", [np.linalg.LinAlgError("SVD did not converge"), MemoryError(),
+                                   KeyError("basis"), TypeError("unsupported operand"),
+                                   IndexError("list index out of range"),
+                                   ZeroDivisionError("division by zero"), RuntimeError("bug")])
 def test_program_fault_exits_3(capsys, monkeypatch, fault):
-    # LinAlgError is a ValueError, and must not read as bad input (exit 2)
+    # LinAlgError is a ValueError, and must not read as bad input (exit 2); any other
+    # unexpected exception must not escape as a traceback with exit 1, a failed check
     def broken(*args, **kwargs):
         raise fault
 
@@ -179,6 +183,29 @@ def test_non_finite_report_exits_3(capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("internal error:")
     assert "NonFiniteReport" in err
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from ncgauge.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_runtime_never_imports_scipy():
+    # scipy is a test-only oracle: importing it would double the start-up of every command
+    argvs = [["check", "hs:N=2"], ["localize", "hs:N=2"],
+             ["fluctuate", "hs:N=3", "random:terms=2"], ["toric-scan", "s3", "1", "2", "0.5"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 def test_check_orbifold(capsys):

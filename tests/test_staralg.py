@@ -257,8 +257,7 @@ def test_rotated_block_diagonal_unit_matches_oracle(sizes, seed):
 
 def test_solved_unit_of_a_corner_is_its_projection():
     # the span of the upper-left M_2 corner inside M_3 has the corner projection as unit
-    alg = subalgebra_from_span([full_matrix_algebra(3).basis[i] for i in (0, 1, 3, 4)])
-    assert op_norm(alg.unit - np.diag([1.0, 1.0, 0.0])) <= 1e-12
+    assert op_norm(corner_of_m3().unit - np.diag([1.0, 1.0, 0.0])) <= 1e-12
 
 
 def test_an_algebra_is_a_subspace_without_forwarding_methods():
@@ -304,3 +303,33 @@ def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
     # the skew candidates: 2d real rows of length 2 n^2
     assert shapes.count((2 * alg.dim, 2 * alg.ambient ** 2)) == 1
     assert skew_hermitian_basis(alg) is skew_hermitian_basis(alg)
+
+
+# -- the eigendecomposition exponential against scipy's Pade expm ---------------
+
+
+def expm_unitary_oracle(alg, seed):
+    """Oracle: random_unitary's X from the same seed, exponentiated by scipy's Pade expm."""
+    from scipy.linalg import expm
+
+    skew = skew_hermitian_basis(alg)
+    coeff = np.random.default_rng(seed).standard_normal(len(skew)) / np.sqrt(len(skew))
+    x = sum(c * s for c, s in zip(coeff, skew))
+    return expm(x) - np.eye(alg.ambient) + alg.unit
+
+
+def corner_of_m3():
+    """The upper-left M_2 corner of M_3: its unit diag(1, 1, 0) is not the identity."""
+    return subalgebra_from_span([full_matrix_algebra(3).basis[i] for i in (0, 1, 3, 4)])
+
+
+@pytest.mark.parametrize("alg", [full_matrix_algebra(1), full_matrix_algebra(2),
+                                 full_matrix_algebra(4), build_finite_ym(3, 2).algebra,
+                                 corner_of_m3(), rotated(corner_of_m3(), seed=5)],
+                         ids=["M1", "M2", "M4", "ym-3-2", "corner", "rotated-corner"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_unitary_matches_expm_oracle(alg, seed):
+    u = random_unitary(alg, seed=seed)
+    assert op_norm(u - expm_unitary_oracle(alg, seed)) <= 1e-12
+    assert op_norm(u @ adjoint(u) - alg.unit) <= 1e-12
+    assert alg.contains(u, 1e-10)
