@@ -38,7 +38,7 @@ from .localize import (
     norm_is_sup,
     omega_bundle,
 )
-from .models import BadModelSpec, _parse_kv, load_model
+from .models import BadModelSpec, _parse_kv, load_model, take_int
 from .parsing import ParseError, parse_sphere
 from .reporting import SCOPE_EXACT, CheckRecord, Report, rows_to_csv
 from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check_axioms,
@@ -46,11 +46,6 @@ from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check
 from .staralg import random_unitary
 from .torus import BadParameters, ModeMismatch, NotOnTorus, rational_mode
 from .toric import jump_record, norm_profile, stratum_scan
-
-_PROFILE_COLUMNS = {
-    "s3": ["chi", "r", "s", "x", "norm", "stratum", "fiber_dim"],
-    "s4": ["chi", "psi", "r", "s", "x", "norm", "stratum", "fiber_dim"],
-}
 
 _RECORD_COLUMNS = ["name", "residual", "tolerance", "passed", "scope", "statement"]
 
@@ -229,10 +224,12 @@ def cmd_fluctuate(args) -> tuple[Report, None]:
             "zero-field", "the zero field leaves D unchanged",
             op_norm(d_omega - triple.dirac), tol, SCOPE_EXACT))
     elif head == "pure":
-        _pure_gauge_report(rep, triple, int(params.pop("seed", args.seed)), tol)
+        _pure_gauge_report(rep, triple, take_int(params, "seed", default=args.seed), tol)
     elif head == "random":
-        terms = int(params.pop("terms", 2))
-        _random_pert_report(rep, triple, terms, int(params.pop("seed", args.seed)), tol)
+        terms = take_int(params, "terms", default=2)
+        if terms < 1:
+            raise BadModelSpec(f"parameter 'terms' must be at least 1, got {terms}")
+        _random_pert_report(rep, triple, terms, take_int(params, "seed", default=args.seed), tol)
     else:
         raise BadModelSpec(f"unknown perturbation spec {head!r} "
                            "(known: zero, pure, random)")
@@ -242,10 +239,7 @@ def cmd_fluctuate(args) -> tuple[Report, None]:
 
 
 def cmd_toric_scan(args) -> tuple[Report, list[dict]]:
-    mode = rational_mode(args.p, args.q)
-    poly = parse_sphere(args.poly, mode)
-    if args.sphere == "s3" and poly.uses_x:
-        raise BadModelSpec("the x letter only lives on the 4-sphere")
+    poly = parse_sphere(args.poly, rational_mode(args.p, args.q))
     rows, stats = norm_profile(poly, args.h, args.p, args.q, which=args.sphere)
     rep = Report(f"toric-scan[{args.sphere},p={args.p},q={args.q},h={args.h}]",
                  context={"poly": args.poly, "stats": stats,
@@ -263,7 +257,7 @@ def _render(args, rep: Report, rows) -> str:
             rep.context["rows"] = rows
         return rep.to_json() + "\n"
     if rows is not None:
-        return rows_to_csv(rows, _PROFILE_COLUMNS[args.sphere])
+        return rows_to_csv(rows, list(rows[0]))
     return rows_to_csv([r.to_dict() for r in rep.records], _RECORD_COLUMNS)
 
 

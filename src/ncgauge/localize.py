@@ -177,12 +177,13 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
         "omega-dimension-sum", "one-form-side fiber dimensions add up to dim C_D(A)",
         float(abs(sum(s.dim for s in dec.omega_fibers) - cd.dim)), 0.5, SCOPE_EXACT))
 
+    cuts = triple.pi(np.stack(dec.base.projections))  # pi(p_x), formed once per point
     omega = one_form_space(triple)
     if omega.dim == 0:
         worst = 0.0
     else:
-        worst = max(fib.residual(triple.pi(p) @ w)
-                    for (_, p), fib in zip(dec.base, dec.omega_fibers)
+        worst = max(fib.residual(pp @ w)
+                    for pp, fib in zip(cuts, dec.omega_fibers)
                     for w in omega.basis)
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
@@ -193,13 +194,10 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
     even = Subspace.from_spanning(
         triple.pi_images + [np.eye(triple.hilbert_dim, dtype=complex)],
         shape=(triple.hilbert_dim,) * 2)
-    fiber_even = []
-    for _, p in dec.base:
-        pp = triple.pi(p)
-        cut = Subspace.from_spanning([pp @ e for e in even.basis],
-                                     shape=(triple.hilbert_dim,) * 2)
-        fiber_even.append(cut.dim)
-    rep.context["fiber_even_dims"] = fiber_even
+    rep.context["fiber_even_dims"] = [
+        Subspace.from_spanning([pp @ e for e in even.basis],
+                               shape=(triple.hilbert_dim,) * 2).dim
+        for pp in cuts]
 
     worst = 0.0
     if omega.dim > 0:
@@ -208,8 +206,7 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
             pu = triple.pi(u)
             for w in omega.basis:
                 moved = pu @ w @ adjoint(pu)
-                for _, p in dec.base:
-                    pp = triple.pi(p)
+                for pp in cuts:
                     worst = max(worst, op_norm(pp @ moved - pu @ (pp @ w) @ adjoint(pu)))
     rep.add(CheckRecord.from_residual(
         "gauge-action-localizes", "conjugating a one-form then cutting equals "

@@ -78,6 +78,8 @@ def _check_hopping(hopping: np.ndarray, k: int) -> np.ndarray:
     lam = as_cmatrix(hopping)
     if lam.shape != (k, k):
         raise BadHopping(f"hopping must be {k}x{k}, got {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise BadHopping("hopping entries must be finite")
     if op_norm(lam - adjoint(lam)) > 1e-12:
         raise BadHopping("hopping matrix must be hermitian")
     if np.max(np.abs(np.diag(lam))) > 1e-12:
@@ -195,7 +197,20 @@ def _parse_kv(text: str) -> dict:
                 out[key] = float(val)
             except ValueError:
                 raise BadModelSpec(f"non-numeric value {val!r} for {key!r}") from None
+            if not math.isfinite(out[key]):
+                raise BadModelSpec(f"non-finite value {val!r} for {key!r}")
     return out
+
+
+def take_int(params: dict, *names: str, default: int) -> int:
+    """Pop the integer parameter known by any of ``names``, or return the default."""
+    hits = [params.pop(nm) for nm in names if nm in params]
+    if len(hits) > 1:
+        raise BadModelSpec(f"duplicate parameter among {names}")
+    val = hits[0] if hits else default
+    if not isinstance(val, int):
+        raise BadModelSpec(f"parameter {names[0]!r} must be an integer, got {val!r}")
+    return val
 
 
 def model_from_string(spec: str, default_seed: int = 0):
@@ -211,30 +226,23 @@ def model_from_string(spec: str, default_seed: int = 0):
     if head not in ("hs", "ym", "orbifold"):
         raise BadModelSpec(f"unknown preset {head!r} (known: hs, ym, orbifold)")
     params = _parse_kv(tail)
-
-    def take(*names, default=None):
-        hits = [params.pop(nm) for nm in names if nm in params]
-        if len(hits) > 1:
-            raise BadModelSpec(f"duplicate parameter among {names}")
-        return hits[0] if hits else default
-
     try:
         if head == "hs":
-            out = build_hs_model(int(take("N", "n", default=2)),
-                                 seed=int(take("seed", default=default_seed)))
+            out = build_hs_model(take_int(params, "N", "n", default=2),
+                                 seed=take_int(params, "seed", default=default_seed))
         elif head == "ym":
-            k = int(take("k", default=2))
-            n = int(take("N", "n", default=2))
-            seed = int(take("seed", default=default_seed))
-            lam_val = take("lam")
+            k = take_int(params, "k", default=2)
+            n = take_int(params, "N", "n", default=2)
+            seed = take_int(params, "seed", default=default_seed)
+            lam_val = params.pop("lam", None)
             hopping = None
             if lam_val is not None:
                 hopping = float(lam_val) * (np.ones((k, k)) - np.eye(k))
             out = build_finite_ym(k, n, hopping=hopping, seed=seed)
         else:
-            out = build_orbifold_algebra(int(take("q", default=2)),
-                                         int(take("p", default=1)),
-                                         int(take("m", default=1)))
+            out = build_orbifold_algebra(take_int(params, "q", default=2),
+                                         take_int(params, "p", default=1),
+                                         take_int(params, "m", default=1))
     except (BadParameters, BadHopping) as exc:
         raise BadModelSpec(str(exc)) from exc
     if params:
@@ -251,6 +259,8 @@ def _matrix_from_entries(doc, n: int, what: str) -> np.ndarray:
     mat = re_part + 1j * im_part
     if mat.shape != (n, n):
         raise BadModelSpec(f"{what} must be {n}x{n}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise BadModelSpec(f"{what} entries must be finite")
     return mat
 
 

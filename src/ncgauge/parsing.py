@@ -64,17 +64,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def _parse_complex(literal: str, pos: int) -> complex:
     m = _COMPLEX_RE.fullmatch(literal)
+    bad = ParseError(f"bad complex literal {literal!r} at position {pos}")
     if m is None:
-        raise ParseError(f"bad complex literal {literal!r} at position {pos}")
-    re_part = float(m.group("re")) if m.group("re") else 0.0
+        raise bad
+    try:
+        re_part = float(m.group("re") or 0.0)
+        im_part = float(m.group("im") or 1.0)  # a bare sign, as in (1+i), means 1
+    except ValueError:  # a slot like "." or "1.2.3" matches the pattern but is no float
+        raise bad from None
     if m.group("sign") is None:
         # pure imaginary form like (2i) or (i): the leading slot is the imag part
         return complex(0.0, re_part if m.group("re") else 1.0)
-    im_text = m.group("im")
-    im_part = float(im_text) if im_text else 1.0
-    if m.group("sign") == "-":
-        im_part = -im_part
-    return complex(re_part, im_part)
+    return complex(re_part, -im_part if m.group("sign") == "-" else im_part)
 
 
 class _Parser:
@@ -87,12 +88,13 @@ class _Parser:
 
     def __init__(self, text: str, generators: dict, one):
         self.tokens = _tokenize(text)
+        self.end = len(text)  # the position reported for running out of input
         self.idx = 0
         self.generators = generators
         self.one = one
 
     def peek(self):
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, None)
+        return self.tokens[self.idx] if self.idx < len(self.tokens) else (None, None, self.end)
 
     def next(self):
         tok = self.peek()
@@ -153,7 +155,8 @@ class _Parser:
                 return self.generators[val](1 if exp is None else exp)
             except ValueError as exc:
                 raise ParseError(f"{exc} (at position {pos})") from exc
-        raise ParseError(f"expected a number or generator at position {pos}, got {val!r}")
+        got = "end of input" if kind is None else repr(val)
+        raise ParseError(f"expected a number or generator at position {pos}, got {got}")
 
     @staticmethod
     def _scalar_power(c: complex, exp: int | None, pos: int):

@@ -8,11 +8,14 @@ rational phase p/q every sphere polynomial evaluates into M_q through
 
 with (R1, R2) the clock/shift pair.  The 3-sphere is the psi = 0 slice,
 so both spheres share one evaluator, which fills a stack of base points
-at once.  A base point's stratum is read off from which radii vanish;
-its fiber is the algebra generated by the evaluated generators.  Radii
-and torus coordinates only rescale those, which never changes a
-generated span, so a profile closes it once per stratum and the stratum
-scan at two torus points per stratum.  The norm at a point is taken at
+at once through :func:`~ncgauge.torus.monomial_sum`, as ``torus_rep``
+does.  A base point's stratum is read off from which radii vanish; its
+fiber is the algebra generated by the evaluated generators.  Radii and
+torus coordinates only rescale those, which never changes a generated
+span, so the fiber dimension is a stratum law: q^2 inside, q on an edge
+and 1 at the pole.  The stratum scan certifies that law by closing the
+algebra at two torus points per stratum, and profile rows carry it
+without closing anything.  The norm at a point is taken at
 z = (1, 1), which equals the max over the q*q root-of-unity torus
 coordinates (unitarily equivalent evaluations).  It thus samples one
 class of irreducible representations and misses the fiber norm when net
@@ -44,7 +47,7 @@ from .torus import (
     VanishingTrace,
     check_unit,
     clock_shift,
-    monomial_table,
+    monomial_sum,
     phase_map,
     rational_mode,
     torus_rep,
@@ -167,14 +170,13 @@ def _evaluate(e: SphereElement, rsx: list[tuple[float, float, float]],
     Per-point term scalars are Python float products (numpy's vector
     power rounds differently), so each matrix is bit for bit a stack of one.
     """
-    table = monomial_table(q, p)
-    out = np.zeros((len(rsx), q, q), dtype=complex)
-    for (a, ap, b, bp, c), coeff in e.terms.items():
-        w, w1, w2 = coeff.value(), z1 ** (a - ap), z2 ** (b - bp)
-        scalars = np.array([w * r ** (a + ap) * s ** (b + bp) * x ** c * w1 * w2
-                            for r, s, x in rsx])
-        out += scalars[:, None, None] * table[(a - ap) % q, (b - bp) % q]
-    return out
+    def terms():
+        for (a, ap, b, bp, c), coeff in e.terms.items():
+            w, w1, w2 = coeff.value(), z1 ** (a - ap), z2 ** (b - bp)
+            yield (a - ap, b - bp), [w * r ** (a + ap) * s ** (b + bp) * x ** c * w1 * w2
+                                     for r, s, x in rsx]
+
+    return monomial_sum(terms(), q, p, (len(rsx),))
 
 
 def s3_eval(e: SphereElement, pt: BasePoint3, p: int, q: int) -> np.ndarray:
@@ -296,18 +298,19 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     """Fiber norms over an angle grid, with a two-resolution jump statistic.
 
     Returns (rows, stats).  Rows carry the base coordinates, the norm,
-    the stratum label, and the honestly computed fiber dimension at step
-    h; the 3-sphere is the single psi = 0 column.  The norms are those of
-    ``fiber_norm3/4``, one stack of evaluations and one batched SVD per
-    fine-grid chi row (the whole column on the 3-sphere), so memory stays
-    at one row at any h.  The generated algebra is closed once per
-    stratum.  Stats holds the maximal adjacent norm jump at steps h and
+    the stratum label and its fiber dimension at step h; the 3-sphere is
+    the single psi = 0 column.  The norms are those of ``fiber_norm3/4``,
+    one stack of evaluations and one batched SVD per fine-grid chi row
+    (the whole column on the 3-sphere), so memory stays at one row at any
+    h.  The fiber dimension is the stratum law of ``stratum3/4``,
+    which :func:`stratum_scan` certifies by closure; nothing is closed
+    here.  Stats holds the maximal adjacent norm jump at steps h and
     h/2 (the fine grid contains the coarse one exactly) and their ratio,
     ``None`` when only the coarse jump is 0;
     jumps shrinking roughly in half is continuity evidence, a ratio near
     1 flags a discontinuity.
     """
-    point, fiber_dimension = _sphere(which)
+    point, _ = _sphere(which)
     _check_element(e, p, q, which)
     names = ("chi", "psi") if which == "s4" else ("chi",)
     n = _grid_count(h, len(names))
@@ -320,15 +323,13 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     for row in fine.reshape(-1, len(angles)):  # a chi row on s4, the whole column on s3
         stack = _evaluate(e, list(islice(radii, len(angles))), 1 + 0j, 1 + 0j, p, q)
         row[:] = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    rows, dims = [], {}
+    rows = []
     for i, j in product(range(0, 2 * n + 1, 2), range(0, len(psis), 2)):
         coords = (float(angles[i]), float(psis[j]))[:len(names)]
         pt = point(*coords)
-        label, _ = _stratum(pt, q)
-        if label not in dims:
-            dims[label] = fiber_dimension(*coords, p, q)
+        label, dim = _stratum(pt, q)
         rows.append({**dict(zip(names, coords)), **dict(zip("rsx", pt.rsx)),
-                     "norm": float(fine[i, j]), "stratum": label, "fiber_dim": dims[label]})
+                     "norm": float(fine[i, j]), "stratum": label, "fiber_dim": dim})
     return rows, _jump_stats(h, fine, len(rows))
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "torus_generator",
     "clock_shift",
     "monomial_table",
+    "monomial_sum",
     "torus_rep",
     "trace_state",
     "phase_map",
@@ -358,8 +359,8 @@ _MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
 def monomial_table(q: int, p: int) -> np.ndarray:
     """Read-only q x q x q x q table whose [i, j] entry is R1^i R2^j.
 
-    Built once per (p, q) from the clock/shift pair; every torus and
-    sphere evaluation reads its monomial matrices from here.
+    Built once per (p, q) from the clock/shift pair; :func:`monomial_sum`,
+    which every torus and sphere evaluation goes through, reads it.
     """
     key = (p, q)
     if key not in _MONOMIAL_CACHE:
@@ -381,6 +382,20 @@ def check_unit(z: complex) -> complex:
     return complex(z)
 
 
+def monomial_sum(terms, q: int, p: int, points: tuple[int, ...] = ()) -> np.ndarray:
+    """The one evaluator: sum of scalar * R1^n1 R2^n2 over ``((n1, n2), scalar)`` terms.
+
+    A scalar is one number, or a sequence of one number per point, which
+    gives a ``points + (q, q)`` stack; every term scales its matrix the
+    same way, so each stack entry is bit for bit a stack of one.
+    """
+    table = monomial_table(q, p)
+    out = np.zeros(points + (q, q), dtype=complex)
+    for (n1, n2), scalar in terms:
+        out += np.asarray(scalar)[..., None, None] * table[n1 % q, n2 % q]
+    return out
+
+
 def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
     """Evaluate in the clock/shift representation U1 -> z1 R1, U2 -> z2 R2.
 
@@ -391,13 +406,8 @@ def torus_rep(a: TorusElement, z1: complex, z2: complex) -> np.ndarray:
     if not a.mode.is_rational:
         raise ModeMismatch("matrix evaluation needs a rational phase mode")
     z1, z2 = check_unit(z1), check_unit(z2)
-    p, q = a.mode.p, a.mode.q
-    table = monomial_table(q, p)
-    out = np.zeros((q, q), dtype=complex)
-    for (n1, n2), c in a.terms.items():
-        scalar = c.value() * z1 ** n1 * z2 ** n2
-        out += scalar * table[n1 % q, n2 % q]
-    return out
+    return monomial_sum((((n1, n2), c.value() * z1 ** n1 * z2 ** n2)
+                         for (n1, n2), c in a.terms.items()), a.mode.q, a.mode.p)
 
 
 def trace_state(a: TorusElement) -> PhaseScalar:

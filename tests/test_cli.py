@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -55,6 +56,50 @@ def test_check_unknown_parameter_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "hs:bogus=2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_preset_value_is_bad_input(capsys, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from arithmetic on the value
+        code, out, err = run(capsys, "check", f"ym:k=2,N=2,lam={value}")
+    assert (code, out) == (2, "")
+    assert err == f"error: non-finite value {value!r} for 'lam'\n"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_config_entry_is_bad_input(capsys, tmp_path, value):
+    config = tmp_path / "dirac.json"
+    # json.load accepts the NaN and Infinity constants
+    config.write_text('{"algebra": {"kind": "diagonal", "n": 2}, "representation": "defining", '
+                      f'"dirac": {{"re": [[0, {value}], [{value}, 0]]}}, '
+                      '"real_structure": {"preset": "conjugation"}}')
+    code, out, err = run(capsys, "check", str(config))
+    assert (code, out) == (2, "")
+    assert err == "error: dirac entries must be finite\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("check", "hs:N=2.5"), "N"),
+    (("check", "hs:N=2,seed=1.5"), "seed"),
+    (("check", "ym:k=2.0,N=2"), "k"),
+    (("check", "orbifold:q=3,p=1.5"), "p"),
+    (("check", "orbifold:q=2.5"), "q"),
+    (("check", "orbifold:q=3,m=1e0"), "m"),
+    (("fluctuate", "hs:N=2", "random:terms=2.5"), "terms"),
+    (("fluctuate", "hs:N=2", "pure:seed=0.5"), "seed"),
+])
+def test_non_integer_parameter_is_bad_input(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: parameter {name!r} must be an integer")
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_perturbation_needs_a_term(capsys, terms):
+    code, out, err = run(capsys, "fluctuate", "hs:N=2", f"random:terms={terms}")
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter 'terms' must be at least 1, got {terms}\n"
 
 
 def test_check_hopping_fails_honestly(capsys):

@@ -110,6 +110,23 @@ def test_omega_bundle_sums(k, n, cd):
     assert sum(rep.context["omega_fiber_dims"]) == cd
 
 
+@pytest.mark.parametrize("spec", ["hs:N=2", "hs:N=4", "ym:k=2,N=2", "ym:k=3,N=3"])
+def test_omega_bundle_forms_each_point_image_once(monkeypatch, spec):
+    # one stacked pi for the base points and one per gauge sample, whatever dim Omega^1 is
+    t = load_model(spec)
+    dec = localize(t)
+    pi, calls = t.pi, []
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return pi(a)
+
+    monkeypatch.setattr(t, "pi", spy)
+    assert omega_bundle(dec, n_gauge_samples=3).passed
+    assert len(calls) <= 1 + 3
+    assert calls[0] == (len(dec.base),) + dec.base.projections[0].shape
+
+
 def test_group_bundle_rows():
     t = build_finite_ym(3, 2)
     dec = localize(t)

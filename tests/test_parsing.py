@@ -86,3 +86,24 @@ def test_torus_exponent_shorthand():
     assert a.support == {(-3, 0)}
     b = parse_torus("U2^+2", SYMBOLIC)
     assert b.support == {(0, 2)}
+
+
+@pytest.mark.parametrize("parse", [parse_torus, parse_sphere])
+@pytest.mark.parametrize("text,message", [
+    ("(1.2.3i)", "bad complex literal '(1.2.3i)' at position 0"),
+    ("1 + (.i)", "bad complex literal '(.i)' at position 4"),
+    ("2*(1+.i)", "bad complex literal '(1+.i)' at position 2"),
+    ("1 + 2^", "exponent must be an integer at position 6"),
+    ("1 -", "expected a number or generator at position 3, got end of input"),
+])
+def test_errors_carry_the_position(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text, SYMBOLIC)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("parse,letter", [(parse_torus, "U1"), (parse_sphere, "a")])
+def test_trailing_caret_reports_the_end_of_input(parse, letter):
+    with pytest.raises(ParseError) as exc:
+        parse(f"{letter}^", SYMBOLIC)
+    assert str(exc.value) == f"exponent must be an integer at position {len(letter) + 1}"

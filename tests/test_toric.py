@@ -38,6 +38,7 @@ from ncgauge import (
     torus_rep,
 )
 from ncgauge import toric
+from ncgauge.torus import monomial_table
 from ncgauge.cli import main
 
 
@@ -127,6 +128,33 @@ def test_eval_matches_rebuilt_powers(p, q):
         r, s, x = pt4.rsx
         want = rebuilt_powers_eval(e4, r, s, x, pt4.z1, pt4.z2, q, p)
         assert np.array_equal(s4_eval(e4, pt4, p, q), want)
+
+
+def term_loop_stack(e, rsx, z1, z2, p, q):
+    """One vector of per-point scalars times a table matrix per term (oracle)."""
+    table = monomial_table(q, p)
+    out = np.zeros((len(rsx), q, q), dtype=complex)
+    for (a, ap, b, bp, c), coeff in e.terms.items():
+        w, w1, w2 = coeff.value(), z1 ** (a - ap), z2 ** (b - bp)
+        scalars = np.array([w * r ** (a + ap) * s ** (b + bp) * x ** c * w1 * w2
+                            for r, s, x in rsx])
+        out += scalars[:, None, None] * table[(a - ap) % q, (b - bp) % q]
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (2, 5), (3, 7)])
+def test_stack_evaluation_matches_the_term_loop_and_single_points(p, q):
+    mode = rational_mode(p, q)
+    rng = np.random.default_rng(7 * q + p)
+    pts = [random_point4(rng) for _ in range(6)] + [BasePoint4(0.0, 0.0), BasePoint4(1.0, 1.5)]
+    rsx = [pt.rsx for pt in pts]
+    for _ in range(3):
+        e = random_element(mode, rng, with_x=True, nterms=6, maxexp=3)
+        for z1, z2 in ((1 + 0j, 1 + 0j), (pts[0].z1, pts[0].z2)):
+            stack = toric._evaluate(e, rsx, z1, z2, p, q)
+            assert np.array_equal(stack, term_loop_stack(e, rsx, z1, z2, p, q))
+            for pt, got in zip(pts, stack):
+                assert np.array_equal(got, s4_eval(e, BasePoint4(pt.chi, pt.psi, z1, z2), p, q))
 
 
 def test_sphere_relations_vanish_at_points():
@@ -228,21 +256,37 @@ def test_stratum_scan_matches_the_root_point_scan(which, p, q):
     assert [(c.name, c.passed) for c in rep.records] == verdicts
 
 
-def test_stratum_scan_closes_a_fixed_number_per_stratum(monkeypatch, capsys):
-    """Two class representatives per stratum in the scan, one closure per stratum in the profile."""
+def spy_closures(monkeypatch) -> list:
+    """Record the (p, q) of every fiber closure from here on."""
     fiber_dim, calls = toric._fiber_dim, []
 
     def spy(pt, p, q):
-        calls.append(q)
+        calls.append((p, q))
         return fiber_dim(pt, p, q)
 
     monkeypatch.setattr(toric, "_fiber_dim", spy)
-    for q in (2, 7):
-        assert main(["toric-scan", "s3", "1", str(q), "0.1"]) == 0
+    return calls
+
+
+def test_stratum_scan_closes_a_fixed_number_per_stratum(monkeypatch, capsys):
+    """Two class representatives per stratum in the scan, and no other closure in toric-scan."""
+    calls = spy_closures(monkeypatch)
+    for which, q, strata in (("s3", 2, 3), ("s3", 7, 3), ("s4", 5, 4)):
+        calls.clear()
+        assert main(["toric-scan", which, "1", str(q), "0.1"]) == 0
+        assert calls == [(1, q)] * 2 * strata
     capsys.readouterr()
-    counts = {q: calls.count(q) for q in (2, 7)}
-    assert counts[2] == counts[7]
-    assert counts[7] <= 2 * 3 + 3
+
+
+@pytest.mark.parametrize("which", ["s3", "s4"])
+def test_profile_and_continuity_report_close_nothing(monkeypatch, which):
+    calls = spy_closures(monkeypatch)
+    mode = rational_mode(2, 5)
+    polys = [sphere_alpha(mode), sphere_alpha(mode) * sphere_beta(mode)]
+    rows, _ = norm_profile(polys[0], 0.1, 2, 5, which=which)
+    continuity_report(polys, 0.2, 2, 5, which=which)  # one jump_ratio per polynomial
+    assert calls == []
+    assert {row["stratum"] for row in rows} >= {"EdgeAlpha", "EdgeBeta", "Interior"}
 
 
 def root_point_norm(e, angles, p, q):

@@ -177,6 +177,34 @@ def test_torus_rep_is_homomorphism():
         assert np.max(np.abs(star - torus_rep(a, z1, z2).conj().T)) < 1e-10
 
 
+def term_loop_rep(a, z1, z2):
+    """One scalar times a table matrix per term, summed in place (oracle)."""
+    p, q = a.mode.p, a.mode.q
+    table = monomial_table(q, p)
+    out = np.zeros((q, q), dtype=complex)
+    for (n1, n2), c in a.terms.items():
+        scalar = c.value() * z1 ** n1 * z2 ** n2
+        out += scalar * table[n1 % q, n2 % q]
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (2, 5), (3, 7), (5, 11)])
+def test_torus_rep_matches_the_term_loop(p, q):
+    mode = rational_mode(p, q)
+    rng = np.random.default_rng(10 * q + p)
+    for _ in range(4):
+        a = TorusElement(mode, {
+            (int(rng.integers(-2 * q, 2 * q + 1)), int(rng.integers(-2 * q, 2 * q + 1))):
+            PhaseScalar.t_power(mode, int(rng.integers(-3, 4)),
+                                complex(rng.standard_normal(), rng.standard_normal()))
+            for _ in range(6)})
+        angles = [(0.0, 0.0), (2 * np.pi * p / q, np.pi), tuple(rng.uniform(0, 2 * np.pi, 2))]
+        for z1, z2 in [(complex(np.exp(1j * t1)), complex(np.exp(1j * t2))) for t1, t2 in angles]:
+            assert np.array_equal(torus_rep(a, z1, z2), term_loop_rep(a, z1, z2))
+    zero = TorusElement(mode)
+    assert np.array_equal(torus_rep(zero, 1.0, 1.0), np.zeros((q, q), dtype=complex))
+
+
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 5), (3, 7)])
 def test_monomial_table_matches_rebuilt_powers(p, q):
     r1, r2 = clock_shift(q, p)
