@@ -33,6 +33,7 @@ from .staralg import (
     center,
     diagonal_algebra,
     full_matrix_algebra,
+    generating_set,
     minimal_projections,
     random_unitary,
     skew_hermitian_basis,
@@ -87,6 +88,7 @@ from .gauge import (
     gauge_field,
     gauge_lie_algebra,
     gauge_matrix,
+    gauge_span,
     gauge_transform_field,
     identity_perturbation,
     pert_product,

@@ -41,6 +41,7 @@ __all__ = [
     "GaugeElement",
     "gauge_matrix",
     "GaugeLieAlgebra",
+    "gauge_span",
     "gauge_lie_algebra",
     "ad_kernel_check",
     "Perturbation",
@@ -110,6 +111,19 @@ class GaugeLieAlgebra:
         return self.span.dim
 
 
+def _lie_image(triple: RealSpectralTriple, x: np.ndarray) -> np.ndarray:
+    """X -> pi(X) + J X J^-1, on one matrix or a stack."""
+    px = triple.pi(x)
+    return px + triple.j_conjugate(px)
+
+
+def gauge_span(triple: RealSpectralTriple) -> tuple[RealSpan, np.ndarray, np.ndarray]:
+    """The real span of T = pi(X) + J X J^-1, with the stacks of X over u(A) and of T."""
+    xs = np.stack(skew_hermitian_basis(triple.algebra))
+    ts = _lie_image(triple, xs)
+    return RealSpan.from_spanning(ts, shape=(triple.hilbert_dim,) * 2), xs, ts
+
+
 def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> GaugeLieAlgebra:
     """The gauge Lie algebra with the dimension identity and bracket checks.
 
@@ -121,21 +135,13 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     t_skew = tol if tol is not None else 1e-9
     tol = tol if tol is not None else TOL_DERIVED
 
-    def image(x):  # X -> pi(X) + J X J^-1, on one matrix or a stack
-        px = triple.pi(x)
-        return px + triple.j_conjugate(px)
-
-    skew = skew_hermitian_basis(triple.algebra)
-    xs = np.stack(skew)
-    ts = image(xs)
-    gens = list(zip(skew, ts))
+    span, xs, ts = gauge_span(triple)
     n = triple.hilbert_dim
-    span = RealSpan.from_spanning(ts, shape=(n, n))
     aj = compute_aj(triple)
     expected = triple.algebra.dim - aj.dim
 
     rep = Report(f"gauge_lie_algebra[{triple.label or 'triple'}]",
-                 context={"dim": span.dim, "u_A_dim": len(skew), "u_AJ_dim": aj.dim})
+                 context={"dim": span.dim, "u_A_dim": len(xs), "u_AJ_dim": aj.dim})
     rep.add(CheckRecord.from_residual(
         "skew-images", "every generator is skew-hermitian on H",
         max(op_norm(t + adjoint(t)) for t in ts), t_skew, SCOPE_EXACT))
@@ -148,7 +154,7 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     def residuals(i):
         br = commutator(ts[i], ts[i + 1:])
         # a 1 x n^2 row's spectral norm is its length: the Frobenius distance from the span
-        return (br - image(commutator(xs[i], xs[i + 1:])),
+        return (br - _lie_image(triple, commutator(xs[i], xs[i + 1:])),
                 (br - span.project(br)).reshape(-1, 1, n * n))
 
     for (worst, at), name, statement in zip(
@@ -157,7 +163,7 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
             ("[T, T'] is the generator attached to [X, X']", "brackets stay inside the span")):
         rep.add(CheckRecord.from_residual(name, statement, worst, tol, SCOPE_EXACT),
                 witness=None if at is None else (at[0], at[0] + 1 + at[1]))
-    return GaugeLieAlgebra(span, gens, rep)
+    return GaugeLieAlgebra(span, list(zip(xs, ts)), rep)
 
 
 def ad_kernel_check(triple: RealSpectralTriple, u: np.ndarray,

@@ -292,31 +292,49 @@ def nullspace(domain_basis, images, rcond: float = 1e-9, floor: float = 0.0) -> 
     return Subspace(coeffs @ dom_stack, shape)
 
 
-def _graded_closure(seeds: list[list[np.ndarray]], n: int) -> list[np.ndarray]:
-    """Orthonormal row stacks of the smallest product-closed graded span.
+def _graded_closure(seeds: list[list[np.ndarray]], n: int,
+                    left: list[list[np.ndarray]] | None = None) -> list[np.ndarray]:
+    """Orthonormal row stacks of the smallest graded span containing the seed
+    that the left letters map into itself.
 
-    ``seeds[g]`` lists n x n matrices of grade g, for k = len(seeds) grades;
-    a product of grades x and y lands in grade (x + y) mod k.  Word closure:
-    the algebra generated by a seed S is the span W of the words in S.  With
-    W_0 = span S and W_{j+1} = W_j + S W_j, the rows new at step j only need
-    multiplying on the left by S (the orthonormalised seed rows S_x of each
-    grade x).  At the fixed point S W ⊆ W, hence W W ⊆ W, since W is spanned
-    by words.  That costs |S| products per new row, not one per row of W.  A
-    grade that already holds n^2 rows takes no more products, and the loop
-    ends once no grade gains a row or every grade is full.
+    ``seeds[g]`` and ``left[g]`` list n x n matrices of grade g, for
+    k = len(seeds) grades; a product of grades x and y lands in grade
+    (x + y) mod k.  With W_0 = span seed and W_{j+1} = W_j + L W_j, the rows
+    new at step j only need multiplying on the left by the letters L (the
+    orthonormalised rows L_x of each grade x), one letter at a time.  At the
+    fixed point L W ⊆ W: W is the smallest L-invariant span containing the
+    seed, a left module over the algebra the letters generate.  ``left``
+    left out means L = S, the seed itself, and then W is the word closure:
+    W is spanned by words in S, so S W ⊆ W gives W W ⊆ W, the algebra S
+    generates.  That costs |L| products per new row, not one per row of W.
+    A grade that already holds n^2 rows takes no more products, and the
+    loop ends once no grade gains a row or every grade is full.
+
+    Cut: the seed rows are orthonormalised with singular values kept above
+    1e-9 times the largest; after that every product is of two Frobenius-
+    orthonormal rows, so a new direction is kept when its singular value
+    exceeds 1e-9 absolutely (and 1e-9 relative to its round's residual).
     """
     k, full = len(seeds), n * n
     stacks = fresh = [_orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in seeds]
-    letters = [s.reshape(-1, n, n) for s in stacks]
+    letters = stacks if left is None else [
+        _orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in left]
+    letters = [s.reshape(-1, n, n) for s in letters]
     while min(len(s) for s in stacks) < full and any(len(f) for f in fresh):
         words = [f.reshape(-1, n, n) for f in fresh]
         fresh = [stack[:0] for stack in stacks]
-        for g, stack in enumerate(stacks):
-            if len(stack) < full:
-                prods = np.concatenate([pair_products(letters[x], words[(g - x) % k])
-                                        for x in range(k)])
-                fresh[g] = _extend_rows(stack, prods, _CLOSURE_RTOL, _CLOSURE_RTOL)
-        stacks = [np.vstack([s, f]) for s, f in zip(stacks, fresh)]
+        for g in range(k):
+            for x in range(k):
+                for letter in letters[x]:
+                    if len(stacks[g]) == full:
+                        break
+                    # one letter at a time: each SVD sees one letter's rows, and a
+                    # letter whose products are already in the span costs no SVD
+                    prods = pair_products(letter[None], words[(g - x) % k])
+                    new = _extend_rows(stacks[g], prods, _CLOSURE_RTOL, _CLOSURE_RTOL)
+                    if len(new):
+                        stacks[g] = np.vstack([stacks[g], new])
+                        fresh[g] = np.vstack([fresh[g], new])
     return stacks
 
 

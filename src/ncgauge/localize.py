@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (TOL_DERIVED, Subspace, adjoint, as_cmatrix, commutator,
-                     commutator_map_norm, op_norm)
+                     commutator_map_norm, max_op_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import RealSpectralTriple, c_d_algebra, compute_aj, one_form_space
 from .staralg import FiniteStarAlgebra, ProjectionFamily, minimal_projections, random_unitary
-from .gauge import gauge_lie_algebra
+from .gauge import gauge_span
 
 __all__ = [
     "FiberDecomposition",
@@ -178,17 +178,15 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
         float(abs(sum(s.dim for s in dec.omega_fibers) - cd.dim)), 0.5, SCOPE_EXACT))
 
     cuts = triple.pi(np.stack(dec.base.projections))  # pi(p_x), formed once per point
-    omega = one_form_space(triple)
-    if omega.dim == 0:
-        worst = 0.0
-    else:
-        worst = max(fib.residual(pp @ w)
-                    for pp, fib in zip(cuts, dec.omega_fibers)
-                    for w in omega.basis)
+    omega = np.reshape(one_form_space(triple).basis, (-1,) + cuts.shape[1:])
+    worst = 0.0
+    for pp, fib in zip(cuts, dec.omega_fibers):
+        cut = pp @ omega
+        worst = max(worst, np.linalg.norm(cut - fib.project(cut), axis=(1, 2)).max(initial=0.0))
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
         "that point's fiber",
-        worst, tol, SCOPE_EXACT))
+        float(worst), tol, SCOPE_EXACT))
 
     # degree-0 part cut to each fiber, for the per-point parity table
     even = Subspace.from_spanning(
@@ -199,15 +197,13 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
                                shape=(triple.hilbert_dim,) * 2).dim
         for pp in cuts]
 
-    worst = 0.0
-    if omega.dim > 0:
-        for i in range(n_gauge_samples):
-            u = random_unitary(triple.algebra, seed=seed + i)
-            pu = triple.pi(u)
-            for w in omega.basis:
-                moved = pu @ w @ adjoint(pu)
-                for pp in cuts:
-                    worst = max(worst, op_norm(pp @ moved - pu @ (pp @ w) @ adjoint(pu)))
+    def moved(pu):  # cut then conjugate, against conjugate then cut, per point
+        conj = pu @ omega @ adjoint(pu)
+        return (pp @ conj - pu @ (pp @ omega) @ adjoint(pu) for pp in cuts)
+
+    pus = [triple.pi(random_unitary(triple.algebra, seed=seed + i))
+           for i in range(n_gauge_samples)]
+    worst = max_op_norm(block for pu in pus for block in moved(pu))[0]
     rep.add(CheckRecord.from_residual(
         "gauge-action-localizes", "conjugating a one-form then cutting equals "
         "cutting then conjugating",
@@ -229,7 +225,7 @@ def group_bundle_dims(dec: FiberDecomposition) -> tuple[list[dict], Report]:
              "unitary_dim": fib.dim, "gauge_fiber_dim": fib.dim - 1}
             for (label, _), fib in zip(dec.base, dec.fibers)]
     u_total = triple.algebra.dim
-    g = gauge_lie_algebra(triple)
+    g = gauge_span(triple)[0]
     rep = Report(f"group_bundle[{triple.label or 'triple'}]",
                  context={"rows": rows, "u_A_dim": u_total, "gauge_dim": g.dim})
     rep.add(CheckRecord.from_residual(

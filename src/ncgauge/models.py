@@ -213,6 +213,11 @@ def take_int(params: dict, *names: str, default: int) -> int:
     return val
 
 
+def _config_int(value, name: str) -> int:
+    """An integer config field, checked like a preset parameter (see :func:`take_int`)."""
+    return take_int({name: value}, name, default=0)
+
+
 def model_from_string(spec: str, default_seed: int = 0):
     """Build a model from a preset string like ``hs:N=3`` or ``ym:k=2,N=2``.
 
@@ -267,11 +272,11 @@ def _matrix_from_entries(doc, n: int, what: str) -> np.ndarray:
 def _build_algebra(doc) -> FiniteStarAlgebra:
     kind = doc.get("kind")
     if kind == "full":
-        return full_matrix_algebra(int(doc["n"]))
+        return full_matrix_algebra(_config_int(doc.get("n"), "n"))
     if kind == "diagonal":
-        return diagonal_algebra(int(doc["n"]))
+        return diagonal_algebra(_config_int(doc.get("n"), "n"))
     if kind == "blocks":
-        return block_diagonal_algebra([int(s) for s in doc["sizes"]])
+        return block_diagonal_algebra([_config_int(s, "sizes") for s in doc.get("sizes", [])])
     raise BadModelSpec(f"unknown algebra kind {kind!r} (known: full, diagonal, blocks)")
 
 
@@ -315,7 +320,7 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
     ddoc = cfg["dirac"]
     if isinstance(ddoc, dict) and "preset" in ddoc:
         preset = ddoc["preset"]
-        seed = int(ddoc.get("seed", 0))
+        seed = _config_int(ddoc.get("seed", 0), "seed")
         rng = np.random.default_rng(seed)
         if preset == "zero":
             dirac = np.zeros((hdim, hdim), dtype=complex)
@@ -355,8 +360,8 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
         raise BadModelSpec("real_structure needs a 'preset' or a 'kernel'")
 
     signs = cfg.get("signs", {})
-    eps = int(signs.get("j_squared", 1))
-    eps_prime = int(signs.get("dirac_commute", 1))
+    eps = _config_int(signs.get("j_squared", 1), "j_squared")
+    eps_prime = _config_int(signs.get("dirac_commute", 1), "dirac_commute")
     try:
         return RealSpectralTriple(alg, pi_images, dirac, AntiLinearOp(kernel),
                                   eps=eps, eps_prime=eps_prime,

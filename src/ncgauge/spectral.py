@@ -31,7 +31,6 @@ from .linalg import (
     TOL_DERIVED,
     AntiLinearOp,
     Subspace,
-    _extend_rows,
     _graded_closure,
     adjoint,
     as_cmatrix,
@@ -43,7 +42,7 @@ from .linalg import (
     op_norm,
 )
 from .reporting import SCOPE_EXACT, CheckRecord, Report
-from .staralg import FiniteStarAlgebra, NotClosed, center
+from .staralg import FiniteStarAlgebra, NotClosed, center, generating_set
 
 __all__ = [
     "SpectralInputError",
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 _J_AXIOM_TOL = 1e-9
-_ONE_FORM_RTOL = 1e-10  # one-form span cut, relative to the whole product stack
 
 
 class SpectralInputError(ValueError):
@@ -267,35 +265,27 @@ def real_structure_residuals(triple: RealSpectralTriple) -> tuple[float, float, 
 
 
 def one_form_space(triple: RealSpectralTriple) -> Subspace:
-    """The one-form space span{pi(a) [D, pi(b)]} over basis pairs; cached on the triple.
+    """The one-form space Omega^1 = span{pi(a) [D, pi(b)]}; cached on the triple.
 
-    Built one block at a time, never as the whole d^2 x n^2 stack of
-    products (d = dim A, n = dim H).  Block i holds pi(a_i) [D, pi(b_j)] for
-    every j, made with one batched product; it is projected off the rows
-    found so far and only its residual is orthonormalised
-    (:func:`~ncgauge.linalg._extend_rows`).  That costs d blocks of
-    d x n^2 x rank instead of one SVD of the whole stack.
+    Omega^1 is a left pi(A)-module, so it is the closure of
+    C = span{pi(1) [D, pi(b_j)]} over the basis b_j under left
+    multiplication by pi(g) for a certified generating set g of A
+    (:func:`~ncgauge.staralg.generating_set`): the words in pi(g) and the
+    empty word span pi(A), and pi(w) pi(1) = pi(w).  The closure runs in the
+    one closure kernel (:func:`~ncgauge.linalg._graded_closure` with left
+    letters), about |g| dim Omega^1 products instead of the d^2 products
+    pi(a_i) [D, pi(b_j)] (d = dim A).
 
-    Rank rule: a residual direction is kept when its singular value exceeds
-    1e-10 times the Frobenius norm of the whole stack, computed before the
-    first block as sum_ij ||pi(a_i) C_j||_F^2 = sum_j tr(C_j^* G C_j), where
-    C_j = [D, pi(b_j)] and G = sum_i pi(a_i)^* pi(a_i).
-    The cut is never taken relative to one block, so a block whose residual
-    is rounding noise adds no direction.  The Frobenius norm bounds the
-    stack's largest singular value, so the cut is never below the one-shot
-    rule 1e-10 * s_max.
+    Cut: the seed rows are orthonormalised keeping singular values above
+    1e-9 times the largest, so scaling D changes nothing; every later
+    product is of Frobenius-orthonormal rows and letters, and a new
+    direction is kept when its singular value exceeds 1e-9.
     """
     if triple._omega1 is None:
         n = triple.hilbert_dim
-        pis = np.stack(triple.pi_images)
-        comms = commutator(triple.dirac, pis)
-        g = pis.reshape(-1, n).conj().T @ pis.reshape(-1, n)
-        cut = _ONE_FORM_RTOL * np.sqrt(max(np.vdot(comms, g @ comms).real, 0.0))
-        rows = np.zeros((0, n * n), dtype=complex)
-        for p in pis:
-            block = (p @ comms).reshape(-1, n * n)
-            rows = np.vstack([rows, _extend_rows(rows, block, 0.0, cut)])
-        triple._omega1 = Subspace(rows, (n, n))
+        seed = triple.pi(triple.algebra.unit) @ commutator(triple.dirac, np.stack(triple.pi_images))
+        letters = triple.pi(np.stack(generating_set(triple.algebra)))
+        triple._omega1 = Subspace(_graded_closure([seed], n, [letters])[0], (n, n))
     return triple._omega1
 
 
@@ -315,43 +305,56 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     which lies in E; so E = O, and both equal E + O = C_D.
 
     So C_D is one closure or two.  When the unit is in Omega^1 (one
-    projection of the unit onto :func:`one_form_space`), one ungraded
-    closure of pi(A), [D, pi(A)] and the unit gives C_D, and even = odd =
-    total.  That seed is *-closed as a span, since pi(a)^* = pi(a^*) and
-    [D, pi(a)]^* = -[D, pi(a^*)], so no adjoints are added.  Otherwise the
-    closure kernel behind :func:`~ncgauge.linalg.generated_algebra` runs
-    with two grades, the even one seeded by pi(A) and the unit and the odd
-    one by [D, pi(A)], and C_D is the union of the two spans.  The unit's
-    distance from Omega^1 is reported as ``unit_one_form_distance``.
+    projection of the unit onto :func:`one_form_space`), C_D is the closure
+    of Omega^1 under left multiplication by the letters
+    L = {pi(g), [D, pi(g)]} for a certified *-closed generating set g of A
+    (:func:`~ncgauge.staralg.generating_set`).  Since [D, .] is a
+    derivation, [D, pi(w)] of a word w in g is a sum of words in L, so
+    pi(A), [D, pi(A)] and Omega^1 all lie in the algebra L and the unit
+    generate, which is C_D; and the closure holds every word in L, as it
+    holds the unit.  L is *-closed as a span, since pi(g)^* = pi(g^*) and
+    [D, pi(g)]^* = -[D, pi(g^*)].  The result is wrapped with ``generators=L``,
+    so its closure check forms |L| dim C_D products, not the dim C_D^2
+    table.  Otherwise the closure kernel runs with two grades, the even one
+    seeded by pi(A) and the unit and the odd one by [D, pi(A)], and C_D is
+    the union of the two spans.  The unit's distance from Omega^1 is
+    reported as ``unit_one_form_distance``.
 
     The ``generated-closure`` record is a one-pass certificate, not a second
-    closure: the worst of the generators' and the unit's relative distance
-    from the result and of the product- and adjoint-closure residuals of
-    the wrapped algebra.  The kernel only forms words in the generators, so
-    these show that the result is the generated *-algebra.
+    closure: the worst of the relative distances of pi(A)'s basis images,
+    of every [D, pi(b)] and of the unit from the result, and of the product-
+    and adjoint-closure residuals of the wrapped algebra.  The kernel only
+    forms words in the generators, so these show that the result is the
+    generated *-algebra.
     """
     if triple._cd is not None:
         return triple._cd
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
-    d_comms = [triple.dirac_commutator(b) for b in triple.algebra.basis]
-    generators = triple.pi_images + d_comms + [eye]
+    pis = np.stack(triple.pi_images)
+    d_comms = commutator(triple.dirac, pis)
     omega = one_form_space(triple)
     if omega.contains(eye):
-        even = odd = total = Subspace(_graded_closure([generators], n)[0], (n, n))
+        gens = triple.pi(np.stack(generating_set(triple.algebra)))
+        letters = np.concatenate([gens, commutator(triple.dirac, gens)])
+        even = odd = total = Subspace(_graded_closure([omega.basis], n, [letters])[0], (n, n))
     else:
+        letters = None  # the closure check forms the dim C_D^2 product table
         even_rows, odd_rows = _graded_closure([triple.pi_images + [eye], d_comms], n)
         even, odd = Subspace(even_rows, (n, n)), Subspace(odd_rows, (n, n))
         total = even.union(odd)
-    algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})")
-    missing = max(total.residual(g) / max(1.0, frobenius(g)) for g in generators)
+    algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})",
+                                generators=letters)
+    generators = np.concatenate([pis, d_comms, eye[None]])
+    missing = np.max(np.linalg.norm(generators - total.project(generators), axis=(1, 2))
+                     / np.maximum(1.0, np.linalg.norm(generators, axis=(1, 2))))
     rep = Report(f"c_d_algebra[{triple.label or 'triple'}]",
                  context={"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
                           "grading_consistent": even.dim + odd.dim == total.dim,
                           "unit_one_form_distance": omega.residual(eye)})
     rep.add(CheckRecord.from_residual(
         "generated-closure", "the closure equals the two-sided generated span",
-        max(missing, *algebra.closure_residuals), TOL_DERIVED, SCOPE_EXACT))
+        max(float(missing), *algebra.closure_residuals), TOL_DERIVED, SCOPE_EXACT))
     triple._cd = (algebra, rep)
     return triple._cd
 

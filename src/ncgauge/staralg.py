@@ -16,6 +16,7 @@ from .linalg import (
     adjoint,
     as_cmatrix,
     frobenius,
+    generated_algebra,
     max_op_norm,
     nullspace,
     op_norm,
@@ -36,8 +37,11 @@ __all__ = [
     "center",
     "minimal_projections",
     "skew_hermitian_basis",
+    "generating_set",
     "random_unitary",
 ]
+
+_GENERATOR_SEED = 2014  # fixed, so that the drawn generators and every output are reproducible
 
 
 class AlgebraError(Exception):
@@ -70,10 +74,10 @@ class FiniteStarAlgebra(Subspace):
 
     Closure and the unit property are verified at construction, which
     keeps the worst product- and adjoint-closure residuals in
-    ``closure_residuals``.  The closure check computes the coordinates of
-    every product of two basis elements, and keeps them as the structure
-    constants: ``structure_constants[a, b, k]`` is the k-th coordinate of
-    basis[a] @ basis[b], a d x d x d array.
+    ``closure_residuals``.  Without generators, the closure check computes
+    the coordinates of every product of two basis elements, and keeps them
+    as the structure constants: ``structure_constants[a, b, k]`` is the
+    k-th coordinate of basis[a] @ basis[b], a d x d x d array.
 
     An omitted unit is solved from the structure constants: e = sum_k e_k
     b_k acts as the identity when sum_k e_k c[k, j] and sum_k e_k c[j, k]
@@ -81,10 +85,19 @@ class FiniteStarAlgebra(Subspace):
     system.  A finite-dimensional *-algebra of matrices always has a unit,
     so on a closed span this fails only by rounding; the solved unit is
     checked in matrix space like a given one.
+
+    A caller that built the span from generators S, as the span of words in
+    S and the unit (a closure under S on the left), passes them as
+    ``generators``.  Then the unit in W and S W ⊆ W give W W ⊆ W, so the
+    product check forms the |S| d products S x basis instead of the d^2
+    table, and the structure constants are computed only when first read.
+    That W lies in the algebra S and the unit generate is the caller's
+    premise, not checked here: with S = {1}, any *-closed span holding the
+    unit would pass.
     """
 
     def __init__(self, basis: list[np.ndarray], unit: np.ndarray | None = None,
-                 label: str = "", tol: float = 1e-8):
+                 label: str = "", tol: float = 1e-8, generators=None):
         basis = [as_cmatrix(b) for b in basis]
         if not basis:
             raise NotClosed("an algebra needs at least one basis element", 1.0)
@@ -95,7 +108,9 @@ class FiniteStarAlgebra(Subspace):
         self.ambient = n
         self.label = label
         self._skew: list[np.ndarray] | None = None  # u(A), kept by skew_hermitian_basis
-        self.closure_residuals = self._verify(tol, unit)
+        self._gens: list[np.ndarray] | None = None  # kept by generating_set
+        self._constants: np.ndarray | None = None
+        self.closure_residuals = self._verify(tol, unit, generators)
 
     @classmethod
     def from_spanning(cls, mats, shape=None, rtol: float = 1e-10) -> "FiniteStarAlgebra":
@@ -116,6 +131,14 @@ class FiniteStarAlgebra(Subspace):
         if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
             raise AlgebraError("element lies outside the algebra span")
         return coords
+
+    @property
+    def structure_constants(self) -> np.ndarray:
+        """c[a, b, k], the k-th coordinate of basis[a] @ basis[b]: the d^2 product table."""
+        if self._constants is None:
+            b = self._mat(self._stack)
+            self._constants = (pair_products(b, b) @ self._stack.conj().T).reshape((self.dim,) * 3)
+        return self._constants
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
         """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
@@ -139,12 +162,13 @@ class FiniteStarAlgebra(Subspace):
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, tol: float, unit: np.ndarray | None) -> tuple[float, float]:
+    def _verify(self, tol: float, unit: np.ndarray | None, generators) -> tuple[float, float]:
         """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
         b = self._mat(self._stack)
         d = self.dim
+        left = b if generators is None else np.asarray(generators, dtype=complex)
         closure, coords = [], []
-        for kind, rows in (("products", pair_products(b, b)),
+        for kind, rows in (("products", pair_products(left, b)),
                            ("adjoints", self._vec(np.conj(np.swapaxes(b, 1, 2))))):
             coords.append(rows @ self._stack.conj().T)
             rows -= coords[-1] @ self._stack  # in place: rows, once read, become the residual
@@ -152,11 +176,13 @@ class FiniteStarAlgebra(Subspace):
             if closure[-1] > tol:
                 raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
                                 closure[-1])
-        c = self.structure_constants = coords[0].reshape(d, d, d)
+        if generators is None:
+            self._constants = coords[0].reshape(d, d, d)
         gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
         if unit is None:
+            c = self.structure_constants
             # rows (j, m): sum_k e_k c[k, j, m] (e b_j), then sum_k e_k c[j, k, m] (b_j e)
             system = np.concatenate([np.moveaxis(c, 0, -1), np.moveaxis(c, 1, -1)]).reshape(-1, d)
             e, *_ = np.linalg.lstsq(system, np.tile(np.eye(d).ravel(), 2), rcond=None)
@@ -325,6 +351,26 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
                 f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
         algebra._skew = span.basis
     return algebra._skew
+
+
+def generating_set(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
+    """A *-closed set that generates the algebra together with its unit, certified.
+
+    Two random elements g1, g2 of A, drawn from a fixed internal seed, and
+    their adjoints.  Two generic elements generate a finite-dimensional
+    C*-algebra (for M_N this is Burnside's theorem), but a draw is trusted
+    only when the algebra generated by it and the unit e has dim A: it lies
+    in A, so equal dimension means equal.  A draw that fails this is
+    replaced by the basis, which generates A trivially.  Computed once per
+    algebra and kept on it, like u(A).
+    """
+    if algebra._gens is None:
+        gens = [algebra.random_element(seed=_GENERATOR_SEED + i) for i in range(2)]
+        gens += [adjoint(g) for g in gens]
+        if generated_algebra(gens + [algebra.unit]).dim != algebra.dim:
+            gens = algebra.basis
+        algebra._gens = gens
+    return algebra._gens
 
 
 def random_unitary(algebra: FiniteStarAlgebra, seed: int = 0) -> np.ndarray:

@@ -29,6 +29,7 @@ from ncgauge.toric import continuity_report
 from ncgauge.torus import rational_mode
 
 localize_module = importlib.import_module("ncgauge.localize")
+gauge_module = importlib.import_module("ncgauge.gauge")
 
 
 def run(capsys, *argv):
@@ -93,6 +94,24 @@ def test_non_integer_parameter_is_bad_input(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: parameter {name!r} must be an integer")
+
+
+@pytest.mark.parametrize("field,name,value", [
+    ({"algebra": {"kind": "diagonal", "n": 2.7}}, "n", "2.7"),
+    ({"algebra": {"kind": "blocks", "sizes": [1, 1.5]}}, "sizes", "1.5"),
+    ({"dirac": {"preset": "random-selfadjoint", "seed": 1.5}}, "seed", "1.5"),
+    ({"signs": {"j_squared": 1.9}}, "j_squared", "1.9"),
+    ({"signs": {"dirac_commute": -1.0}}, "dirac_commute", "-1.0"),
+])
+def test_non_integer_config_field_is_bad_input(capsys, tmp_path, field, name, value):
+    """Config integers are checked, never truncated: 2.7 is not read as 2."""
+    doc = {"algebra": {"kind": "diagonal", "n": 2}, "representation": "defining",
+           "dirac": {"preset": "zero"}, "real_structure": {"preset": "conjugation"}}
+    config = tmp_path / "fields.json"
+    config.write_text(json.dumps({**doc, **field}))
+    code, out, err = run(capsys, "check", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: parameter {name!r} must be an integer, got {value}\n"
 
 
 @pytest.mark.parametrize("terms", ["0", "-1"])
@@ -450,6 +469,7 @@ def test_failing_gauge_covariance_is_strict_json(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("check", "ym:k=2,N=2"),
+    ("localize", "ym:k=2,N=2"),
     ("fluctuate", "hs:N=2", "random"),
     ("toric-scan", "s3", "1", "2", "0.2"),
 ])
@@ -496,3 +516,21 @@ def test_tol_zero_is_not_replaced(capsys, argv, names):
     by_name = {c["name"]: c for c in doc["checks"]}
     for name in names:
         assert by_name[name]["tolerance"] == 0.0
+
+
+def test_localize_makes_no_gauge_lie_algebra_call(capsys, monkeypatch):
+    """The gauge dimension comes from the span alone, without the bracket checks."""
+    calls = []
+    real = gauge_module.gauge_lie_algebra
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gauge_module, "gauge_lie_algebra", spy)
+    monkeypatch.setattr(cli, "gauge_lie_algebra", spy)
+    code, out, _ = run(capsys, "localize", "ym:k=3,N=3")
+    assert code == 0
+    assert calls == []
+    want = real(load_model("ym:k=3,N=3"))
+    assert json.loads(out)["context"]["group_bundle"]["gauge_dim"] == want.dim == 3 * (9 - 1)

@@ -22,12 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncgauge
-from ncgauge import linalg, spectral
+from ncgauge import linalg, spectral, staralg
 from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
+from ncgauge.staralg import (FiniteStarAlgebra, block_diagonal_algebra, full_matrix_algebra,
+                             generating_set)
 from ncgauge.models import model_from_string, triple_from_config
 from ncgauge.spectral import c_d_algebra, one_form_space
 from ncgauge.toric import BasePoint3, BasePoint4, s3_fiber_dimension, stratum_scan
 from ncgauge.torus import clock_shift
+from test_spectral import CONFIG_FIXTURES
 
 
 def closure_oracle(seeds, n):
@@ -90,9 +93,11 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     got_even, got_odd = (Subspace(s, (n, n)) for s in _graded_closure(seeds, n))
     assert_same_span(got_even, even)
     assert_same_span(got_odd, odd)
+    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
 
     cd, rep = c_d_algebra(triple)
     assert_same_span(cd, total)
+    assert_same_span(cd, Subspace(full_seed, (n, n)))
     ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         even.dim, odd.dim, total.dim, even.dim + odd.dim == total.dim) == CD_PRESETS[spec]
@@ -100,13 +105,18 @@ def test_c_d_algebra_matches_graded_oracle(spec):
 
 
 def closure_grades(monkeypatch, triple):
-    """c_d_algebra's report and the number of grades each closure it ran had."""
+    """c_d_algebra's report and the number of grades each closure it ran had.
+
+    Omega^1, itself a closure, is formed (and cached) before the spy goes in,
+    so only the closures that build C_D are counted.
+    """
     grades = []
 
-    def spy(seeds, n):
+    def spy(seeds, n, left=None):
         grades.append(len(seeds))
-        return _graded_closure(seeds, n)
+        return _graded_closure(seeds, n, left)
 
+    one_form_space(triple)
     monkeypatch.setattr(spectral, "_graded_closure", spy)
     _, rep = c_d_algebra(triple)
     return rep, grades
@@ -136,6 +146,106 @@ def test_unit_outside_one_forms_keeps_the_graded_closure(monkeypatch, spec):
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         CD_PRESETS[spec])
     assert ctx["unit_one_form_distance"] == pytest.approx(np.sqrt(2), rel=1e-12)
+
+
+# blocks-left closes to M_9: the pairwise oracle would form 81^2 products a round
+@pytest.mark.parametrize("name", sorted(set(CONFIG_FIXTURES) - {"blocks-left"}))
+def test_c_d_algebra_matches_the_oracles_on_configs(monkeypatch, name):
+    """Both branches against the pairwise and the full-seed closures, on custom triples."""
+    triple = triple_from_config(CONFIG_FIXTURES[name])
+    n = triple.hilbert_dim
+    eye = np.eye(n, dtype=complex)
+    seeds = [triple.pi_images + [eye], [triple.dirac_commutator(b) for b in triple.algebra.basis]]
+    even, odd = closure_oracle(seeds, n)
+    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
+    omega = one_form_space(triple)
+    rep, grades = closure_grades(monkeypatch, triple)
+    cd, _ = c_d_algebra(triple)
+    assert grades == ([1] if omega.contains(eye) else [2])
+    assert_same_span(cd, even.union(odd))
+    assert_same_span(cd, Subspace(full_seed, (n, n)))
+    assert rep.record("generated-closure").passed
+    if name == "full-left-offdiagonal":  # the [D, pi(g)] letters must grow Omega^1
+        assert grades == [1] and omega.dim == 12 < cd.dim == 16
+    if grades == [1]:
+        assert max(FiniteStarAlgebra(cd.basis, eye).closure_residuals) < 1e-12
+
+
+UNIT_IN_ONE_FORMS = [spec for spec in sorted(CD_PRESETS) if not CD_PRESETS[spec][3]]
+
+
+@pytest.mark.parametrize("spec", UNIT_IN_ONE_FORMS)
+def test_product_table_check_accepts_the_generator_verified_c_d(spec):
+    """The d^2 product table, the check for algebras given only by a basis, agrees."""
+    triple = model_from_string(spec)
+    cd, _ = c_d_algebra(triple)
+    table = FiniteStarAlgebra(cd.basis, np.eye(triple.hilbert_dim))
+    assert max(table.closure_residuals) < 1e-12
+    assert np.abs(cd.structure_constants - table.structure_constants).max() < 1e-12
+
+
+def unit_multiple_draws(monkeypatch):
+    """Make every random element a multiple of the unit: such a draw generates C 1 only."""
+    monkeypatch.setattr(FiniteStarAlgebra, "random_element",
+                        lambda self, seed=0, hermitian=False: (1 + seed % 5) * self.unit)
+
+
+@pytest.mark.parametrize("spec", sorted(CD_PRESETS))
+def test_basis_fallback_gives_the_same_spans(monkeypatch, spec):
+    want = model_from_string(spec)
+    basis = np.stack(want.algebra.basis)
+    assert not np.array_equal(np.stack(generating_set(want.algebra)), basis)  # a certified draw
+    want_omega, (want_cd, _) = one_form_space(want), c_d_algebra(want)
+    unit_multiple_draws(monkeypatch)
+    got = model_from_string(spec)
+    assert np.array_equal(np.stack(generating_set(got.algebra)), basis)
+    assert_same_span(one_form_space(got), want_omega)
+    cd, rep = c_d_algebra(got)
+    assert_same_span(cd, want_cd)
+    assert rep.record("generated-closure").passed
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_commuting_letters_fail_the_certificate(monkeypatch, n):
+    """Diagonal draws of M_n generate only the diagonal, so the basis is used."""
+    alg = full_matrix_algebra(n)
+    rng = np.random.default_rng(n)
+    draws = [np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(2)]
+    assert generated_algebra(draws, include_unit=True).dim == n < alg.dim
+    monkeypatch.setattr(FiniteStarAlgebra, "random_element",
+                        lambda self, seed=0, hermitian=False: draws[seed % 2])
+    assert np.array_equal(np.stack(generating_set(alg)), np.stack(alg.basis))
+
+
+@pytest.mark.parametrize("sizes", [[5], [1, 2], [2, 2, 3]])
+def test_drawn_generators_pass_the_certificate(sizes):
+    alg = block_diagonal_algebra(sizes)
+    gens = generating_set(alg)
+    assert len(gens) == 4
+    assert generated_algebra(gens, include_unit=True).dim == alg.dim
+    assert generating_set(alg) is gens  # kept on the algebra
+
+
+@pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3"])
+def test_c_d_verification_forms_letters_times_dim_products(monkeypatch, spec):
+    """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table."""
+    triple = model_from_string(spec)
+    one_form_space(triple)
+    shapes = {"closure": [], "verification": []}
+
+    def spy(kind, real):
+        def products(a, b):
+            shapes[kind].append((len(a), len(b)))
+            return real(a, b)
+        return products
+
+    monkeypatch.setattr(linalg, "pair_products", spy("closure", linalg.pair_products))
+    monkeypatch.setattr(staralg, "pair_products", spy("verification", staralg.pair_products))
+    cd, rep = c_d_algebra(triple)
+    letters = 2 * len(generating_set(triple.algebra))
+    assert shapes["verification"] == [(letters, cd.dim)]
+    assert sum(a * b for a, b in shapes["closure"]) <= letters * cd.dim < cd.dim ** 2
+    assert rep.record("generated-closure").passed
 
 
 def readme_config(kind):

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from ncgauge import (
+    FiberDecomposition,
     FiniteStarAlgebra,
+    ProjectionFamily,
+    Subspace,
+    adjoint,
     build_finite_ym,
     build_hs_model,
     conjugate_triple,
@@ -15,6 +19,7 @@ from ncgauge import (
     localize,
     norm_is_sup,
     omega_bundle,
+    one_form_space,
     op_norm,
     random_unitary,
     skew_hermitian_basis,
@@ -125,6 +130,38 @@ def test_omega_bundle_forms_each_point_image_once(monkeypatch, spec):
     assert omega_bundle(dec, n_gauge_samples=3).passed
     assert len(calls) <= 1 + 3
     assert calls[0] == (len(dec.base),) + dec.base.projections[0].shape
+
+
+def loop_omega_residuals(dec, n_gauge_samples=3, seed=0):
+    """The per-matrix loops behind one-forms-localize and gauge-action-localizes (the oracle)."""
+    t = dec.triple
+    cuts = [t.pi(p) for p in dec.base.projections]
+    omega = one_form_space(t).basis
+    cut_worst = max(fib.residual(pp @ w) for pp, fib in zip(cuts, dec.omega_fibers) for w in omega)
+    gauge_worst = 0.0
+    for i in range(n_gauge_samples):
+        pu = t.pi(random_unitary(t.algebra, seed=seed + i))
+        for w in omega:
+            moved = pu @ w @ adjoint(pu)
+            for pp in cuts:
+                gauge_worst = max(gauge_worst, op_norm(pp @ moved - pu @ (pp @ w) @ adjoint(pu)))
+    return cut_worst, gauge_worst
+
+
+@pytest.mark.parametrize("spec", ["hs:N=2", "hs:N=3", "ym:k=2,N=2"])
+def test_omega_bundle_residuals_match_the_per_matrix_loops(spec):
+    """On a base of non-central projections, with one-dimensional fibers, both residuals are O(1)."""
+    t = load_model(spec)
+    a = t.algebra
+    corner = a.basis[0]  # a rank-one matrix unit: a projection, central in no block M_N, N > 1
+    base = ProjectionFamily([corner, a.unit - corner], unit=a.unit)
+    fibers = [Subspace.from_spanning([t.pi(p) @ t.pi_images[1]]) for p in base.projections]
+    dec = FiberDecomposition(t, base, [a, a], fibers, localize(t).report)
+    rep = omega_bundle(dec)
+    cut_worst, gauge_worst = loop_omega_residuals(dec)
+    assert min(cut_worst, gauge_worst) > 0.1
+    assert rep.record("one-forms-localize").residual == pytest.approx(cut_worst, rel=1e-12)
+    assert rep.record("gauge-action-localizes").residual == pytest.approx(gauge_worst, rel=1e-12)
 
 
 def test_group_bundle_rows():

@@ -136,6 +136,46 @@ def test_one_form_space_matches_full_svd_oracle(spec):
     assert_one_form_span_matches_oracle(t)
 
 
+def custom_config(kind, size, representation, dirac, real_structure):
+    return {"algebra": {"kind": kind, "sizes" if kind == "blocks" else "n": size},
+            "representation": representation, "dirac": dirac, "real_structure": real_structure}
+
+
+CONJUGATION, ADJOINT_FLIP = {"preset": "conjugation"}, {"preset": "adjoint-flip"}
+# custom config documents, one per algebra kind, representation and kind of D
+CONFIG_FIXTURES = {
+    "diagonal-flip": custom_config("diagonal", 2, "defining",
+                                   {"re": [[0.0, 1.0], [1.0, 0.0]]}, CONJUGATION),
+    "diagonal-complex": custom_config(
+        "diagonal", 3, "defining", {"re": [[0.3, 0.1, 0.0], [0.1, -0.7, 0.2], [0.0, 0.2, 0.1]],
+                                    "im": [[0.0, 0.4, 0.1], [-0.4, 0.0, 0.0], [-0.1, 0.0, 0.0]]},
+        CONJUGATION),
+    "diagonal-zero": custom_config("diagonal", 2, "defining", {"preset": "zero"}, CONJUGATION),
+    "full-random": custom_config("full", 3, "defining",
+                                 {"preset": "random-selfadjoint", "seed": 1}, CONJUGATION),
+    "full-left-right": custom_config("full", 3, "left-multiplication",
+                                     {"preset": "left-right-random", "seed": 2}, ADJOINT_FLIP),
+    "blocks-symmetric": custom_config("blocks", [2, 1], "defining",
+                                      {"preset": "real-symmetric-random", "seed": 3}, CONJUGATION),
+    "blocks-left": custom_config("blocks", [1, 2], "left-multiplication",
+                                 {"preset": "random-selfadjoint", "seed": 4}, ADJOINT_FLIP),
+    # D = [[1, X], [X*, 0]] in 2 x 2 blocks: Omega^1 = M_2 (x) span{X, X*, 1} holds the
+    # unit but is not closed under products; C_D = M_2 (x) M_2
+    "full-left-offdiagonal": custom_config(
+        "full", 2, "left-multiplication",
+        {"re": [[1.0, 0.0, 0.3, 1.0], [0.0, 1.0, 0.0, 0.2], [0.3, 0.0, 0.0, 0.0],
+                [1.0, 0.2, 0.0, 0.0]],
+         "im": [[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, -0.7, 0.0], [0.0, 0.7, 0.0, 0.0],
+                [-0.5, 0.0, 0.0, 0.0]]},
+        ADJOINT_FLIP),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_FIXTURES))
+def test_one_form_space_matches_full_svd_oracle_on_configs(name):
+    assert_one_form_span_matches_oracle(triple_from_config(CONFIG_FIXTURES[name]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(spec=st.sampled_from(["hs:N=2", "hs:N=3", "ym:k=2,N=2", "ym:k=2,N=2,lam=0.1",
                              "ym:k=3,N=1", "ym:k=2,N=3"]),
