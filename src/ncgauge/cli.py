@@ -17,8 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .gauge import (
     covariance_residual,
     from_unitary,
@@ -268,11 +266,7 @@ def main(argv=None) -> int:
     try:
         rep, rows = handlers[args.command](args)
         text = _render(args, rep, rows)
-    except np.linalg.LinAlgError as exc:  # a ValueError: caught before the input errors
-        print(f"internal error: {exc!r}", file=sys.stderr)
-        return 3
-    except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus,
-            ValueError) as exc:
+    except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other exception is a program fault, never a failed check

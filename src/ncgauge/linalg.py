@@ -54,7 +54,8 @@ def as_cmatrix(m) -> np.ndarray:
 
 
 def adjoint(m: np.ndarray) -> np.ndarray:
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -2, -1))
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,10 +167,11 @@ def _extend_rows(stack: np.ndarray, rows: np.ndarray, rtol: float, floor: float)
 class Subspace:
     """Complex-linear span of matrices, orthonormal in the trace inner product.
 
-    The span is stored as orthonormal rows, one vectorised matrix each.
-    ``_vec`` (matrix to row) and ``_mat`` (row to matrix) are the only
-    field-specific code; see :class:`RealSpan`.  Both act on the last two
-    (one) axes, so :meth:`coordinates` and :meth:`project` also take a
+    The span is stored as orthonormal rows, one vectorised matrix each, and
+    its basis is read as one (dim, r, c) stack.  ``_vec`` (matrix to row)
+    and ``_mat`` (row to matrix) are the only field-specific code; see
+    :class:`RealSpan`.  Both act on the last two (one) axes, so
+    :meth:`coordinates`, :meth:`project` and :meth:`residual` also take a
     stack of matrices.
     """
 
@@ -187,25 +189,33 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, mats, shape: tuple[int, int] | None = None, rtol: float = 1e-10) -> "Subspace":
-        mats = [as_cmatrix(m) for m in mats]
-        if shape is None:
-            if not mats:
+        """The span of a (k, r, c) stack, or of a sequence of r x c matrices.
+
+        A plain span of the field, also when called on a subclass (as :meth:`union`).
+        """
+        try:
+            mats = np.asarray(mats, dtype=complex)
+        except ValueError:
+            raise ValueError("mixed matrix shapes in spanning set") from None
+        if not mats.size:  # a zero matrix spans nothing but fixes the row width and field
+            if shape is None:
                 raise ValueError("cannot infer the ambient shape from an empty list")
-            shape = mats[0].shape
-        for m in mats:
-            if m.shape != shape:
-                raise ValueError("mixed matrix shapes in spanning set")
-        if not mats:  # a zero matrix spans nothing but fixes the row width and field
-            mats = [np.zeros(shape, dtype=complex)]
-        return cls(_orthonormal_rows(np.stack([cls._vec(m) for m in mats]), rtol), shape)
+            mats = np.zeros((1, *shape), dtype=complex)
+        if mats.ndim != 3 or mats.shape[1:] != tuple(shape or mats.shape[1:]):
+            raise ValueError("mixed matrix shapes in spanning set")
+        field = RealSpan if issubclass(cls, RealSpan) else Subspace
+        return field(_orthonormal_rows(cls._vec(mats), rtol), mats.shape[1:])
 
     @property
     def dim(self) -> int:
         return self._stack.shape[0]
 
     @property
-    def basis(self) -> list[np.ndarray]:
-        return [self._mat(row) for row in self._stack]
+    def basis(self) -> np.ndarray:
+        """The orthonormal basis as one (dim, r, c) stack, read-only: it may view the rows."""
+        basis = self._mat(self._stack)
+        basis.flags.writeable = False
+        return basis
 
     def coordinates(self, m: np.ndarray) -> np.ndarray:
         return self._vec(m) @ self._stack.conj().T
@@ -217,12 +227,13 @@ class Subspace:
     def project(self, m: np.ndarray) -> np.ndarray:
         return self.combine(self.coordinates(m))
 
-    def residual(self, m: np.ndarray) -> float:
-        return frobenius(as_cmatrix(m) - self.project(m))
+    def residual(self, m: np.ndarray):
+        """Frobenius distance from the span of a matrix, or of each matrix of a stack."""
+        m = np.asarray(m, dtype=complex)
+        return np.linalg.norm(m - self.project(m), axis=(-2, -1))
 
     def contains(self, m: np.ndarray, tol: float = TOL_DERIVED) -> bool:
-        scale = max(1.0, frobenius(m))
-        return self.residual(m) <= tol * scale
+        return bool(self.residual(m) <= tol * max(1.0, frobenius(m)))
 
     def union(self, other: "Subspace", rtol: float = 1e-10) -> "Subspace":
         """The span of both, as a plain span of their field (also for subclasses)."""
@@ -276,28 +287,25 @@ def nullspace(domain_basis, images, rcond: float = 1e-9, floor: float = 0.0) -> 
     values are 1 on the nullspace and float noise elsewhere.  Only d x d
     and r x M factors are formed, never an M x M one.
     """
-    domain = [as_cmatrix(m) for m in domain_basis]
+    domain, images = np.asarray(domain_basis, dtype=complex), np.asarray(images, dtype=complex)
     if len(domain) != len(images):
         raise ValueError("domain basis and image list disagree in length")
-    if not domain:
+    if not len(domain):
         raise ValueError("empty domain")
-    shape = domain[0].shape
-    a = np.stack([np.ravel(np.asarray(img, dtype=complex)) for img in images])
-    r = _orthonormal_rows(a.conj().T, rcond, floor)
+    r = _orthonormal_rows(images.reshape(len(images), -1).conj().T, rcond, floor)
     # the absolute floor drops the noise rows an injective map leaves
     coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
-    dom_stack = np.stack([m.ravel() for m in domain])
     # orthonormal coefficient rows against an orthonormal domain basis
     # give orthonormal nullspace matrices, no re-orthonormalisation needed
-    return Subspace(coeffs @ dom_stack, shape)
+    return Subspace(coeffs @ domain.reshape(len(domain), -1), domain.shape[1:])
 
 
-def _graded_closure(seeds: list[list[np.ndarray]], n: int,
-                    left: list[list[np.ndarray]] | None = None) -> list[np.ndarray]:
+def _graded_closure(seeds: list[np.ndarray], n: int,
+                    left: list[np.ndarray] | None = None) -> list[np.ndarray]:
     """Orthonormal row stacks of the smallest graded span containing the seed
     that the left letters map into itself.
 
-    ``seeds[g]`` and ``left[g]`` list n x n matrices of grade g, for
+    ``seeds[g]`` and ``left[g]`` are stacks of n x n matrices of grade g, for
     k = len(seeds) grades; a product of grades x and y lands in grade
     (x + y) mod k.  With W_0 = span seed and W_{j+1} = W_j + L W_j, the rows
     new at step j only need multiplying on the left by the letters L (the
@@ -346,17 +354,12 @@ def generated_algebra(generators, include_unit: bool = False) -> Subspace:
     adjoints (plus the identity when requested) and the closure only
     multiplies: the ungraded (k = 1) case of the graded closure kernel.
     """
-    mats = [as_cmatrix(g) for g in generators]
-    if not mats:
-        raise ValueError("no generators")
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError("generators must be square matrices of equal size")
-    seed = mats + [adjoint(m) for m in mats]
-    if include_unit:
-        seed.append(np.eye(n, dtype=complex))
-    return Subspace(_graded_closure([seed], n)[0], (n, n))
+    gens = np.asarray(generators, dtype=complex)  # mixed shapes raise here
+    if gens.ndim != 3 or not len(gens) or gens.shape[1] != gens.shape[2]:
+        raise ValueError("generators must be one or more square matrices of equal size")
+    n = gens.shape[1]
+    seed = [gens, adjoint(gens)] + ([np.eye(n, dtype=complex)[None]] if include_unit else [])
+    return Subspace(_graded_closure([np.concatenate(seed)], n)[0], (n, n))
 
 
 class AntiLinearOp:

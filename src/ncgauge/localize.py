@@ -77,25 +77,21 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
         "partition-of-unity", "the minimal projections of A_J sum to 1",
         op_norm(total - alg.unit), t_exact, SCOPE_EXACT))
 
-    worst_central = max(op_norm(commutator(p, b)) for _, p in base for b in alg.basis)
     rep.add(CheckRecord.from_residual(
         "base-central-in-A", "each point projection is central in A",
-        worst_central, tol, SCOPE_EXACT))
+        max_op_norm(commutator(p, alg.basis) for p in base.projections)[0], tol, SCOPE_EXACT))
 
-    fibers = []
-    for label, p in base:
-        cut = Subspace.from_spanning([p @ b for b in alg.basis],
-                                     shape=(alg.ambient, alg.ambient))
-        fibers.append(FiniteStarAlgebra(cut.basis, p, label=f"fiber[{label}]"))
+    fibers = [FiniteStarAlgebra(Subspace.from_spanning(p @ alg.basis).basis, p,
+                                label=f"fiber[{label}]") for label, p in base]
     rep.context["fiber_dims"] = [f.dim for f in fibers]
     rep.add(CheckRecord.from_residual(
         "fiber-dimension-sum", "fiber dimensions add up to dim A",
         float(abs(sum(f.dim for f in fibers) - alg.dim)), 0.5, SCOPE_EXACT))
 
-    worst = max(op_norm(sum(p @ b for _, p in base) - b) for b in alg.basis)
+    rebuilt = sum(p @ alg.basis for p in base.projections)
     rep.add(CheckRecord.from_residual(
         "section-reconstruction", "summing the fiber components returns the element",
-        worst, t_exact, SCOPE_EXACT))
+        max_op_norm([rebuilt - alg.basis])[0], t_exact, SCOPE_EXACT))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -109,17 +105,14 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
         worst, tol, SCOPE_EXACT))
 
     cd, _ = c_d_algebra(triple)
-    cd_stack = np.stack(cd.basis)
-    worst = max(commutator_map_norm(triple.pi(p), cd_stack) for _, p in base)
+    cuts = triple.pi(np.stack(base.projections))  # pi(p_x), formed once per point
+    worst = max(commutator_map_norm(pp, cd.basis) for pp in cuts)
     rep.add(CheckRecord.from_residual(
         "base-central-in-CD", "each point projection is central in the algebra "
         "generated by A and [D, A]",
         worst, tol, SCOPE_EXACT))
 
-    n = triple.hilbert_dim
-    omega_fibers = [Subspace.from_spanning([triple.pi(p) @ c for c in cd.basis],
-                                           shape=(n, n))
-                    for _, p in base]
+    omega_fibers = [Subspace.from_spanning(pp @ cd.basis) for pp in cuts]
     rep.context["omega_fiber_dims"] = [s.dim for s in omega_fibers]
     return FiberDecomposition(triple, base, fibers, omega_fibers, rep)
 
@@ -178,24 +171,17 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED,
         float(abs(sum(s.dim for s in dec.omega_fibers) - cd.dim)), 0.5, SCOPE_EXACT))
 
     cuts = triple.pi(np.stack(dec.base.projections))  # pi(p_x), formed once per point
-    omega = np.reshape(one_form_space(triple).basis, (-1,) + cuts.shape[1:])
-    worst = 0.0
-    for pp, fib in zip(cuts, dec.omega_fibers):
-        cut = pp @ omega
-        worst = max(worst, np.linalg.norm(cut - fib.project(cut), axis=(1, 2)).max(initial=0.0))
+    omega = one_form_space(triple).basis
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
         "that point's fiber",
-        float(worst), tol, SCOPE_EXACT))
+        max(fib.residual(pp @ omega).max(initial=0.0)
+            for pp, fib in zip(cuts, dec.omega_fibers)), tol, SCOPE_EXACT))
 
     # degree-0 part cut to each fiber, for the per-point parity table
-    even = Subspace.from_spanning(
-        triple.pi_images + [np.eye(triple.hilbert_dim, dtype=complex)],
-        shape=(triple.hilbert_dim,) * 2)
-    rep.context["fiber_even_dims"] = [
-        Subspace.from_spanning([pp @ e for e in even.basis],
-                               shape=(triple.hilbert_dim,) * 2).dim
-        for pp in cuts]
+    eye = np.eye(triple.hilbert_dim, dtype=complex)
+    even = Subspace.from_spanning(np.concatenate([triple.pi_images, eye[None]]))
+    rep.context["fiber_even_dims"] = [Subspace.from_spanning(pp @ even.basis).dim for pp in cuts]
 
     def moved(pu):  # cut then conjugate, against conjugate then cut, per point
         conj = pu @ omega @ adjoint(pu)

@@ -105,14 +105,6 @@ def build_finite_ym(k: int, n: int, hopping=None, seed: int = 0) -> RealSpectral
         out[x * n * n:(x + 1) * n * n, y * n * n:(y + 1) * n * n] = block
         return out
 
-    pi_images = []
-    for x in range(k):
-        for i in range(n):
-            for j in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[i, j] = 1.0
-                pi_images.append(embed(np.kron(e, eye), x, x))
-
     dirac = np.zeros((hdim, hdim), dtype=complex)
     for x in range(k):
         dirac += embed(np.kron(blocks[x], eye) + np.kron(eye, blocks[x].T), x, x)
@@ -125,7 +117,8 @@ def build_finite_ym(k: int, n: int, hopping=None, seed: int = 0) -> RealSpectral
     kernel = np.zeros((hdim, hdim), dtype=complex)
     for x in range(k):
         kernel += embed(p, x, x)
-    return RealSpectralTriple(alg, pi_images, dirac, AntiLinearOp(kernel),
+    # pi(a) = a (x) 1_n: on each point's block, left multiplication on M_n
+    return RealSpectralTriple(alg, np.kron(alg.basis, eye), dirac, AntiLinearOp(kernel),
                               eps=1, eps_prime=1,
                               label=f"ym(k={k},N={n},seed={seed})")
 
@@ -144,26 +137,15 @@ def build_orbifold_algebra(q: int, p: int, m: int) -> tuple[FiniteStarAlgebra, R
     if q < 1 or math.gcd(p, q) != 1:
         raise BadParameters(f"need q >= 1 and gcd(p, q) = 1, got ({p}, {q})")
     _, w = clock_shift(q, p)
-    w_pows = [np.linalg.matrix_power(w, g) for g in range(q)]
-    npts = q * m
-    ambient = npts * q
-
-    def equivariant(j: int, seed_block: np.ndarray) -> np.ndarray:
-        out = np.zeros((ambient, ambient), dtype=complex)
-        for g in range(q):
-            y = j * q + g
-            val = w_pows[g] @ seed_block @ adjoint(w_pows[g])
-            out[y * q:(y + 1) * q, y * q:(y + 1) * q] = val
-        return out
-
-    basis = []
+    w_pows = np.stack([np.linalg.matrix_power(w, g) for g in range(q)])
+    ambient = m * q * q
+    # basis element (j, a, b) takes the value w^g e_ab w^-g / sqrt(q) at point (j, g)
+    values = np.einsum("gra,gcb->abgrc", w_pows, w_pows.conj()) / np.sqrt(q)
+    basis = np.zeros((m, q, q, m * q, q, m * q, q), dtype=complex)
     for j in range(m):
-        for a in range(q):
-            for b in range(q):
-                e = np.zeros((q, q), dtype=complex)
-                e[a, b] = 1.0
-                basis.append(equivariant(j, e) / np.sqrt(q))
-    alg = FiniteStarAlgebra(basis, np.eye(ambient, dtype=complex),
+        for g in range(q):
+            basis[j, :, :, j * q + g, :, j * q + g] = values[:, :, g]
+    alg = FiniteStarAlgebra(basis.reshape(-1, ambient, ambient), np.eye(ambient, dtype=complex),
                             label=f"orbifold(q={q},p={p},m={m})")
     z = center(alg)
     rep = Report(f"orbifold[q={q},p={p},m={m}]",
@@ -259,25 +241,36 @@ def model_from_string(spec: str, default_seed: int = 0):
 def _matrix_from_entries(doc, n: int, what: str) -> np.ndarray:
     if not isinstance(doc, dict) or "re" not in doc:
         raise BadModelSpec(f"{what} entries must be a dict with 're' (and optional 'im')")
-    re_part = np.asarray(doc["re"], dtype=float)
-    im_part = np.asarray(doc.get("im", np.zeros_like(re_part)), dtype=float)
+    try:
+        re_part = np.asarray(doc["re"], dtype=float)
+        im_part = np.asarray(doc.get("im", np.zeros_like(re_part)), dtype=float)
+    except (TypeError, ValueError) as exc:  # text, nested objects or ragged rows
+        raise BadModelSpec(f"{what} entries must be arrays of numbers: {exc}") from None
+    for part in (re_part, im_part):
+        if part.shape != (n, n):
+            raise BadModelSpec(f"{what} must be {n}x{n}, got {part.shape}")
     mat = re_part + 1j * im_part
-    if mat.shape != (n, n):
-        raise BadModelSpec(f"{what} must be {n}x{n}, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise BadModelSpec(f"{what} entries must be finite")
     return mat
 
 
 def _build_algebra(doc) -> FiniteStarAlgebra:
-    kind = doc.get("kind")
-    if kind == "full":
-        return full_matrix_algebra(_config_int(doc.get("n"), "n"))
-    if kind == "diagonal":
-        return diagonal_algebra(_config_int(doc.get("n"), "n"))
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in ("full", "diagonal", "blocks"):
+        raise BadModelSpec(f"unknown algebra kind {kind!r} (known: full, diagonal, blocks)")
     if kind == "blocks":
-        return block_diagonal_algebra([_config_int(s, "sizes") for s in doc.get("sizes", [])])
-    raise BadModelSpec(f"unknown algebra kind {kind!r} (known: full, diagonal, blocks)")
+        if not isinstance(doc.get("sizes", []), list):
+            raise BadModelSpec("'sizes' must be a list of block sizes")
+        sizes = [_config_int(s, "sizes") for s in doc.get("sizes", [])]
+    else:
+        sizes = [_config_int(doc.get("n"), "n")]
+    if not sizes or min(sizes) < 1:
+        raise BadModelSpec(f"an algebra needs at least one block, each of size at least 1, "
+                           f"got {sizes}")
+    if kind == "full":
+        return full_matrix_algebra(sizes[0])
+    return diagonal_algebra(sizes[0]) if kind == "diagonal" else block_diagonal_algebra(sizes)
 
 
 def triple_from_config(cfg: dict) -> RealSpectralTriple:
@@ -306,13 +299,10 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
     alg = _build_algebra(cfg["algebra"])
     rep_kind = cfg["representation"]
     amb = alg.ambient
-    if rep_kind == "defining":
-        hdim = amb
-        pi_images = [b.copy() for b in alg.basis]
-    elif rep_kind == "left-multiplication":
-        hdim = amb * amb
-        eye = np.eye(amb, dtype=complex)
-        pi_images = [np.kron(b, eye) for b in alg.basis]
+    if rep_kind in ("defining", "left-multiplication"):
+        left = rep_kind == "left-multiplication"
+        hdim = amb * amb if left else amb
+        pi_images = np.kron(alg.basis, np.eye(amb if left else 1, dtype=complex))
     else:
         raise BadModelSpec(f"unknown representation {rep_kind!r} "
                            "(known: defining, left-multiplication)")

@@ -36,7 +36,6 @@ from .linalg import (
     as_cmatrix,
     commutator,
     commutator_map_norm,
-    frobenius,
     max_op_norm,
     nullspace,
     op_norm,
@@ -84,18 +83,21 @@ def transpose_permutation(n: int) -> np.ndarray:
 class RealSpectralTriple:
     """Validated container; all verification lives in module functions."""
 
-    def __init__(self, algebra: FiniteStarAlgebra, pi_images: list[np.ndarray],
+    def __init__(self, algebra: FiniteStarAlgebra, pi_images: np.ndarray,
                  dirac: np.ndarray, real_structure, eps: int = 1, eps_prime: int = 1,
                  label: str = ""):
         self.algebra = algebra
-        self.pi_images = [as_cmatrix(m) for m in pi_images]
+        try:
+            self.pi_images = np.asarray(pi_images, dtype=complex)  # (dim A, n, n)
+        except ValueError:
+            raise SpectralInputError(
+                "representation images must be square and equal-sized") from None
         if len(self.pi_images) != algebra.dim:
             raise SpectralInputError(
                 f"{len(self.pi_images)} representation images for {algebra.dim} basis elements")
-        n = self.pi_images[0].shape[0]
-        for m in self.pi_images:
-            if m.shape != (n, n):
-                raise SpectralInputError("representation images must be square and equal-sized")
+        n = self.pi_images.shape[-1]
+        if self.pi_images.shape[1:] != (n, n):
+            raise SpectralInputError("representation images must be square and equal-sized")
         self.dirac = as_cmatrix(dirac)
         if self.dirac.shape != (n, n):
             raise SpectralInputError(f"dirac shape {self.dirac.shape} does not match H dim {n}")
@@ -109,7 +111,7 @@ class RealSpectralTriple:
         self.eps_prime = int(eps_prime)
         self.label = label
         self.hilbert_dim = n
-        self._pi_stack = np.stack([m.ravel() for m in self.pi_images])
+        self._pi_stack = self.pi_images.reshape(algebra.dim, n * n)
         self._omega1: Subspace | None = None
         self._cd: tuple[FiniteStarAlgebra, Report] | None = None
         self._aj: FiniteStarAlgebra | None = None
@@ -207,22 +209,20 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
                  context={"model": triple.label, "algebra_dim": alg.dim,
                           "hilbert_dim": n, "eps": triple.eps, "eps_prime": triple.eps_prime})
 
-    pi_b = triple.pi_images
+    basis, pis = alg.basis, triple.pi_images
     rep.add(CheckRecord.from_residual(
         "representation-unital", "the unit of A acts as the identity on H",
         op_norm(triple.pi(alg.unit) - np.eye(n)), t_j, SCOPE_EXACT))
 
     # pairwise records: row block i holds the residuals of the pairs (i, j)
-    basis, pis = np.stack(alg.basis), np.stack(pi_b)
     worst, at = max_op_norm(triple.pi(b @ basis) - p @ pis for b, p in zip(basis, pis))
     rep.add(CheckRecord.from_residual(
         "representation-multiplicative", "pi(ab) = pi(a) pi(b) on a basis",
         worst, t_j, SCOPE_EXACT), witness=at)
 
-    worst_star = max(op_norm(triple.pi(adjoint(b)) - adjoint(pi_b[i]))
-                     for i, b in enumerate(alg.basis))
     rep.add(CheckRecord.from_residual(
-        "representation-star", "pi(a*) = pi(a)*", worst_star, t_j, SCOPE_EXACT))
+        "representation-star", "pi(a*) = pi(a)*",
+        max_op_norm([triple.pi(adjoint(basis)) - adjoint(pis)])[0], t_j, SCOPE_EXACT))
 
     rank = int(np.linalg.matrix_rank(triple._pi_stack, tol=1e-10))
     rep.add(CheckRecord.from_residual(
@@ -283,8 +283,8 @@ def one_form_space(triple: RealSpectralTriple) -> Subspace:
     """
     if triple._omega1 is None:
         n = triple.hilbert_dim
-        seed = triple.pi(triple.algebra.unit) @ commutator(triple.dirac, np.stack(triple.pi_images))
-        letters = triple.pi(np.stack(generating_set(triple.algebra)))
+        seed = triple.pi(triple.algebra.unit) @ commutator(triple.dirac, triple.pi_images)
+        letters = triple.pi(generating_set(triple.algebra))
         triple._omega1 = Subspace(_graded_closure([seed], n, [letters])[0], (n, n))
     return triple._omega1
 
@@ -331,22 +331,22 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
         return triple._cd
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
-    pis = np.stack(triple.pi_images)
+    pis = triple.pi_images
     d_comms = commutator(triple.dirac, pis)
     omega = one_form_space(triple)
     if omega.contains(eye):
-        gens = triple.pi(np.stack(generating_set(triple.algebra)))
+        gens = triple.pi(generating_set(triple.algebra))
         letters = np.concatenate([gens, commutator(triple.dirac, gens)])
         even = odd = total = Subspace(_graded_closure([omega.basis], n, [letters])[0], (n, n))
     else:
         letters = None  # the closure check forms the dim C_D^2 product table
-        even_rows, odd_rows = _graded_closure([triple.pi_images + [eye], d_comms], n)
+        even_rows, odd_rows = _graded_closure([np.concatenate([pis, eye[None]]), d_comms], n)
         even, odd = Subspace(even_rows, (n, n)), Subspace(odd_rows, (n, n))
         total = even.union(odd)
     algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})",
                                 generators=letters)
     generators = np.concatenate([pis, d_comms, eye[None]])
-    missing = np.max(np.linalg.norm(generators - total.project(generators), axis=(1, 2))
+    missing = np.max(total.residual(generators)
                      / np.maximum(1.0, np.linalg.norm(generators, axis=(1, 2))))
     rep = Report(f"c_d_algebra[{triple.label or 'triple'}]",
                  context={"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
@@ -372,11 +372,9 @@ def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
     """
     if triple._aj is not None:
         return triple._aj
-    k = triple.real_structure.kernel
-    images = [triple.pi_images[i] @ k - k @ triple.pi_images[i].T
-              for i in range(triple.algebra.dim)]
-    sub = nullspace(triple.algebra.basis, images,
-                    floor=1e-9 * max(frobenius(p) for p in triple.pi_images))
+    k, pis = triple.real_structure.kernel, triple.pi_images
+    sub = nullspace(triple.algebra.basis, pis @ k - k @ np.swapaxes(pis, 1, 2),
+                    floor=1e-9 * np.linalg.norm(pis, axis=(1, 2)).max())
     if sub.dim == 0:
         raise NotClosed("the real-structure condition has trivial solution space", 1.0)
     alg = FiniteStarAlgebra(sub.basis, triple.algebra.unit,
@@ -397,7 +395,6 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     which no choice of orthonormal basis of Omega^1 changes; the witness is
     the index of the worst p.
     """
-    n = triple.hilbert_dim
     k = triple.real_structure.kernel
     rep = Report(f"aj_properties[{triple.label or 'triple'}]")
     rep.add(CheckRecord.from_residual(
@@ -408,22 +405,19 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
         return rep
 
     rep.context["aj_dim"] = aj.dim
-    worst = max(op_norm(triple.pi(a) @ k - k @ triple.pi(a).T) for a in aj.basis)
+    pa = triple.pi(aj.basis)
     rep.add(CheckRecord.from_residual(
         "defining-condition", "every returned element satisfies aJ = Ja*",
-        worst, tol, SCOPE_EXACT))
-
-    z = center(triple.algebra)
-    worst = max(z.residual(a) for a in aj.basis)
+        max_op_norm([pa @ k - k @ np.swapaxes(pa, 1, 2)])[0], tol, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
-        "inside-center", "A_J sits inside the center of A", worst, tol, SCOPE_EXACT))
-
-    worst = max(aj.residual(adjoint(a)) for a in aj.basis)
+        "inside-center", "A_J sits inside the center of A",
+        center(triple.algebra).residual(aj.basis).max(), tol, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
-        "star-closed", "A_J is closed under the adjoint", worst, tol, SCOPE_EXACT))
+        "star-closed", "A_J is closed under the adjoint",
+        aj.residual(adjoint(aj.basis)).max(), tol, SCOPE_EXACT))
 
-    omega = np.reshape(one_form_space(triple).basis, (-1, n, n))
-    norms = [commutator_map_norm(p, omega) for p in triple.pi(np.stack(aj.basis))]
+    omega = one_form_space(triple).basis
+    norms = [commutator_map_norm(p, omega) for p in pa]
     at = int(np.argmax(norms))
     rep.add(CheckRecord.from_residual(
         "commutes-with-one-forms", "A_J commutes with every one-form a[D,b]",
@@ -464,11 +458,10 @@ def unitary_equivalent(t1: RealSpectralTriple, t2: RealSpectralTriple,
     rep.add(CheckRecord.from_residual(
         "conjugator-unitary", "U U* = 1",
         op_norm(u @ adjoint(u) - np.eye(t1.hilbert_dim)), 1e-9, SCOPE_EXACT))
-    worst = max(op_norm(u @ t1.pi_images[i] @ adjoint(u) - t2.pi(b))
-                for i, b in enumerate(t1.algebra.basis))
     rep.add(CheckRecord.from_residual(
         "intertwines-representation", "U pi1(a) U* = pi2(a) on a basis",
-        worst, tol, SCOPE_EXACT))
+        max_op_norm([u @ t1.pi_images @ adjoint(u) - t2.pi(t1.algebra.basis)])[0],
+        tol, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "intertwines-dirac", "U D1 U* = D2",
         op_norm(u @ t1.dirac @ adjoint(u) - t2.dirac), tol, SCOPE_EXACT))
@@ -487,7 +480,7 @@ def conjugate_triple(triple: RealSpectralTriple, u: np.ndarray, label: str = "")
         raise SpectralInputError("conjugator is not unitary")
     return RealSpectralTriple(
         triple.algebra,
-        [u @ m @ adjoint(u) for m in triple.pi_images],
+        u @ triple.pi_images @ adjoint(u),
         u @ triple.dirac @ adjoint(u),
         AntiLinearOp(u @ triple.real_structure.kernel @ u.T),
         eps=triple.eps, eps_prime=triple.eps_prime,

@@ -96,26 +96,21 @@ class FiniteStarAlgebra(Subspace):
     unit would pass.
     """
 
-    def __init__(self, basis: list[np.ndarray], unit: np.ndarray | None = None,
+    def __init__(self, basis: np.ndarray, unit: np.ndarray | None = None,
                  label: str = "", tol: float = 1e-8, generators=None):
-        basis = [as_cmatrix(b) for b in basis]
-        if not basis:
+        basis = np.asarray(basis, dtype=complex)
+        if not len(basis):
             raise NotClosed("an algebra needs at least one basis element", 1.0)
-        n = basis[0].shape[0]
-        if basis[0].shape != (n, n):
+        n = basis.shape[-1]
+        if basis.shape[1:] != (n, n):
             raise NotClosed("algebra elements must be square matrices", 1.0)
-        super().__init__(np.stack([b.ravel() for b in basis]), (n, n))
+        super().__init__(self._vec(basis), (n, n))
         self.ambient = n
         self.label = label
-        self._skew: list[np.ndarray] | None = None  # u(A), kept by skew_hermitian_basis
-        self._gens: list[np.ndarray] | None = None  # kept by generating_set
+        self._skew: np.ndarray | None = None  # u(A), kept by skew_hermitian_basis
+        self._gens: np.ndarray | None = None  # kept by generating_set
         self._constants: np.ndarray | None = None
         self.closure_residuals = self._verify(tol, unit, generators)
-
-    @classmethod
-    def from_spanning(cls, mats, shape=None, rtol: float = 1e-10) -> "FiniteStarAlgebra":
-        """The span of ``mats`` as a verified algebra, its unit solved."""
-        return subalgebra_from_span(Subspace.from_spanning(mats, shape, rtol))
 
     # -- structure ---------------------------------------------------------
 
@@ -126,17 +121,15 @@ class FiniteStarAlgebra(Subspace):
         1e-6 * max(1, ||a||_F) of the span.
         """
         a = np.asarray(a, dtype=complex)
-        coords = self.coordinates(a)
-        gap = np.linalg.norm(a - self.combine(coords), axis=(-2, -1))
-        if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
+        if (self.residual(a) > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
             raise AlgebraError("element lies outside the algebra span")
-        return coords
+        return self.coordinates(a)
 
     @property
     def structure_constants(self) -> np.ndarray:
         """c[a, b, k], the k-th coordinate of basis[a] @ basis[b]: the d^2 product table."""
         if self._constants is None:
-            b = self._mat(self._stack)
+            b = self.basis
             self._constants = (pair_products(b, b) @ self._stack.conj().T).reshape((self.dim,) * 3)
         return self._constants
 
@@ -164,12 +157,11 @@ class FiniteStarAlgebra(Subspace):
 
     def _verify(self, tol: float, unit: np.ndarray | None, generators) -> tuple[float, float]:
         """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
-        b = self._mat(self._stack)
-        d = self.dim
+        b, d = self.basis, self.dim
         left = b if generators is None else np.asarray(generators, dtype=complex)
         closure, coords = [], []
         for kind, rows in (("products", pair_products(left, b)),
-                           ("adjoints", self._vec(np.conj(np.swapaxes(b, 1, 2))))):
+                           ("adjoints", self._vec(adjoint(b)))):
             coords.append(rows @ self._stack.conj().T)
             rows -= coords[-1] @ self._stack  # in place: rows, once read, become the residual
             closure.append(float(np.max(np.linalg.norm(rows, axis=1))))
@@ -200,10 +192,10 @@ class FiniteStarAlgebra(Subspace):
 def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStarAlgebra:
     """Verify a span is a unital *-subalgebra and wrap it, with its unit solved.
 
-    Accepts a :class:`~ncgauge.linalg.Subspace` or a list of matrices.
+    Accepts a :class:`~ncgauge.linalg.Subspace` or a spanning stack of matrices.
     Closure is verified, not assumed.
     """
-    sub = span if isinstance(span, Subspace) else Subspace.from_spanning(list(span))
+    sub = span if isinstance(span, Subspace) else Subspace.from_spanning(span)
     return FiniteStarAlgebra(sub.basis, label=label, tol=tol)
 
 
@@ -218,17 +210,10 @@ def diagonal_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
 
 def block_diagonal_algebra(sizes: list[int], label: str = "") -> FiniteStarAlgebra:
     """Direct sum of full matrix blocks along the diagonal, with the matrix-unit basis."""
-    total = sum(sizes)
-    basis = []
-    off = 0
-    for sz in sizes:
-        for i in range(sz):
-            for j in range(sz):
-                e = np.zeros((total, total), dtype=complex)
-                e[off + i, off + j] = 1.0
-                basis.append(e)
-        off += sz
-    return FiniteStarAlgebra(basis, np.eye(total, dtype=complex),
+    eye = np.eye(sum(sizes), dtype=complex)
+    block = np.repeat(np.arange(len(sizes)), sizes)  # the block of each index
+    rows, cols = np.nonzero(block[:, None] == block)  # block by block, then i, then j
+    return FiniteStarAlgebra(eye[rows, :, None] * eye[cols, None, :], eye,
                              label=label or "+".join(f"M{s}" for s in sizes))
 
 
@@ -299,7 +284,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
     zdim = center(algebra).dim
     if zdim != algebra.dim:
         raise NonCommutative(f"algebra of dim {algebra.dim} has center of dim {zdim}")
-    sa = [-1j * x for x in skew_hermitian_basis(algebra)]  # hermitian part: -i u(A)
+    sa = -1j * skew_hermitian_basis(algebra)  # hermitian part: -i u(A)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         coeff = rng.standard_normal(len(sa))
@@ -331,7 +316,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
     raise DegenerateDraw(f"no well-separated spectral draw in {max_tries} tries")
 
 
-def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
+def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> np.ndarray:
     """Real-orthonormal basis of the skew-hermitian part u(A) = {a : a* = -a}.
 
     A *-closed complex algebra splits over R as u(A) + i u(A), so the real
@@ -341,11 +326,9 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
     one SVD.
     """
     if algebra._skew is None:
-        cands = []
-        for b in algebra.basis:
-            cands.append((b - adjoint(b)) / 2)
-            cands.append(1j * (b + adjoint(b)) / 2)
-        span = RealSpan.from_spanning(cands, algebra.shape)
+        b = algebra.basis  # candidates interleaved: (b - b*)/2, then i(b + b*)/2, per b
+        cands = np.stack([(b - adjoint(b)) / 2, 1j * (b + adjoint(b)) / 2], axis=1)
+        span = RealSpan.from_spanning(cands.reshape(-1, *algebra.shape), algebra.shape)
         if span.dim != algebra.dim:
             raise AlgebraError(
                 f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
@@ -353,7 +336,7 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
     return algebra._skew
 
 
-def generating_set(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
+def generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
     """A *-closed set that generates the algebra together with its unit, certified.
 
     Two random elements g1, g2 of A, drawn from a fixed internal seed, and
@@ -365,9 +348,9 @@ def generating_set(algebra: FiniteStarAlgebra) -> list[np.ndarray]:
     algebra and kept on it, like u(A).
     """
     if algebra._gens is None:
-        gens = [algebra.random_element(seed=_GENERATOR_SEED + i) for i in range(2)]
-        gens += [adjoint(g) for g in gens]
-        if generated_algebra(gens + [algebra.unit]).dim != algebra.dim:
+        gens = np.stack([algebra.random_element(seed=_GENERATOR_SEED + i) for i in range(2)])
+        gens = np.concatenate([gens, adjoint(gens)])
+        if generated_algebra(np.concatenate([gens, algebra.unit[None]])).dim != algebra.dim:
             gens = algebra.basis
         algebra._gens = gens
     return algebra._gens

@@ -40,6 +40,7 @@ from .linalg import generated_algebra, op_norm
 from .reporting import SCOPE_CONTINUITY, SCOPE_RATIONAL, CheckRecord, Report
 from .spheres import SphereElement
 from .torus import (
+    BadParameters,
     ModeMismatch,
     PhaseMode,
     PhasePolynomial,
@@ -160,7 +161,7 @@ def _check_element(e: PhasePolynomial, p: int, q: int, which: str = "s4") -> Non
     if e.mode != rational_mode(p, q):
         raise ModeMismatch(f"element mode {e.mode} does not match ({p}, {q})")
     if which == "s3" and e.uses_x:
-        raise ValueError("3-sphere elements cannot contain the x letter")
+        raise BadParameters("3-sphere elements cannot contain the x letter")
 
 
 def _evaluate(e: SphereElement, rsx: list[tuple[float, float, float]],
@@ -273,10 +274,10 @@ def _grid_count(h: float, angles: int) -> int:
     is rejected before anything is allocated.
     """
     if not (math.isfinite(h) and h > 0):
-        raise ValueError("grid step must be a positive finite number")
+        raise BadParameters("grid step must be a positive finite number")
     n = max(1, round(min((math.pi / 2) / h, _MAX_GRID_POINTS)))
     if (2 * n + 1) ** angles > _MAX_GRID_POINTS:
-        raise ValueError(f"grid step {h:g} needs more than {_MAX_GRID_POINTS} grid points")
+        raise BadParameters(f"grid step {h:g} needs more than {_MAX_GRID_POINTS} grid points")
     return n
 
 

@@ -114,6 +114,46 @@ def test_non_integer_config_field_is_bad_input(capsys, tmp_path, field, name, va
     assert err == f"error: parameter {name!r} must be an integer, got {value}\n"
 
 
+def write_config(tmp_path, **fields):
+    doc = {"algebra": {"kind": "diagonal", "n": 2}, "representation": "defining",
+           "dirac": {"preset": "zero"}, "real_structure": {"preset": "conjugation"}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**doc, **fields}))
+    return str(config)
+
+
+@pytest.mark.parametrize("algebra", [
+    {"kind": "full", "n": 0}, {"kind": "diagonal", "n": -2}, {"kind": "blocks", "sizes": []},
+    {"kind": "blocks", "sizes": [2, -1]}, {"kind": "blocks", "sizes": 3}, [2],
+])
+def test_bad_algebra_size_is_bad_input(capsys, tmp_path, algebra):
+    code, out, err = run(capsys, "check", write_config(tmp_path, algebra=algebra))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("entries", [
+    {"re": [["a", "b"], ["c", "d"]]}, {"re": [[0.0, 1.0], [1.0]]}, {"re": {"x": 1}},
+    {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 1.0]]},
+])
+def test_non_numeric_config_entries_are_bad_input(capsys, tmp_path, entries):
+    # an "im" of another shape must not be broadcast against "re"
+    code, out, err = run(capsys, "check", write_config(tmp_path, dirac=entries))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: dirac ")
+
+
+def test_bare_value_error_from_a_handler_is_a_program_fault(capsys, monkeypatch):
+    # a shape bug in broadcasting code raises a bare ValueError: not bad input
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "check_axioms", broken)
+    code, out, err = run(capsys, "check", "hs:N=2")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and err.startswith("internal error: ValueError(")
+
+
 @pytest.mark.parametrize("terms", ["0", "-1"])
 def test_perturbation_needs_a_term(capsys, terms):
     code, out, err = run(capsys, "fluctuate", "hs:N=2", f"random:terms={terms}")
@@ -397,10 +437,10 @@ def test_toric_scan_s4_poly_with_x(capsys):
 
 
 def test_toric_scan_rejects_x_on_s3(capsys):
-    code, _, err = run(capsys, "toric-scan", "s3", "1", "2", "0.3",
-                       "--poly", "x")
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run(capsys, "toric-scan", "s3", "1", "2", "0.3",
+                         "--poly", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: 3-sphere elements cannot contain the x letter\n"
 
 
 def test_toric_scan_parse_error(capsys):

@@ -85,7 +85,7 @@ CD_PRESETS = {
 def test_c_d_algebra_matches_graded_oracle(spec):
     triple = model_from_string(spec)
     n = triple.hilbert_dim
-    seeds = [triple.pi_images + [np.eye(n, dtype=complex)],
+    seeds = [[*triple.pi_images, np.eye(n, dtype=complex)],
              [triple.dirac_commutator(b) for b in triple.algebra.basis]]
     even, odd = closure_oracle(seeds, n)
     total = even.union(odd)
@@ -155,7 +155,7 @@ def test_c_d_algebra_matches_the_oracles_on_configs(monkeypatch, name):
     triple = triple_from_config(CONFIG_FIXTURES[name])
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
-    seeds = [triple.pi_images + [eye], [triple.dirac_commutator(b) for b in triple.algebra.basis]]
+    seeds = [[*triple.pi_images, eye], [triple.dirac_commutator(b) for b in triple.algebra.basis]]
     even, odd = closure_oracle(seeds, n)
     (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
     omega = one_form_space(triple)
