@@ -32,7 +32,7 @@ from .linalg import (TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, fro
                      max_op_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import OneForm, RealSpectralTriple, compute_aj
-from .staralg import skew_hermitian_basis
+from .staralg import lie_generating_set, skew_hermitian_basis
 from .staralg import random_unitary as algebra_random_unitary
 
 __all__ = [
@@ -128,15 +128,30 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     """The gauge Lie algebra with the dimension identity and bracket checks.
 
     dim g = dim u(A) - dim u(A_J): the kernel of X -> pi(X) + JXJ^-1 on
-    skew elements is exactly u(A_J).  Brackets of generators match the
-    image of [X, X'] and stay inside the span.  Skewness is checked at
-    1e-9, the rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
+    skew elements is exactly u(A_J).  Skewness is checked at 1e-9, the
+    rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
+
+    The bracket records pair the basis X of u(A) with a set S certified to
+    generate u(A) as a Lie algebra (:func:`~ncgauge.staralg.lie_generating_set`),
+    d |S| brackets instead of the d^2 / 2 pairs of the basis (d = dim A):
+
+    * ``bracket-form``: B(X, Y) = [T(X), T(Y)] - T([X, Y]) vanishes.  For
+      Y, Z with B(., Y) = B(., Z) = 0, the Jacobi identity in u(A) and in
+      the matrices gives T[X, [Y, Z]] = [[T X, T Y], T Z] + [T Y, [T X, T Z]]
+      = [T X, [T Y, T Z]] = [T X, T [Y, Z]], so these Y form a Lie
+      subalgebra; it holds S, so it is all of u(A).
+    * ``bracket-closure``: [T(X), T(Y)] lies in the span L of the T(X).
+      The matrices M with [L, M] inside L form a Lie algebra (Jacobi again);
+      it holds T(S) and, by ``bracket-form``, T of every nested bracket of
+      S, so T(u(A)) = L.
+
+    S is real-orthonormal like the basis, so no residual is rescaled, and the
+    witnesses are the pair (index of X in the basis of u(A), index of Y in S).
     """
     t_skew = tol if tol is not None else 1e-9
     tol = tol if tol is not None else TOL_DERIVED
 
     span, xs, ts = gauge_span(triple)
-    n = triple.hilbert_dim
     aj = compute_aj(triple)
     expected = triple.algebra.dim - aj.dim
 
@@ -149,20 +164,23 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
         "dimension-identity", "dim g equals dim u(A) - dim u(A_J)",
         float(abs(span.dim - expected)), 0.5, SCOPE_EXACT))
 
-    # row block i holds the pairs (i, j) with j > i; each block of brackets is
-    # formed once and feeds both maxima, and only one block is held at a time
-    def residuals(i):
-        br = commutator(ts[i], ts[i + 1:])
-        # a 1 x n^2 row's spectral norm is its length: the Frobenius distance from the span
-        return (br - _lie_image(triple, commutator(xs[i], xs[i + 1:])),
-                (br - span.project(br)).reshape(-1, 1, n * n))
+    on_s = " for X in a basis of u(A) and X' in a set certified to Lie-generate u(A)"
+    ys = lie_generating_set(triple.algebra)
+    t_ys = _lie_image(triple, ys)
+    closure = np.zeros((len(xs), len(ys)))
 
-    for (worst, at), name, statement in zip(
-            max_op_norm((residuals(i) for i in range(len(ts) - 1)), tracks=2),
-            ("bracket-form", "bracket-closure"),
-            ("[T, T'] is the generator attached to [X, X']", "brackets stay inside the span")):
-        rep.add(CheckRecord.from_residual(name, statement, worst, tol, SCOPE_EXACT),
-                witness=None if at is None else (at[0], at[0] + 1 + at[1]))
+    def residuals(j):  # block j: the pairs (X_i, Y_j) over the basis X_i of u(A)
+        br = commutator(ts, t_ys[j])
+        closure[:, j] = span.residual(br)
+        return br - _lie_image(triple, commutator(xs, ys[j]))
+
+    form, at = max_op_norm(residuals(j) for j in range(len(ys)))
+    for name, worst, where, statement in (
+            ("bracket-form", form, at[::-1], "[T, T'] is the generator attached to [X, X']"),
+            ("bracket-closure", closure.max(), np.unravel_index(closure.argmax(), closure.shape),
+             "[T, T'] stays inside the span")):
+        rep.add(CheckRecord.from_residual(name, statement + on_s, worst, tol, SCOPE_EXACT),
+                witness=where)
     return GaugeLieAlgebra(span, list(zip(xs, ts)), rep)
 
 
@@ -266,11 +284,8 @@ def random_perturbation(triple: RealSpectralTriple, n_terms: int = 2,
         if abs(t.sum()) > 0.3:
             break
     t = t / t.sum()
-    terms = []
-    for i in range(n_terms):
-        u = algebra_random_unitary(triple.algebra, seed=int(rng.integers(2 ** 31)))
-        terms.append((t[i] * u, adjoint(u)))
-    return Perturbation(triple, terms)
+    us = [algebra_random_unitary(triple.algebra, seed=int(rng.integers(2 ** 31))) for _ in t]
+    return Perturbation(triple, [(ti * u, adjoint(u)) for ti, u in zip(t, us)])
 
 
 def pert_product(p: Perturbation, r: Perturbation, tol: float = TOL_DERIVED) -> Perturbation:

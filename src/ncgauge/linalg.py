@@ -80,16 +80,13 @@ def op_norm(m: np.ndarray) -> float:
 _SCREEN_SLACK = 1.0 + 1e-10
 
 
-def max_op_norm(blocks, tracks: int | None = None):
+def max_op_norm(blocks):
     """Exact max of ``op_norm`` over a sequence of matrix stacks, with its place.
 
     ``blocks`` yields stacks of matrices (arrays of shape (k, r, c)), for
     example one row block of a pairwise table at a time.  Returns the
     largest spectral norm and ``(b, i)``, where matrix i of block b attains
-    it, or ``(0.0, None)`` when there is no matrix at all.  With ``tracks``
-    set to t, each block is a tuple of t stacks and a list of t such pairs
-    comes back, one per tuple position: several maxima from one pass, so
-    blocks that share their costly part are built once.
+    it, or ``(0.0, None)`` when there is no matrix at all.
 
     The Frobenius norm bounds the spectral norm from above, so each block is
     visited in descending Frobenius order and left as soon as the next
@@ -97,19 +94,17 @@ def max_op_norm(blocks, tracks: int | None = None):
     after it can be larger.  Only the matrices that could still win get an
     SVD, and the value is the same ``op_norm`` the unscreened max computes.
     """
-    best = [[-1.0, None] for _ in range(tracks or 1)]
-    for b, stacks in enumerate(blocks):
-        for track, stack in zip(best, stacks if tracks else (stacks,)):
-            stack = np.asarray(stack)
-            fro = np.linalg.norm(stack, axis=(-2, -1))
-            for i in np.argsort(-fro, kind="stable"):
-                if fro[i] * _SCREEN_SLACK <= track[0]:
-                    break
-                value = op_norm(stack[i])
-                if value > track[0]:
-                    track[:] = value, (b, int(i))
-    found = [(max(value, 0.0), where) for value, where in best]
-    return found if tracks else found[0]
+    best, where = -1.0, None
+    for b, stack in enumerate(blocks):
+        stack = np.asarray(stack)
+        fro = np.linalg.norm(stack, axis=(-2, -1))
+        for i in np.argsort(-fro, kind="stable"):
+            if fro[i] * _SCREEN_SLACK <= best:
+                break
+            value = op_norm(stack[i])
+            if value > best:
+                best, where = value, (b, int(i))
+    return max(best, 0.0), where
 
 
 def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:

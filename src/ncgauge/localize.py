@@ -145,11 +145,7 @@ def fiber_gauge_action(dec: FiberDecomposition, u: np.ndarray, a: np.ndarray,
     u = as_cmatrix(u)
     a = as_cmatrix(a)
     conj = u @ a @ adjoint(u)
-    worst = 0.0
-    for _, p in dec.base:
-        lhs = p @ conj
-        rhs = (p @ u) @ (p @ a) @ adjoint(p @ u)
-        worst = max(worst, op_norm(lhs - rhs))
+    worst = max(op_norm(p @ conj - (p @ u) @ (p @ a) @ adjoint(p @ u)) for _, p in dec.base)
     rep = Report("fiber_gauge_action")
     rep.add(CheckRecord.from_residual(
         "fiberwise-conjugation", "localizing u a u* matches u(x) a(x) u(x)*",

@@ -97,26 +97,12 @@ def build_finite_ym(k: int, n: int, hopping=None, seed: int = 0) -> RealSpectral
     rng = np.random.default_rng(seed)
     blocks = [_random_hermitian(n, rng) for _ in range(k)]
 
-    hdim = k * n * n
     eye = np.eye(n, dtype=complex)
-
-    def embed(block: np.ndarray, x: int, y: int) -> np.ndarray:
-        out = np.zeros((hdim, hdim), dtype=complex)
-        out[x * n * n:(x + 1) * n * n, y * n * n:(y + 1) * n * n] = block
-        return out
-
-    dirac = np.zeros((hdim, hdim), dtype=complex)
-    for x in range(k):
-        dirac += embed(np.kron(blocks[x], eye) + np.kron(eye, blocks[x].T), x, x)
-    for x in range(k):
-        for y in range(k):
-            if x != y and lam[x, y] != 0:
-                dirac += lam[x, y] * embed(np.eye(n * n, dtype=complex), x, y)
-
-    p = transpose_permutation(n)
-    kernel = np.zeros((hdim, hdim), dtype=complex)
-    for x in range(k):
-        kernel += embed(p, x, x)
+    local = np.stack([np.kron(b, eye) + np.kron(eye, b.T) for b in blocks])  # D on each point
+    # block diagonal in the points, plus lam[x, y] times the identity transporter off it
+    dirac = (np.einsum("xy,xij->xiyj", np.eye(k), local).reshape(k * n * n, k * n * n)
+             + np.kron(lam, np.eye(n * n)))
+    kernel = np.kron(np.eye(k), transpose_permutation(n))
     # pi(a) = a (x) 1_n: on each point's block, left multiplication on M_n
     return RealSpectralTriple(alg, np.kron(alg.basis, eye), dirac, AntiLinearOp(kernel),
                               eps=1, eps_prime=1,
@@ -350,6 +336,8 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
         raise BadModelSpec("real_structure needs a 'preset' or a 'kernel'")
 
     signs = cfg.get("signs", {})
+    if not isinstance(signs, dict):
+        raise BadModelSpec("'signs' must be an object")
     eps = _config_int(signs.get("j_squared", 1), "j_squared")
     eps_prime = _config_int(signs.get("dirac_commute", 1), "dirac_commute")
     try:

@@ -102,10 +102,12 @@ class CheckRecord:
 class Report:
     """A titled bundle of check records plus free-form context.
 
-    ``witnesses`` maps the name of a max-over-pairs record to the index pair
-    that attains its residual (a max over single basis elements gives one
-    index); it travels with the records through
-    :meth:`extend` and is written out as ``context["witnesses"]``.
+    ``witnesses`` maps the name of a failing max-over-pairs record to the
+    index pair that attains its residual (a max over single elements gives
+    one index); it travels with the records through :meth:`extend` and is
+    written out as ``context["witnesses"]``.  A passing record keeps no
+    witness: within tolerance the argmax is mostly taken over rounding noise,
+    and it moves whenever the arithmetic is reordered.
     """
 
     title: str
@@ -119,7 +121,7 @@ class Report:
 
     def add(self, record: CheckRecord, witness: tuple[int, ...] | None = None) -> CheckRecord:
         self.records.append(record)
-        if witness is not None:
+        if witness is not None and not record.passed:
             self.witnesses[record.name] = list(witness)
         return record
 

@@ -13,8 +13,10 @@ import numpy as np
 from .linalg import (
     RealSpan,
     Subspace,
+    _extend_rows,
     adjoint,
     as_cmatrix,
+    commutator,
     frobenius,
     generated_algebra,
     max_op_norm,
@@ -38,6 +40,7 @@ __all__ = [
     "minimal_projections",
     "skew_hermitian_basis",
     "generating_set",
+    "lie_generating_set",
     "random_unitary",
 ]
 
@@ -109,6 +112,7 @@ class FiniteStarAlgebra(Subspace):
         self.label = label
         self._skew: np.ndarray | None = None  # u(A), kept by skew_hermitian_basis
         self._gens: np.ndarray | None = None  # kept by generating_set
+        self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: np.ndarray | None = None
         self.closure_residuals = self._verify(tol, unit, generators)
 
@@ -233,11 +237,15 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     rounding, keeps its whole span as the center instead of counting
     rounding as rank.
     The center of a *-closed algebra is itself *-closed and contains the
-    unit, so the wrap step cannot fail on consistent input.
+    unit, so the wrap step cannot fail on consistent input.  Computed once per
+    algebra and kept on it, like u(A).
     """
-    c = algebra.structure_constants
-    sub = nullspace(algebra.basis, c - np.swapaxes(c, 0, 1), floor=1e-9)
-    return subalgebra_from_span(sub, label=f"Z({algebra.label})" if algebra.label else "center")
+    if algebra._center is None:
+        c = algebra.structure_constants
+        sub = nullspace(algebra.basis, c - np.swapaxes(c, 0, 1), floor=1e-9)
+        algebra._center = subalgebra_from_span(
+            sub, label=f"Z({algebra.label})" if algebra.label else "center")
+    return algebra._center
 
 
 class ProjectionFamily:
@@ -354,6 +362,35 @@ def generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
             gens = algebra.basis
         algebra._gens = gens
     return algebra._gens
+
+
+def lie_generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
+    """A real-orthonormal set S in u(A) that generates u(A) as a Lie algebra, certified.
+
+    The skew parts (x - x*)/2 of the generating set (:func:`generating_set`),
+    two directions for the two draws, and a basis of u(Z(A)) for the center
+    Z(A), orthonormalised.  Two generic elements generate a simple Lie
+    algebra such as su(n), but a bracket has no central part: the Lie
+    algebra S generates is span S plus brackets, so its central part is that
+    of span S, and the draws alone reach at most two central directions.
+
+    The Lie algebra S generates is spanned by the nested brackets
+    [s_1, [s_2, ... [s_k-1, s_k]]] with every s_i in S, so it is the
+    smallest span holding S that ad_s maps into itself for each s in S: the
+    closure below brackets S with the rows new in the last round only.  S is
+    trusted only when that closure has real dimension dim A = dim u(A);
+    otherwise the basis of u(A) is returned, which spans it.  The closure
+    runs in A's own ambient, not on H.
+    """
+    x = generating_set(algebra)
+    s = RealSpan.from_spanning(np.concatenate([(x - adjoint(x)) / 2,
+                                               skew_hermitian_basis(center(algebra))])).basis
+    rows = fresh = RealSpan._vec(s)
+    while len(fresh) and len(rows) < algebra.dim:  # brackets of S with the rows new last round
+        brackets = commutator(s[:, None], RealSpan(fresh, algebra.shape).basis[None])
+        fresh = _extend_rows(rows, RealSpan._vec(brackets).reshape(-1, rows.shape[1]), 1e-9, 1e-9)
+        rows = np.vstack([rows, fresh])
+    return s if len(rows) == algebra.dim else skew_hermitian_basis(algebra)
 
 
 def random_unitary(algebra: FiniteStarAlgebra, seed: int = 0) -> np.ndarray:

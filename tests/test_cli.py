@@ -24,7 +24,7 @@ from ncgauge.models import load_model
 from ncgauge.parsing import parse_sphere
 from ncgauge.reporting import CheckRecord, Report
 from ncgauge.spectral import OneForm, compute_aj, one_form_space
-from ncgauge.staralg import DegenerateDraw, NonCommutative, random_unitary
+from ncgauge.staralg import DegenerateDraw, NonCommutative, generating_set, random_unitary
 from ncgauge.toric import continuity_report
 from ncgauge.torus import rational_mode
 
@@ -132,6 +132,12 @@ def test_bad_algebra_size_is_bad_input(capsys, tmp_path, algebra):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("signs", [[1], 1, "+1"])
+def test_non_object_signs_are_bad_input(capsys, tmp_path, signs):
+    code, out, err = run(capsys, "check", write_config(tmp_path, signs=signs))
+    assert (code, out, err) == (2, "", "error: 'signs' must be an object\n")
+
+
 @pytest.mark.parametrize("entries", [
     {"re": [["a", "b"], ["c", "d"]]}, {"re": [[0.0, 1.0], [1.0]]}, {"re": {"x": 1}},
     {"re": [[0.0, 1.0], [1.0, 0.0]], "im": [[0.0, 1.0]]},
@@ -172,20 +178,19 @@ def test_check_hopping_fails_honestly(capsys):
     assert "real-structure-dirac-sign" not in failed
 
 
-PAIR_RECORDS = ["representation-multiplicative", "commutant-property", "order-one-condition",
-                "commutes-with-one-forms", "bracket-form", "bracket-closure"]
-
-
 def test_check_witnesses_reproduce_the_failing_residuals(capsys):
     spec = "ym:k=2,N=2,lam=0.1"
     _, out, _ = run(capsys, "check", spec)
     doc = json.loads(out)
     witnesses = doc["context"]["witnesses"]
-    assert list(witnesses) == PAIR_RECORDS
+    # only a failing record keeps a witness
+    assert list(witnesses) == ["order-one-condition", "commutes-with-one-forms"]
     records = {c["name"]: c for c in doc["checks"]}
     t = load_model(spec)
+    # the order-one table runs on the certified generating set g: the witness indexes g
     i, j = witnesses["order-one-condition"]
-    a, b = t.algebra.basis[i], t.algebra.basis[j]
+    gens = generating_set(t.algebra)
+    a, b = (gens[k] / np.linalg.norm(gens[k]) for k in (i, j))  # scaled to unit norm
     residual = op_norm(commutator(t.dirac_commutator(a), t.b_opposite(b)))
     assert residual == pytest.approx(records["order-one-condition"]["residual"], rel=1e-12)
     # a max of map norms over A_J's basis: the witness is the worst basis element
@@ -194,6 +199,12 @@ def test_check_witnesses_reproduce_the_failing_residuals(capsys):
     assert residual == pytest.approx(records["commutes-with-one-forms"]["residual"], rel=1e-12)
     assert not records["order-one-condition"]["passed"]
     assert not records["commutes-with-one-forms"]["passed"]
+
+
+def test_passing_records_keep_no_witness(capsys):
+    code, out, _ = run(capsys, "check", "ym:k=3,N=3")
+    assert code == 0
+    assert "witnesses" not in json.loads(out)["context"]
 
 
 def non_closed_aj_config(tmp_path):

@@ -51,18 +51,6 @@ def test_max_op_norm_matches_unscreened_max(count, rows, cols, rank, seed, data)
     assert_screened_max_is_exact(stack, cuts)
 
 
-@settings(max_examples=50, deadline=None)
-@given(count=st.integers(1, 9), seed=st.integers(0, 2 ** 16), data=st.data())
-def test_max_op_norm_tracks_match_separate_passes(count, seed, data):
-    rng = np.random.default_rng(seed)
-    first = rng.standard_normal((count, 3, 4)) * rng.choice([1e-8, 1.0], size=(count, 1, 1))
-    second = rng.standard_normal((count, 1, 5))
-    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=3)))
-    pairs = list(zip(np.split(first, cuts), np.split(second, cuts)))
-    assert max_op_norm(iter(pairs), tracks=2) == [max_op_norm(np.split(first, cuts)),
-                                                  max_op_norm(np.split(second, cuts))]
-
-
 def test_max_op_norm_zero_ties_and_dominant_entries():
     rng = np.random.default_rng(3)
     assert_screened_max_is_exact(np.zeros((5, 3, 3)), [2])

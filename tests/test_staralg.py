@@ -274,7 +274,8 @@ def test_an_algebra_is_a_subspace_without_forwarding_methods():
 
 
 def test_center_forms_one_product_table(monkeypatch):
-    alg = build_orbifold_algebra(3, 1, 2)[0]
+    orbifold = build_orbifold_algebra(3, 1, 2)[0]  # its builder already keeps the center
+    alg = FiniteStarAlgebra(orbifold.basis, orbifold.unit)
     tables = []
 
     def spy(a, b):
@@ -284,6 +285,7 @@ def test_center_forms_one_product_table(monkeypatch):
     monkeypatch.setattr(staralg, "pair_products", spy)
     z = center(alg)
     assert tables == [(z.dim ** 2, alg.ambient ** 2)]
+    assert center(alg) is z and len(tables) == 1  # kept on the algebra
 
 
 def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
