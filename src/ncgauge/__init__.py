@@ -96,6 +96,7 @@ from .gauge import (
 )
 from .localize import (
     FiberDecomposition,
+    conjugation_bound,
     fiber_gauge_action,
     group_bundle_dims,
     localize,

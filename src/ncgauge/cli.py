@@ -30,7 +30,7 @@ from .gauge import (
 )
 from .linalg import TOL_DERIVED, adjoint, op_norm
 from .localize import (
-    fiber_gauge_action,
+    conjugation_bound,
     group_bundle_dims,
     localize,
     norm_is_sup,
@@ -142,18 +142,13 @@ def cmd_localize(args) -> tuple[Report, None]:
     rep.context["localization"] = dec.report.context
     rep.extend(dec.report)
 
-    alg = triple.algebra
-    samples = [norm_is_sup(dec, alg.random_element(seed=args.seed + 101 + i), tol=tol)
+    samples = [norm_is_sup(dec, triple.algebra.random_element(seed=args.seed + 101 + i), tol=tol)
                for i in range(5)]
     _aggregate(rep, samples, ["norm-sup-identity", "cross-representation-norm"])
 
-    pairs = [fiber_gauge_action(dec,
-                                random_unitary(alg, seed=args.seed + 211 + i),
-                                alg.random_element(seed=args.seed + 307 + i), tol=tol)
-             for i in range(5)]
-    _aggregate(rep, pairs, ["fiberwise-conjugation"])
+    rep.add(conjugation_bound(dec, tol=tol))
 
-    ob = omega_bundle(dec, tol=tol, seed=args.seed)
+    ob = omega_bundle(dec, tol=tol)
     rep.extend(ob)
     rep.context["omega_bundle"] = ob.context
     rows, gb = group_bundle_dims(dec)

@@ -276,8 +276,11 @@ class ProjectionFamily:
         return iter(zip(self.labels, self.projections))
 
 
-def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: int = 10,
-                        gap: float = 1e-6) -> ProjectionFamily:
+_DRAW_TRIES = 10  # spectral draws minimal_projections makes before giving up
+_DRAW_GAP = 1e-6  # smallest separation it accepts between eigenvalue clusters
+
+
+def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0) -> ProjectionFamily:
     """Minimal projections of a commutative *-algebra.
 
     A generic self-adjoint element of a commutative algebra with minimal
@@ -286,7 +289,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
     the complement of the algebra unit (when the unit is not the ambient
     identity) yields a candidate outside the span, which is dropped by the
     membership filter.  Draws whose eigenvalue clusters are separated by
-    less than ``gap`` are retried; after ``max_tries`` failures a
+    less than ``_DRAW_GAP`` are retried; after ``_DRAW_TRIES`` failures a
     :class:`DegenerateDraw` is raised.
     """
     zdim = center(algebra).dim
@@ -294,7 +297,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
         raise NonCommutative(f"algebra of dim {algebra.dim} has center of dim {zdim}")
     sa = -1j * skew_hermitian_basis(algebra)  # hermitian part: -i u(A)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_DRAW_TRIES):
         coeff = rng.standard_normal(len(sa))
         h = sum(c * s for c, s in zip(coeff, sa))
         vals, vecs = np.linalg.eigh(h)
@@ -306,7 +309,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
             else:
                 clusters.append([i])
         seps = [vals[clusters[i + 1][0]] - vals[clusters[i][-1]] for i in range(len(clusters) - 1)]
-        if any(s < gap for s in seps):
+        if any(s < _DRAW_GAP for s in seps):
             continue
         projs = []
         for idx in clusters:
@@ -321,7 +324,7 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0, max_tries: in
                        key=lambda i: tuple(np.round(-np.real(np.diag(projs[i])), 6)))
         projs = [projs[i] for i in order]
         return ProjectionFamily(projs, unit=algebra.unit)
-    raise DegenerateDraw(f"no well-separated spectral draw in {max_tries} tries")
+    raise DegenerateDraw(f"no well-separated spectral draw in {_DRAW_TRIES} tries")
 
 
 def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> np.ndarray:

@@ -30,6 +30,8 @@ from ncgauge.torus import rational_mode
 
 localize_module = importlib.import_module("ncgauge.localize")
 gauge_module = importlib.import_module("ncgauge.gauge")
+linalg_module = importlib.import_module("ncgauge.linalg")
+staralg_module = importlib.import_module("ncgauge.staralg")
 
 
 def run(capsys, *argv):
@@ -585,3 +587,29 @@ def test_localize_makes_no_gauge_lie_algebra_call(capsys, monkeypatch):
     assert calls == []
     want = real(load_model("ym:k=3,N=3"))
     assert json.loads(out)["context"]["group_bundle"]["gauge_dim"] == want.dim == 3 * (9 - 1)
+
+
+def test_localize_draws_no_unitary_and_fewer_op_norms(capsys, monkeypatch):
+    """The section and gauge records are derived from kappa_A and kappa_pi, not sampled.
+
+    When they were sampled, this run drew 8 unitaries and took 164 spectral
+    norms (as this spy counts); what is left are the norm-sup samples and
+    the exact records.
+    """
+    calls = {"op_norm": 0, "random_unitary": 0}
+    real = {"op_norm": linalg_module.op_norm, "random_unitary": staralg_module.random_unitary}
+
+    def counted(name):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return spy
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("ncgauge")]:
+        for name, fn in real.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name))
+    code, out, _ = run(capsys, "localize", "ym:k=3,N=3")
+    assert code == 0
+    assert calls["random_unitary"] == 0
+    assert 0 < calls["op_norm"] < 162
