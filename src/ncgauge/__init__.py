@@ -50,7 +50,6 @@ from .reporting import (
     rows_to_csv,
 )
 from .spectral import (
-    DimensionMismatch,
     OneForm,
     RealSpectralTriple,
     SpectralInputError,
@@ -60,7 +59,6 @@ from .spectral import (
     conjugate_triple,
     one_form_space,
     transpose_permutation,
-    unitary_equivalent,
     verify_aj_properties,
 )
 from .models import (
@@ -80,7 +78,6 @@ from .gauge import (
     MembershipViolated,
     NotUnitary,
     Perturbation,
-    ad_kernel_check,
     covariance_residual,
     doubled_fluctuation,
     fluctuate,
@@ -90,7 +87,6 @@ from .gauge import (
     gauge_matrix,
     gauge_span,
     gauge_transform_field,
-    identity_perturbation,
     pert_product,
     random_perturbation,
 )
@@ -111,12 +107,9 @@ from .torus import (
     PhaseMode,
     PhaseScalar,
     TorusElement,
-    VanishingTrace,
     central_monomials,
     clock_shift,
-    phase_map,
     rational_mode,
-    torus_exp,
     torus_generator,
     torus_one,
     torus_rep,
@@ -135,11 +128,9 @@ from .toric import (
     BasePoint3,
     BasePoint4,
     continuity_report,
-    covering_slice_check,
     fiber_norm3,
     fiber_norm4,
     invariant_subalgebra,
-    jump_ratio,
     norm_profile,
     s3_eval,
     s3_fiber_dimension,

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, frobenius,
-                     max_op_norm, op_norm)
+from .linalg import (TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, max_op_norm,
+                     op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import OneForm, RealSpectralTriple, compute_aj
 from .staralg import lie_generating_set, skew_hermitian_basis
@@ -43,10 +43,8 @@ __all__ = [
     "GaugeLieAlgebra",
     "gauge_span",
     "gauge_lie_algebra",
-    "ad_kernel_check",
     "Perturbation",
     "from_unitary",
-    "identity_perturbation",
     "random_perturbation",
     "pert_product",
     "gauge_field",
@@ -184,29 +182,6 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     return GaugeLieAlgebra(span, list(zip(xs, ts)), rep)
 
 
-def ad_kernel_check(triple: RealSpectralTriple, u: np.ndarray,
-                    tol: float = TOL_DERIVED) -> tuple[bool, Report]:
-    """Whether u maps to the trivial gauge element, and the A_J equivalence.
-
-    Both directions are checked: U = 1 iff u lies in the span of A_J.
-    """
-    u = _require_unitary(triple, u)
-    n = triple.hilbert_dim
-    umat = gauge_matrix(triple, u)
-    kernel_res = op_norm(umat - np.eye(n))
-    is_kernel = kernel_res <= tol
-    aj = compute_aj(triple)
-    span_res = aj.residual(u)
-    in_aj = span_res <= tol * max(1.0, frobenius(u))
-    rep = Report("ad_kernel", context={"kernel_residual": kernel_res,
-                                       "aj_span_residual": span_res,
-                                       "is_kernel": is_kernel, "in_aj": in_aj})
-    rep.add(CheckRecord(
-        "kernel-characterization", "u J u J^-1 = 1 exactly when u lies in A_J",
-        float(min(kernel_res, span_res)), tol, is_kernel == in_aj, SCOPE_EXACT))
-    return is_kernel, rep
-
-
 # -- perturbation semigroup --------------------------------------------------
 
 
@@ -259,11 +234,6 @@ class Perturbation:
 
     def __len__(self) -> int:
         return len(self.terms)
-
-
-def identity_perturbation(triple: RealSpectralTriple) -> Perturbation:
-    e = triple.algebra.unit
-    return Perturbation(triple, [(e, e)])
 
 
 def from_unitary(triple: RealSpectralTriple, u: np.ndarray) -> Perturbation:

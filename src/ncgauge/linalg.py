@@ -108,11 +108,16 @@ def max_op_norm(blocks):
 
 
 def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:
-    """Norm of x -> [p, x] on the span of an orthonormal stack, Frobenius to Frobenius.
+    """Norm of the map c -> [p, sum_k c_k s_k], from the coefficients c (2-norm) to Frobenius.
 
-    The map's matrix has the rows vec([p, s_k]).  Another orthonormal basis
-    of the span multiplies it from the left by a unitary, so the norm does
-    not depend on which basis the stack holds.
+    The map's matrix has the rows vec([p, s_k]).  For an orthonormal stack
+    this is the norm of x -> [p, x] on its span, Frobenius to Frobenius, and
+    another orthonormal basis of the span multiplies the matrix from the left
+    by a unitary, so the norm does not depend on which basis the stack holds.
+    For a stack of images of an orthonormal basis of A, such as the
+    ``pi_images`` of a triple or the [D, pi(b_k)], the coefficients are those
+    of an element of A, so this is the norm of a -> [p, pi(a)] or of
+    a -> [p, [D, pi(a)]] from A's Frobenius norm to H's.
     """
     return op_norm(commutator(p, stack).reshape(len(stack), np.size(p)))
 

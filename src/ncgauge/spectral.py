@@ -45,7 +45,6 @@ from .staralg import FiniteStarAlgebra, NotClosed, center, generating_set
 
 __all__ = [
     "SpectralInputError",
-    "DimensionMismatch",
     "RealSpectralTriple",
     "OneForm",
     "check_axioms",
@@ -55,7 +54,6 @@ __all__ = [
     "aj_or_closure_failure",
     "real_structure_residuals",
     "verify_aj_properties",
-    "unitary_equivalent",
     "conjugate_triple",
     "transpose_permutation",
 ]
@@ -66,10 +64,6 @@ _ON_G = "for a, b in the certified generating set g of A"
 
 class SpectralInputError(ValueError):
     """Structurally malformed triple data (shapes, counts, signs)."""
-
-
-class DimensionMismatch(SpectralInputError):
-    """Two triples live on Hilbert spaces of different dimension."""
 
 
 def transpose_permutation(n: int) -> np.ndarray:
@@ -416,11 +410,24 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     The three headline assertions (central, *-closed, commutes with
     one-forms) are all trivially true of the scalar algebra, so a
     corrupted real structure that merely shrinks A_J would slip through
-    them; the premise record pins the J axioms themselves.  Commuting with
-    one-forms is measured, for each basis element p of A_J, as the norm of
-    x -> [pi(p), x] on Omega^1 (:func:`~ncgauge.linalg.commutator_map_norm`),
-    which no choice of orthonormal basis of Omega^1 changes; the witness is
-    the index of the worst p.
+    them; the premise record pins the J axioms themselves.  ``star-closed``
+    is the adjoint-closure residual that wrapping A_J as a
+    :class:`~ncgauge.staralg.FiniteStarAlgebra` measured.
+
+    Commuting with one-forms is derived from two maps on A, without
+    forming Omega^1.  For each basis element p of A_J,
+    :func:`~ncgauge.linalg.commutator_map_norm` gives, from A's Frobenius
+    norm to H's, kappa_pi = |a -> [pi(p), pi(a)]| and
+    kappa_D = |c -> [pi(p), [D, pi(c)]]|.  The Leibniz identity
+
+        [pi(p), pi(b) [D, pi(c)]] = [pi(p), pi(b)] [D, pi(c)] + pi(b) [pi(p), [D, pi(c)]]
+
+    bounds the Frobenius norm of the left side by
+    kappa_pi |b|_F |[D, pi(c)]| + kappa_D |pi(b)| |c|_F, so the residual is
+    the max over p of max(kappa_pi, kappa_D).  It is 0 exactly when each
+    pi(p) commutes with pi(A) and with [D, pi(A)], which is sufficient for
+    commuting with every one-form (and not necessary: with D = 0 there are
+    no one-forms).  The witness is the index of the worst p.
     """
     k = triple.real_structure.kernel
     rep = Report(f"aj_properties[{triple.label or 'triple'}]")
@@ -441,13 +448,18 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
         center(triple.algebra).residual(aj.basis).max(), tol, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "star-closed", "A_J is closed under the adjoint",
-        aj.residual(adjoint(aj.basis)).max(), tol, SCOPE_EXACT))
+        aj.closure_residuals[1], tol, SCOPE_EXACT))
 
-    omega = one_form_space(triple).basis
-    norms = [commutator_map_norm(p, omega) for p in pa]
+    pis = triple.pi_images
+    d_comms = commutator(triple.dirac, pis)
+    norms = [max(commutator_map_norm(p, pis), commutator_map_norm(p, d_comms)) for p in pa]
     at = int(np.argmax(norms))
     rep.add(CheckRecord.from_residual(
-        "commutes-with-one-forms", "A_J commutes with every one-form a[D,b]",
+        "commutes-with-one-forms", "A_J commutes with every one-form pi(b)[D, pi(c)]: "
+        "[pi(p), pi(b)[D, pi(c)]] = [pi(p), pi(b)][D, pi(c)] + pi(b)[pi(p), [D, pi(c)]], so "
+        "its Frobenius norm is at most kappa_pi |b|_F |[D, pi(c)]| + kappa_D |pi(b)| |c|_F, "
+        "with kappa_pi = |a -> [pi(p), pi(a)]| and kappa_D = |c -> [pi(p), [D, pi(c)]]| "
+        "from A's Frobenius norm to H's",
         norms[at], tol, SCOPE_EXACT), witness=(at,))
     return rep
 
@@ -466,37 +478,6 @@ def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report,
                             exc.residual, tol, False, SCOPE_EXACT))
         rep.context["closure_error"] = str(exc)
         return None
-
-
-# -- unitary equivalence -----------------------------------------------------
-
-
-def unitary_equivalent(t1: RealSpectralTriple, t2: RealSpectralTriple,
-                       u: np.ndarray, tol: float = TOL_DERIVED) -> Report:
-    """Whether u intertwines the two triples: representation, D, and J.
-
-    The J condition in kernel form is U K1 transpose(U) = K2: conjugating
-    the anti-linear J by a linear unitary transposes, it does not adjoint.
-    """
-    u = as_cmatrix(u)
-    if t1.hilbert_dim != t2.hilbert_dim or u.shape != (t1.hilbert_dim, t1.hilbert_dim):
-        raise DimensionMismatch("triples/conjugator disagree on the Hilbert dimension")
-    rep = Report("unitary_equivalence")
-    rep.add(CheckRecord.from_residual(
-        "conjugator-unitary", "U U* = 1",
-        op_norm(u @ adjoint(u) - np.eye(t1.hilbert_dim)), 1e-9, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "intertwines-representation", "U pi1(a) U* = pi2(a) on a basis",
-        max_op_norm([u @ t1.pi_images @ adjoint(u) - t2.pi(t1.algebra.basis)])[0],
-        tol, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "intertwines-dirac", "U D1 U* = D2",
-        op_norm(u @ t1.dirac @ adjoint(u) - t2.dirac), tol, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "intertwines-real-structure", "U J1 U* = J2 as kernels: U K1 transpose(U) = K2",
-        op_norm(u @ t1.real_structure.kernel @ u.T - t2.real_structure.kernel),
-        tol, SCOPE_EXACT))
-    return rep
 
 
 def conjugate_triple(triple: RealSpectralTriple, u: np.ndarray, label: str = "") -> RealSpectralTriple:

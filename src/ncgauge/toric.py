@@ -44,15 +44,10 @@ from .torus import (
     ModeMismatch,
     PhaseMode,
     PhasePolynomial,
-    TorusElement,
-    VanishingTrace,
     check_unit,
     clock_shift,
     monomial_sum,
-    phase_map,
     rational_mode,
-    torus_rep,
-    trace_state,
 )
 
 __all__ = [
@@ -68,10 +63,8 @@ __all__ = [
     "fiber_norm3",
     "fiber_norm4",
     "norm_profile",
-    "jump_ratio",
     "jump_verdict",
     "jump_record",
-    "covering_slice_check",
     "stratum_scan",
     "continuity_report",
 ]
@@ -334,12 +327,6 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     return rows, _jump_stats(h, fine, len(rows))
 
 
-def jump_ratio(e: SphereElement, h: float, p: int, q: int, which: str = "s3") -> dict:
-    """The two-resolution jump statistic alone, without the row table."""
-    _, stats = norm_profile(e, h, p, q, which)
-    return stats
-
-
 def jump_verdict(stats: dict, lo: float = 0.3, hi: float = 0.7) -> tuple[bool, float]:
     """Pass flag and residual |ratio - 1/2| of a two-resolution jump statistic.
 
@@ -365,46 +352,6 @@ def jump_record(name: str, stats: dict, lo: float = 0.3, hi: float = 0.7) -> Che
     ok, resid = jump_verdict(stats, lo, hi)
     return CheckRecord(name, "halving the grid step roughly halves the largest adjacent "
                        "norm jump", resid, max(hi - 0.5, 0.5 - lo), ok, SCOPE_CONTINUITY)
-
-
-def covering_slice_check(u: TorusElement, p: int, q: int, tol: float = 1e-8) -> Report:
-    """Phase-of-trace diagnostics for a torus element.
-
-    Computes phi(u) = tau(u)/|tau(u)| when the trace does not vanish,
-    verifies unitarity of the matrix evaluations at the torus points of
-    ``stratum_scan`` (the root-of-unity points conjugate to z = (1, 1)),
-    and runs the kernel argument at matrix scale: an element that is a
-    scalar within tolerance and has phase 1 must be the unit.  When the
-    trace vanishes the phase is undefined and the report says so.
-    """
-    _check_element(u, p, q)
-    rep = Report("covering_slice", context={"mode": str(u.mode)})
-    worst = max(op_norm(m @ m.conj().T - np.eye(q))
-                for m in (torus_rep(u, z1, z2) for z1, z2 in _CLASS_POINTS))
-    rep.add(CheckRecord.from_residual(
-        "unitary-at-samples", "the matrix evaluations of u are unitary",
-        worst, tol, SCOPE_RATIONAL))
-    kernel = "a scalar element with trivial phase is the unit"
-    try:
-        phi = phase_map(u)
-    except VanishingTrace:
-        rep.context.update(applicable=False,
-                           note="trace numerically zero; the phase map is undefined here")
-        rep.add(CheckRecord("kernel-argument", kernel + " (inapplicable: the trace vanishes)",
-                            0.0, tol, True, SCOPE_RATIONAL))
-        return rep
-    rep.context.update(applicable=True, phase=phi)
-    off_scalar = max((abs(c.value()) for key, c in u.terms.items() if key != (0, 0)),
-                     default=0.0)
-    is_scalar, phase_is_one = off_scalar <= tol, abs(phi - 1.0) <= tol
-    if is_scalar and phase_is_one:
-        dist = abs(trace_state(u).value() - 1.0) + off_scalar
-        rep.add(CheckRecord.from_residual("kernel-argument", kernel, dist, 1e-7, SCOPE_RATIONAL))
-    else:
-        rep.add(CheckRecord("kernel-argument", kernel + " (vacuous here: premise not met)",
-                            0.0, tol, True, SCOPE_RATIONAL))
-        rep.context["kernel_premise"] = {"is_scalar": is_scalar, "phase_is_one": phase_is_one}
-    return rep
 
 
 def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
@@ -457,7 +404,7 @@ def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int
     })
     ratios = []
     for i, e in enumerate(polynomials):
-        stats = jump_ratio(e, h, p, q, which)
+        stats = norm_profile(e, h, p, q, which)[1]
         ratios.append(stats)
         rep.add(jump_record(f"jump-halving-{i}", stats, lo, hi))
     rep.context["ratios"] = ratios

@@ -27,7 +27,6 @@ from .linalg import adjoint, op_norm
 __all__ = [
     "ModeMismatch",
     "NotOnTorus",
-    "VanishingTrace",
     "BadParameters",
     "PhaseMode",
     "SYMBOLIC",
@@ -41,9 +40,7 @@ __all__ = [
     "monomial_sum",
     "torus_rep",
     "trace_state",
-    "phase_map",
     "central_monomials",
-    "torus_exp",
 ]
 
 PRUNE_TOL = 1e-14
@@ -55,10 +52,6 @@ class ModeMismatch(ValueError):
 
 class NotOnTorus(ValueError):
     """A sampling point had non-unit modulus."""
-
-
-class VanishingTrace(ArithmeticError):
-    """The phase of an element with numerically zero trace was requested."""
 
 
 class BadParameters(ValueError):
@@ -415,14 +408,6 @@ def trace_state(a: TorusElement) -> PhaseScalar:
     return a.coefficient(0, 0)
 
 
-def phase_map(u: TorusElement, theta: float | None = None) -> complex:
-    """tau(u) / |tau(u)|; raises :class:`VanishingTrace` when |tau| < 1e-8."""
-    tau = trace_state(u).value(theta)
-    if abs(tau) < 1e-8:
-        raise VanishingTrace(f"|tau(u)| = {abs(tau):.2e} is below 1e-8")
-    return tau / abs(tau)
-
-
 def central_monomials(mode: PhaseMode, degree: int) -> list[tuple[int, int]]:
     """Monomial exponents (m, n), |m|, |n| <= degree, commuting with U1 and U2.
 
@@ -440,26 +425,3 @@ def central_monomials(mode: PhaseMode, degree: int) -> list[tuple[int, int]]:
             if (mon * u1 - u1 * mon).is_zero() and (mon * u2 - u2 * mon).is_zero():
                 out.append((m, n))
     return sorted(out)
-
-
-def torus_exp(a: TorusElement, max_terms: int = 120, tol: float = 1e-16) -> TorusElement:
-    """exp(a) by power series, truncated once terms fall below tol.
-
-    Term size is measured through numeric coefficient values, so a
-    rational mode is required.
-    """
-    if not a.mode.is_rational:
-        raise ModeMismatch("series truncation needs numeric coefficients")
-
-    def l1(x: TorusElement) -> float:
-        return sum(abs(c.value()) for c in x.terms.values())
-
-    out = torus_one(a.mode)
-    term = torus_one(a.mode)
-    for k in range(1, max_terms + 1):
-        term = term * a
-        term = term.scale(1.0 / k)
-        out = out + term
-        if l1(term) < tol * max(1.0, l1(out)):
-            return out
-    raise ArithmeticError("exponential series did not converge within max_terms")

@@ -23,7 +23,7 @@ from ncgauge.linalg import commutator, commutator_map_norm, op_norm
 from ncgauge.models import load_model
 from ncgauge.parsing import parse_sphere
 from ncgauge.reporting import CheckRecord, Report
-from ncgauge.spectral import OneForm, compute_aj, one_form_space
+from ncgauge.spectral import OneForm, compute_aj
 from ncgauge.staralg import DegenerateDraw, NonCommutative, generating_set, random_unitary
 from ncgauge.toric import continuity_report
 from ncgauge.torus import rational_mode
@@ -31,6 +31,7 @@ from ncgauge.torus import rational_mode
 localize_module = importlib.import_module("ncgauge.localize")
 gauge_module = importlib.import_module("ncgauge.gauge")
 linalg_module = importlib.import_module("ncgauge.linalg")
+spectral_module = importlib.import_module("ncgauge.spectral")
 staralg_module = importlib.import_module("ncgauge.staralg")
 
 
@@ -195,9 +196,11 @@ def test_check_witnesses_reproduce_the_failing_residuals(capsys):
     a, b = (gens[k] / np.linalg.norm(gens[k]) for k in (i, j))  # scaled to unit norm
     residual = op_norm(commutator(t.dirac_commutator(a), t.b_opposite(b)))
     assert residual == pytest.approx(records["order-one-condition"]["residual"], rel=1e-12)
-    # a max of map norms over A_J's basis: the witness is the worst basis element
+    # the larger of two map norms on A, maximised over A_J's basis: the witness is the worst p
     [i] = witnesses["commutes-with-one-forms"]
-    residual = commutator_map_norm(t.pi(compute_aj(t).basis[i]), np.stack(one_form_space(t).basis))
+    p = t.pi(compute_aj(t).basis[i])
+    residual = max(commutator_map_norm(p, t.pi_images),
+                   commutator_map_norm(p, commutator(t.dirac, t.pi_images)))
     assert residual == pytest.approx(records["commutes-with-one-forms"]["residual"], rel=1e-12)
     assert not records["order-one-condition"]["passed"]
     assert not records["commutes-with-one-forms"]["passed"]
@@ -207,6 +210,32 @@ def test_passing_records_keep_no_witness(capsys):
     code, out, _ = run(capsys, "check", "ym:k=3,N=3")
     assert code == 0
     assert "witnesses" not in json.loads(out)["context"]
+
+
+@pytest.mark.parametrize("spec", ["hs:N=2", "hs:N=6", "ym:k=3,N=3", "ym:k=2,N=2,lam=0.1",
+                                  "ym:k=2,N=1,lam=0.3"])
+def test_check_forms_no_one_form_space(capsys, monkeypatch, spec):
+    """commutes-with-one-forms comes from two map norms on A, so check never builds Omega^1."""
+    calls, triples = [], []
+    real_space, real_load = spectral_module.one_form_space, cli.load_model
+
+    def spy(triple):
+        calls.append(triple)
+        return real_space(triple)
+
+    def loading(*args, **kwargs):
+        triples.append(real_load(*args, **kwargs))
+        return triples[-1]
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("ncgauge")]:
+        if getattr(module, "one_form_space", None) is real_space:
+            monkeypatch.setattr(module, "one_form_space", spy)
+    monkeypatch.setattr(cli, "load_model", loading)
+    code, out, _ = run(capsys, "check", spec)
+    assert code == (1 if "lam" in spec else 0)
+    assert "commutes-with-one-forms" in {c["name"] for c in json.loads(out)["checks"]}
+    assert calls == []
+    assert [t._omega1 for t in triples] == [None]
 
 
 def non_closed_aj_config(tmp_path):

@@ -47,3 +47,29 @@ def test_perfbench_imports_resolve():
     assert wanted
     for module_name, attr in wanted:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                for value in ast.literal_eval(node.value)}
+    return [name for name in imported if name not in used | exported]
+
+
+def test_src_imports_are_used():
+    """No module keeps an import that nothing in it reads (no linter runs on the package)."""
+    package = Path(ncgauge.__file__).parent
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_check_sees_a_dead_import():
+    assert _unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math", "path"]

@@ -10,7 +10,6 @@ from ncgauge import (
     NotUnitary,
     OneForm,
     Perturbation,
-    ad_kernel_check,
     adjoint,
     build_finite_ym,
     build_hs_model,
@@ -21,7 +20,6 @@ from ncgauge import (
     gauge_lie_algebra,
     gauge_matrix,
     gauge_transform_field,
-    identity_perturbation,
     op_norm,
     pert_product,
     random_perturbation,
@@ -142,17 +140,6 @@ def test_bracket_records_match_two_pass_oracle(spec):
         assert name not in g.report.witnesses  # a passing record keeps no witness
 
 
-def test_ad_kernel_both_directions():
-    t = build_hs_model(2)
-    phase = np.exp(0.7j) * t.algebra.unit
-    trivial, rep = ad_kernel_check(t, phase)
-    assert trivial
-    assert rep.passed
-    generic, rep2 = ad_kernel_check(t, random_unitary(t.algebra, seed=5))
-    assert not generic
-    assert rep2.passed
-
-
 # -- perturbations ------------------------------------------------------------
 
 
@@ -167,7 +154,8 @@ def test_random_perturbation_certificates(seed):
 
 def test_identity_perturbation_acts_trivially():
     t = build_finite_ym(2, 2)
-    p = identity_perturbation(t)
+    e = t.algebra.unit
+    p = Perturbation(t, [(e, e)])
     assert op_norm(p.act_on(t.dirac) - t.dirac) < 1e-12
 
 

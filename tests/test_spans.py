@@ -15,8 +15,7 @@ from ncgauge.localize import localize, omega_bundle
 from ncgauge.models import build_finite_ym, build_orbifold_algebra, model_from_string, \
     triple_from_config
 from ncgauge.spectral import (RealSpectralTriple, SpectralInputError, check_axioms, compute_aj,
-                              conjugate_triple, one_form_space, unitary_equivalent,
-                              verify_aj_properties)
+                              one_form_space, verify_aj_properties)
 from ncgauge.staralg import block_diagonal_algebra, center, skew_hermitian_basis
 from ncgauge.torus import clock_shift
 from test_spectral import CONFIG_FIXTURES
@@ -224,19 +223,3 @@ def test_localize_records_equal_their_loops(spec):
     loop = max(frobenius(t.pi(p) @ w - fib.project(t.pi(p) @ w))
                for (_, p), fib in zip(base, dec.omega_fibers) for w in omega)
     assert close(omega_bundle(dec).record("one-forms-localize").residual, loop)
-
-
-@pytest.mark.parametrize("spec", SPECS)
-def test_intertwines_representation_equals_its_loop(spec):
-    t1 = model_from_string(spec)
-    n = t1.hilbert_dim
-    u, _ = np.linalg.qr(rng_stack(1, n, n, 11)[0])
-    v, _ = np.linalg.qr(rng_stack(1, n, n, 12)[0])
-    t2 = conjugate_triple(t1, u)
-    assert np.allclose(t2.pi_images, [u @ m @ adjoint(u) for m in t1.pi_images],
-                       rtol=0, atol=1e-13)
-    for w in (u, v):  # the intertwiner, and a unitary that is not one
-        loop = max(op_norm(w @ t1.pi_images[i] @ adjoint(w) - t2.pi(b))
-                   for i, b in enumerate(list(t1.algebra.basis)))
-        rep = unitary_equivalent(t1, t2, w)
-        assert close(rep.record("intertwines-representation").residual, loop)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgauge.linalg import AntiLinearOp, Subspace, adjoint, commutator, op_norm
+from ncgauge.linalg import (TOL_DERIVED, AntiLinearOp, Subspace, adjoint, commutator,
+                            commutator_map_norm, op_norm)
 from ncgauge.models import build_finite_ym, build_hs_model, model_from_string, triple_from_config
 from ncgauge.spectral import (
-    DimensionMismatch,
     OneForm,
     RealSpectralTriple,
     SpectralInputError,
@@ -17,10 +17,10 @@ from ncgauge.spectral import (
     one_form_space,
     real_structure_residuals,
     transpose_permutation,
-    unitary_equivalent,
     verify_aj_properties,
 )
-from ncgauge.staralg import AlgebraError, full_matrix_algebra, random_unitary
+from ncgauge.staralg import (AlgebraError, NotClosed, diagonal_algebra, full_matrix_algebra,
+                             random_unitary)
 
 
 def test_transpose_permutation_acts_on_vec():
@@ -240,21 +240,132 @@ def test_real_structure_residuals_feed_both_reports(spec):
     assert premise == max(isometry, square, dirac_sign)
 
 
-def test_commutes_with_one_forms_ignores_the_omega_basis():
-    # Omega^1's singular values repeat here, so a per-basis max moved with the basis
-    t = model_from_string("ym:k=2,N=2,lam=0.1")
-    before = verify_aj_properties(t).record("commutes-with-one-forms").residual
-    omega = one_form_space(t)
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.standard_normal((omega.dim,) * 2)
-                        + 1j * rng.standard_normal((omega.dim,) * 2))
-    t._omega1 = Subspace(q @ omega._stack, omega.shape)
-    after = verify_aj_properties(t).record("commutes-with-one-forms").residual
-    assert after == pytest.approx(before, rel=1e-12)
-    assert before == pytest.approx(np.sqrt(0.5), rel=1e-9)
-    per_basis = max(op_norm(commutator(t.pi(a), w))
-                    for a in compute_aj(t).basis for w in omega.basis)
-    assert before >= per_basis
+def omega_commutation_oracle(triple):
+    """The Omega^1 measure the derived record replaced: max over p of |x -> [pi(p), x]| on Omega^1."""
+    omega = one_form_space(triple).basis
+    return max(commutator_map_norm(p, omega) for p in triple.pi(compute_aj(triple).basis))
+
+
+def one_form_kappas(triple):
+    """Per basis element p of A_J, (kappa_pi, kappa_D), one matrix row per basis element of A."""
+    d_comms = [triple.dirac_commutator(b) for b in triple.algebra.basis]
+    out = []
+    for p in triple.pi(compute_aj(triple).basis):
+        rows = [[commutator(p, m).ravel() for m in ms] for ms in (triple.pi_images, d_comms)]
+        out.append(tuple(np.linalg.norm(np.stack(r), 2) for r in rows))
+    return out
+
+
+def non_multiplicative_triple(dirac_scale):
+    """pi(e1), pi(e2) real symmetric and non-commuting: A_J = A = C^2, and kappa_pi > 0."""
+    r = np.diag([1.0, 1.0, 0.0])
+    s = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    d = dirac_scale * np.array([[0.5, 0.2, 0.0], [0.2, -1.0, 0.3], [0.0, 0.3, 0.1]])
+    return RealSpectralTriple(diagonal_algebra(2), np.stack([r, s]), d,
+                              AntiLinearOp(np.eye(3)), label="non-multiplicative")
+
+
+HOPPING = [f"ym:k=2,N={n},lam={lam}" for n in (1, 2) for lam in (0.05, 0.1, 0.3)]
+ONE_FORM_PRESETS = ["hs:N=1", "hs:N=2", "hs:N=3", "hs:N=4", "hs:N=6", "ym:k=2,N=1",
+                    "ym:k=2,N=2", "ym:k=3,N=3", "ym:k=2,N=3", "ym:k=3,N=2,lam=0.3"] + HOPPING
+
+
+def one_form_fixtures():
+    for spec in ONE_FORM_PRESETS:
+        for seed in (0, 3):
+            yield pytest.param(lambda s=spec, k=seed: model_from_string(s, default_seed=k),
+                               id=f"{spec}-seed{seed}")
+    for name in sorted(CONFIG_FIXTURES):  # a config fixes its own seeds
+        yield pytest.param(lambda n=name: triple_from_config(CONFIG_FIXTURES[n]), id=name)
+
+
+@pytest.mark.parametrize("make", list(one_form_fixtures()))
+def test_commutes_with_one_forms_verdict_equals_the_omega_measure(make):
+    t = make()
+    try:
+        compute_aj(t)
+    except NotClosed:  # no A_J: the record is not made
+        assert "commutes-with-one-forms" not in {r.name for r in verify_aj_properties(t).records}
+        return
+    oracle = omega_commutation_oracle(t)
+    for tol in (TOL_DERIVED, 0.0):
+        derived = verify_aj_properties(t, tol=tol).record("commutes-with-one-forms")
+        assert derived.passed == (oracle <= tol)
+
+
+# failing fixtures: kappa_pi dominates (small D), kappa_D dominates, or only kappa_D is non-zero
+BOUND_FIXTURES = ([pytest.param(lambda k=k: non_multiplicative_triple(k), id=f"non-multiplicative-{k}")
+                   for k in (0.01, 1.0)]
+                  + [pytest.param(lambda s=s: model_from_string(s), id=s)
+                     for s in HOPPING + ["ym:k=3,N=2,lam=0.3"]]
+                  + [pytest.param(lambda n=n: triple_from_config(CONFIG_FIXTURES[n]), id=n)
+                     for n in ("diagonal-flip", "diagonal-complex")])
+
+
+@pytest.mark.parametrize("make", BOUND_FIXTURES)
+def test_commutes_with_one_forms_is_the_larger_map_norm(make):
+    """The residual is max over p of max(kappa_pi, kappa_D), and its witness is the worst p."""
+    t = make()
+    rep = verify_aj_properties(t)
+    kappas = one_form_kappas(t)
+    worst = [max(pair) for pair in kappas]
+    assert rep.record("commutes-with-one-forms").residual == pytest.approx(max(worst), rel=1e-12)
+    if not rep.record("commutes-with-one-forms").passed:
+        assert worst[rep.witnesses["commutes-with-one-forms"][0]] == pytest.approx(max(worst))
+
+
+def test_non_multiplicative_fixture_separates_the_two_norms():
+    # kappa_pi dominates with a small D and kappa_D with a large one, so each term is needed
+    [small_pi, small_d] = zip(*one_form_kappas(non_multiplicative_triple(0.01)))
+    assert max(small_pi) > 10 * max(small_d)
+    big_pi, big_d = zip(*one_form_kappas(non_multiplicative_triple(100.0)))
+    assert max(big_d) > 10 * max(big_pi)
+    assert not check_axioms(non_multiplicative_triple(1.0)).record(
+        "representation-multiplicative").passed
+
+
+def extremal_pair(triple, p):
+    """(unit, c), with c the unit vector of A on which c -> [p, [D, pi(c)]] attains kappa_D."""
+    d_comms = np.stack([triple.dirac_commutator(b) for b in triple.algebra.basis])
+    u, _, _ = np.linalg.svd(commutator(p, d_comms).reshape(len(d_comms), -1), full_matrices=False)
+    return triple.algebra.unit, triple.algebra.combine(u[:, 0].conj())
+
+
+@pytest.mark.parametrize("make", BOUND_FIXTURES)
+def test_sampled_one_forms_stay_within_the_derived_bound(make):
+    """|[pi(p), pi(b)[D, pi(c)]]|_F <= kappa_pi |b|_F |[D, pi(c)]| + kappa_D |pi(b)| |c|_F.
+
+    Up to n eps of rounding.  Where every pi(p) commutes with pi(A)
+    (kappa_pi = 0), the pair (unit, top singular direction of the kappa_D
+    map) at the worst p attains the bound, so it is not loose.
+    """
+    t = make()
+    pas, kappas = t.pi(compute_aj(t).basis), one_form_kappas(t)
+    rng = np.random.default_rng(0)
+    pairs = [(t.algebra.random_element(seed=int(rng.integers(2 ** 31))),
+              t.algebra.random_element(seed=int(rng.integers(2 ** 31)))) for _ in range(20)]
+    samples = [(i, b, c) for i in range(len(pas)) for b, c in pairs]
+    central = max(kappa_pi for kappa_pi, _ in kappas) < 1e-12
+    if central:
+        worst = int(np.argmax([kappa_d for _, kappa_d in kappas]))
+        samples.append((worst, *extremal_pair(t, pas[worst])))
+    for i, b, c in samples:
+        pb, dc = t.pi(b), t.dirac_commutator(c)
+        value = np.linalg.norm(commutator(pas[i], pb @ dc))
+        terms = (np.linalg.norm(b) * op_norm(dc), op_norm(pb) * np.linalg.norm(c))
+        bound = kappas[i][0] * terms[0] + kappas[i][1] * terms[1]
+        assert value <= bound + t.hilbert_dim * np.finfo(float).eps * sum(terms)
+    if central:  # the last sample is the extremal pair
+        assert value == pytest.approx(bound, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+def test_commutes_with_one_forms_reads_twice_the_hopping(n, lam):
+    t = model_from_string(f"ym:k=2,N={n},lam={lam}")
+    rec = verify_aj_properties(t).record("commutes-with-one-forms")
+    assert not rec.passed
+    assert rec.residual == pytest.approx(2 * lam, rel=1e-12)
 
 
 def test_corrupted_real_structure_is_flagged():
@@ -313,22 +424,20 @@ def test_order_one_fails_for_offdiagonal_real_dirac_with_conjugation_j():
 
 
 def test_unitary_equivalence_of_conjugated_triple():
+    # U carries pi, D and J over: J' v = U J U* v through the anti-linear action
     t = build_hs_model(2, seed=4)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     u, _ = np.linalg.qr(x)
     t2 = conjugate_triple(t, u, label="moved")
-    rep = unitary_equivalent(t, t2, u)
-    assert rep.passed
     assert check_axioms(t2).passed
-    other = build_hs_model(2, seed=5)
-    rep_bad = unitary_equivalent(t, other, np.eye(4, dtype=complex))
-    assert not rep_bad.record("intertwines-dirac").passed
-
-
-def test_unitary_equivalence_dimension_guard():
-    with pytest.raises(DimensionMismatch):
-        unitary_equivalent(build_hs_model(2), build_hs_model(3), np.eye(4))
+    assert verify_aj_properties(t2).passed
+    assert op_norm(u @ t.dirac @ adjoint(u) - t2.dirac) < 1e-12
+    assert max(op_norm(u @ t.pi(b) @ adjoint(u) - t2.pi(b)) for b in t.algebra.basis) < 1e-12
+    for _ in range(3):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert np.allclose(t2.real_structure.apply(v), u @ t.real_structure.apply(adjoint(u) @ v),
+                           rtol=0, atol=1e-12)
 
 
 def test_cd_algebra_dims_and_closure_record():

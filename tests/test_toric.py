@@ -14,11 +14,9 @@ from ncgauge import (
     SphereElement,
     clock_shift,
     continuity_report,
-    covering_slice_check,
     fiber_norm3,
     fiber_norm4,
     invariant_subalgebra,
-    jump_ratio,
     norm_profile,
     op_norm,
     parse_sphere,
@@ -32,10 +30,6 @@ from ncgauge import (
     sphere_one,
     sphere_x,
     stratum_scan,
-    torus_exp,
-    torus_generator,
-    torus_one,
-    torus_rep,
 )
 from ncgauge import toric
 from ncgauge.torus import monomial_table
@@ -284,7 +278,7 @@ def test_profile_and_continuity_report_close_nothing(monkeypatch, which):
     mode = rational_mode(2, 5)
     polys = [sphere_alpha(mode), sphere_alpha(mode) * sphere_beta(mode)]
     rows, _ = norm_profile(polys[0], 0.1, 2, 5, which=which)
-    continuity_report(polys, 0.2, 2, 5, which=which)  # one jump_ratio per polynomial
+    continuity_report(polys, 0.2, 2, 5, which=which)  # one norm_profile per polynomial
     assert calls == []
     assert {row["stratum"] for row in rows} >= {"EdgeAlpha", "EdgeBeta", "Interior"}
 
@@ -442,7 +436,7 @@ def test_jump_ratio_matches_profile_stats():
     p, q = 1, 2
     e = sphere_alpha(rational_mode(p, q))
     _, stats = norm_profile(e, 0.05, p, q)
-    assert jump_ratio(e, 0.05, p, q) == stats
+    assert continuity_report([e], 0.05, p, q).context["ratios"] == [stats]
 
 
 def test_s4_profile_rows_cover_the_pole():
@@ -457,71 +451,6 @@ def test_s4_profile_rows_cover_the_pole():
         assert row["fiber_dim"] == 1
         assert abs(row["x"] - 1.0) < 1e-12
     assert stats["points"] == len(rows)
-
-
-def test_covering_slice_exponential_has_unit_phase():
-    p, q = 1, 3
-    mode = rational_mode(p, q)
-    u1 = torus_generator(mode, 1)
-    u = torus_exp((u1 + u1.adjoint()).scale(0.3j))
-    rep = covering_slice_check(u, p, q)
-    assert rep.passed
-    assert rep.context["applicable"] is True
-    assert abs(abs(rep.context["phase"]) - 1.0) < 1e-9
-
-
-def test_covering_slice_unit_element():
-    rep = covering_slice_check(torus_one(rational_mode(1, 3)), 1, 3)
-    assert rep.passed
-    assert abs(rep.context["phase"] - 1.0) < 1e-12
-
-
-def test_covering_slice_vanishing_trace_is_flagged():
-    mode = rational_mode(1, 3)
-    rep = covering_slice_check(torus_generator(mode, 1), 1, 3)
-    assert rep.passed
-    assert rep.context["applicable"] is False
-    assert "note" in rep.context
-
-
-def root_point_unitarity(u, q):
-    """Worst unitarity residual over the q^2 root-of-unity points (oracle)."""
-    worst = 0.0
-    for z1, z2 in root_points(q):
-        m = torus_rep(u, z1, z2)
-        worst = max(worst, op_norm(m @ m.conj().T - np.eye(q)))
-    return worst
-
-
-def covering_slice_elements():
-    mode = rational_mode(1, 3)
-    u1 = torus_generator(mode, 1)
-    yield torus_exp((u1 + u1.adjoint()).scale(0.3j)), 1, 3
-    yield torus_one(mode), 1, 3
-    yield u1, 1, 3
-    rng = np.random.default_rng(23)
-    for p, q in ((1, 2), (1, 3), (2, 5)):
-        mode = rational_mode(p, q)
-        for _ in range(3):
-            x = torus_one(mode).scale(complex(rng.standard_normal()))
-            for i in (1, 2):
-                x = x + torus_generator(mode, i).scale(complex(rng.standard_normal(),
-                                                               rng.standard_normal()))
-            yield torus_exp((x + x.adjoint()).scale(0.4j)), p, q
-
-
-@pytest.mark.parametrize("u,p,q", list(covering_slice_elements()))
-def test_covering_slice_unitarity_matches_the_root_point_loop(u, p, q):
-    rep = covering_slice_check(u, p, q)
-    record = next(c for c in rep.records if c.name == "unitary-at-samples")
-    want = root_point_unitarity(u, q)
-    assert record.passed == (want <= record.tolerance)
-    assert abs(record.residual - want) <= 1e-12
-
-
-def test_covering_slice_mode_mismatch():
-    with pytest.raises(ModeMismatch):
-        covering_slice_check(torus_one(rational_mode(1, 2)), 1, 3)
 
 
 def test_continuity_report_on_smooth_polynomials():

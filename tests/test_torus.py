@@ -10,13 +10,10 @@ from ncgauge.torus import (
     NotOnTorus,
     PhaseScalar,
     TorusElement,
-    VanishingTrace,
     central_monomials,
     clock_shift,
     monomial_table,
-    phase_map,
     rational_mode,
-    torus_exp,
     torus_generator,
     torus_one,
     torus_rep,
@@ -257,14 +254,6 @@ def test_trace_matches_averaged_matrix_trace():
     assert abs(avg - trace_state(a).value()) < 1e-10
 
 
-def test_phase_map_and_vanishing_trace():
-    mode = rational_mode(1, 3)
-    u = torus_one(mode).scale(np.exp(0.7j))
-    assert abs(phase_map(u) - np.exp(0.7j)) < 1e-12
-    with pytest.raises(VanishingTrace):
-        phase_map(torus_generator(mode, 1))
-
-
 # ---------------------------------------------------------------------------
 # center scans against the divisibility oracle
 # ---------------------------------------------------------------------------
@@ -296,32 +285,3 @@ def test_rational_center_scan_matches_divisibility(p, q, degree):
 def test_q2_center_contains_squares():
     got = central_monomials(rational_mode(1, 2), 4)
     assert (2, 0) in got and (0, 2) in got and (0, 0) in got
-
-
-# ---------------------------------------------------------------------------
-# exponentials
-# ---------------------------------------------------------------------------
-
-
-def test_exp_of_zero_and_scalar():
-    mode = rational_mode(1, 3)
-    zero = TorusElement(mode)
-    assert torus_exp(zero).allclose(torus_one(mode))
-    c = 0.3 - 0.2j
-    e = torus_exp(torus_one(mode).scale(c))
-    assert abs(e.coefficient(0, 0).value() - np.exp(c)) < 1e-12
-
-
-def test_exp_of_skew_is_unitary_in_rep():
-    mode = rational_mode(1, 3)
-    u1 = torus_generator(mode, 1)
-    a = (u1 - u1.adjoint()).scale(0.4)   # skew: a* = -a
-    assert (a.adjoint() + a).is_zero()
-    u = torus_exp(a)
-    m = torus_rep(u, 1.0, np.exp(0.3j))
-    assert np.max(np.abs(m @ m.conj().T - np.eye(3))) < 1e-10
-
-
-def test_exp_requires_rational_mode():
-    with pytest.raises(ModeMismatch):
-        torus_exp(torus_one(SYMBOLIC))
