@@ -82,6 +82,21 @@ class FiniteStarAlgebra(Subspace):
     as the structure constants: ``structure_constants[a, b, k]`` is the
     k-th coordinate of basis[a] @ basis[b], a d x d x d array.
 
+    The product table is formed block by block.  At construction the
+    ambient index range splits into the finest contiguous diagonal blocks
+    outside which every basis element, every generator and the given unit
+    is exactly 0, read from their zero pattern made symmetric.  Outside
+    those blocks every product and every adjoint is exactly 0 as well: an
+    entry (i, j) with i and j in different blocks is sum_k a_ik b_kj, and
+    for each k one of the two factors lies outside the blocks, so every
+    term is an exact 0; the adjoint maps the symmetric pattern to itself.
+    So the product rows, the adjoint rows, the orthonormality Gram matrix
+    and the structure constants are formed on packed rows that hold the
+    diagonal blocks side by side, of width sum_b s_b^2 instead of n^2.
+    The dropped entries are exact zeros in every row, so coordinates and
+    residuals change only through the order of summation.  A dense algebra
+    is the one-block case, whose packed rows are the vectorised matrices.
+
     An omitted unit is solved from the structure constants: e = sum_k e_k
     b_k acts as the identity when sum_k e_k c[k, j] and sum_k e_k c[j, k]
     are both the j-th unit vector for every j, a 2 d^2 x d least-squares
@@ -114,6 +129,8 @@ class FiniteStarAlgebra(Subspace):
         self._gens: np.ndarray | None = None  # kept by generating_set
         self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: np.ndarray | None = None
+        self._blocks = _diagonal_blocks(basis, *(m for m in (unit, generators) if m is not None))
+        self._packed = _joined(self._split(basis))  # the orthonormal rows, packed
         self.closure_residuals = self._verify(tol, unit, generators)
 
     # -- structure ---------------------------------------------------------
@@ -133,9 +150,15 @@ class FiniteStarAlgebra(Subspace):
     def structure_constants(self) -> np.ndarray:
         """c[a, b, k], the k-th coordinate of basis[a] @ basis[b]: the d^2 product table."""
         if self._constants is None:
-            b = self.basis
-            self._constants = (pair_products(b, b) @ self._stack.conj().T).reshape((self.dim,) * 3)
+            b, d = self._split(self.basis), self.dim
+            self._constants = (block_products(b, b) @ self._packed.conj().T).reshape(d, d, d)
         return self._constants
+
+    def _split(self, m: np.ndarray) -> list[np.ndarray]:
+        """A matrix stack's diagonal blocks, each contiguous; the stack itself for one block."""
+        if len(self._blocks) == 1:
+            return [m]
+        return [np.ascontiguousarray(m[:, s, s]) for s in self._blocks]
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
         """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
@@ -162,19 +185,20 @@ class FiniteStarAlgebra(Subspace):
     def _verify(self, tol: float, unit: np.ndarray | None, generators) -> tuple[float, float]:
         """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
         b, d = self.basis, self.dim
-        left = b if generators is None else np.asarray(generators, dtype=complex)
+        parts = self._split(b)
+        left = parts if generators is None else self._split(np.asarray(generators, dtype=complex))
         closure, coords = [], []
-        for kind, rows in (("products", pair_products(left, b)),
-                           ("adjoints", self._vec(adjoint(b)))):
-            coords.append(rows @ self._stack.conj().T)
-            rows -= coords[-1] @ self._stack  # in place: rows, once read, become the residual
+        for kind, rows in (("products", block_products(left, parts)),
+                           ("adjoints", _joined([adjoint(x) for x in parts]))):
+            coords.append(rows @ self._packed.conj().T)
+            rows -= coords[-1] @ self._packed  # in place: rows, once read, become the residual
             closure.append(float(np.max(np.linalg.norm(rows, axis=1))))
             if closure[-1] > tol:
                 raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
                                 closure[-1])
         if generators is None:
             self._constants = coords[0].reshape(d, d, d)
-        gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
+        gram = op_norm(self._packed @ self._packed.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
         if unit is None:
@@ -191,6 +215,37 @@ class FiniteStarAlgebra(Subspace):
         if gap > 1e-9:
             raise NotClosed("stored unit lies outside the span", gap)
         return closure[0], closure[1]
+
+
+def _diagonal_blocks(*stacks: np.ndarray) -> list[slice]:
+    """The finest contiguous diagonal blocks outside which every matrix given is exactly 0.
+
+    Each argument is a matrix or a stack of n x n matrices; their nonzero
+    pattern is made symmetric.  A block ends at index i when no row up to i
+    reaches a column beyond i.
+    """
+    idx = np.arange(np.shape(stacks[0])[-1])
+    mask = np.any([np.reshape(m, (-1, len(idx), len(idx))).any(axis=0) for m in stacks], axis=0)
+    reach = np.maximum.accumulate(np.where(mask | mask.T, idx, idx[:, None]).max(axis=1))
+    ends = (np.flatnonzero(reach == idx) + 1).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Rows of the stacks side by side, vectorised; a view when there is one stack."""
+    rows = [np.reshape(p, (len(p), -1)) for p in parts]
+    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
+
+
+def block_products(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+    """Every product a[i] @ b[j] of two block-diagonal stacks given block by block.
+
+    ``a`` and ``b`` list the stacks' diagonal blocks, in the same order.
+    Row i len(b) + j holds the diagonal blocks of a[i] @ b[j] side by side:
+    the packed rows of :class:`FiniteStarAlgebra`, one ``pair_products``
+    table per block.
+    """
+    return _joined([pair_products(x, y) for x, y in zip(a, b)])
 
 
 def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStarAlgebra:

@@ -228,22 +228,32 @@ def test_drawn_generators_pass_the_certificate(sizes):
 
 @pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3"])
 def test_c_d_verification_forms_letters_times_dim_products(monkeypatch, spec):
-    """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table."""
+    """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table.
+
+    The verification table has one packed row per product, of width
+    sum_b s_b^2 over C_D's diagonal blocks.
+    """
     triple = model_from_string(spec)
     one_form_space(triple)
     shapes = {"closure": [], "verification": []}
 
-    def spy(kind, real):
-        def products(a, b):
-            shapes[kind].append((len(a), len(b)))
-            return real(a, b)
-        return products
+    def closure_spy(a, b):
+        shapes["closure"].append((len(a), len(b)))
+        return real_pair_products(a, b)
 
-    monkeypatch.setattr(linalg, "pair_products", spy("closure", linalg.pair_products))
-    monkeypatch.setattr(staralg, "pair_products", spy("verification", staralg.pair_products))
+    def verification_spy(a, b):
+        table = real_block_products(a, b)
+        shapes["verification"].append(table.shape)
+        return table
+
+    real_pair_products, real_block_products = linalg.pair_products, staralg.block_products
+    monkeypatch.setattr(linalg, "pair_products", closure_spy)
+    monkeypatch.setattr(staralg, "block_products", verification_spy)
     cd, rep = c_d_algebra(triple)
     letters = 2 * len(generating_set(triple.algebra))
-    assert shapes["verification"] == [(letters, cd.dim)]
+    width = sum((s.stop - s.start) ** 2 for s in cd._blocks)
+    assert shapes["verification"] == [(letters * cd.dim, width)]
+    assert width <= triple.hilbert_dim ** 2
     assert sum(a * b for a, b in shapes["closure"]) <= letters * cd.dim < cd.dim ** 2
     assert rep.record("generated-closure").passed
 
@@ -378,3 +388,19 @@ def test_interior_fiber_closes_at_q_23_under_a_memory_cap():
                           preexec_fn=_cap_address_space, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == str(23 * 23)
+
+
+def test_orbifold_check_runs_under_a_memory_cap():
+    """check orbifold:q=6,p=1,m=3 exits 0 in a child capped at 4 GiB of address space.
+
+    Its dense product table alone would hold 108^2 rows of 108^2 entries,
+    2.2 GB, and as much again in temporaries; the algebra lives in 18 point
+    blocks of 6 x 6, so its packed rows hold 648 entries each.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncgauge.cli", "check", "orbifold:q=6,p=1,m=3",
+                           "--format", "json"], capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    context = json.loads(proc.stdout)["context"]
+    assert (context["dim"], context["center_dim"]) == (108, 3)

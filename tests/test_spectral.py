@@ -314,6 +314,17 @@ def test_commutes_with_one_forms_is_the_larger_map_norm(make):
         assert worst[rep.witnesses["commutes-with-one-forms"][0]] == pytest.approx(max(worst))
 
 
+def test_commutes_with_one_forms_witness_ignores_ulp_ties():
+    """The two base points of ym:k=2,N=2 give kappa_D = 2 lam up to an ulp: the lower one is reported."""
+    witnesses = set()
+    for seed in (0, 3):
+        for lam in (0.05, 0.1, 0.3):
+            rep = verify_aj_properties(model_from_string(f"ym:k=2,N=2,lam={lam}", default_seed=seed))
+            assert rep.record("commutes-with-one-forms").residual == pytest.approx(2 * lam)
+            witnesses.add(tuple(rep.witnesses["commutes-with-one-forms"]))
+    assert witnesses == {(0,)}
+
+
 def test_non_multiplicative_fixture_separates_the_two_norms():
     # kappa_pi dominates with a small D and kappa_D with a large one, so each term is needed
     [small_pi, small_d] = zip(*one_form_kappas(non_multiplicative_triple(0.01)))

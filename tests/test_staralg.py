@@ -5,14 +5,18 @@ from hypothesis import strategies as st
 
 from ncgauge import linalg, staralg
 from ncgauge.linalg import Subspace, adjoint, commutator, max_op_norm, nullspace, op_norm
-from ncgauge.models import build_finite_ym, build_hs_model, build_orbifold_algebra
+from ncgauge.models import (build_finite_ym, build_hs_model, build_orbifold_algebra,
+                            model_from_string)
+from ncgauge.spectral import c_d_algebra
 from ncgauge.staralg import (
     FiniteStarAlgebra,
     NotClosed,
     block_diagonal_algebra,
+    block_products,
     center,
     diagonal_algebra,
     full_matrix_algebra,
+    generating_set,
     minimal_projections,
     random_unitary,
     skew_hermitian_basis,
@@ -211,6 +215,103 @@ def test_rotated_m2_plus_c_has_two_central_scalars():
     assert center(rotated(block_diagonal_algebra([2, 1]), seed=7)).dim == 2
 
 
+# -- the packed product table against the dense n^2-wide table -----------------
+
+
+def oracle_block_sizes(*stacks):
+    """Oracle: cut between k - 1 and k wherever no matrix has an entry across the cut."""
+    n = np.shape(stacks[0])[-1]
+    mask = np.zeros((n, n), dtype=bool)
+    for m in stacks:
+        mask |= (np.reshape(m, (-1, n, n)) != 0).any(axis=0)
+    mask |= mask.T
+    return np.diff([0] + [k for k in range(1, n) if not mask[:k, k:].any()] + [n]).tolist()
+
+
+def dense_verdict(basis, unit, generators=None, tol=1e-8):
+    """Oracle: the construction checks on dense n^2-wide rows, from ``pair_products``.
+
+    Returns the residual of the first failing check (None when all pass),
+    the closure residuals it measured and the product coordinates.
+    """
+    b = np.asarray(basis, dtype=complex)
+    stack = b.reshape(len(b), -1)
+    left = b if generators is None else np.asarray(generators, dtype=complex)
+    closure, coords = [], []
+    for rows in (linalg.pair_products(left, b), adjoint(b).reshape(len(b), -1)):
+        coords.append(rows @ stack.conj().T)
+        closure.append(np.linalg.norm(rows - coords[-1] @ stack, axis=1).max())
+        if closure[-1] > tol:
+            return closure[-1], closure, None
+    failing = [r for r in (op_norm(stack @ stack.conj().T - np.eye(len(b))),
+                           max_op_norm([unit @ b - b, b @ unit - b])[0],
+                           Subspace(stack, b.shape[1:]).residual(unit)
+                           / max(1.0, np.linalg.norm(unit))) if r > 1e-9]
+    return (failing[0] if failing else None), closure, coords[0]
+
+
+def assert_packed_matches_dense(basis, unit, generators=None):
+    """The packed construction raises exactly when the dense checks fail, with the same numbers."""
+    want, closure, coords = dense_verdict(basis, unit, generators)
+    try:
+        alg = FiniteStarAlgebra(basis, unit, generators=generators)
+    except NotClosed as err:
+        assert want is not None and abs(err.residual - want) <= 1e-12 * max(1.0, want)
+        return
+    assert want is None
+    assert np.abs(np.subtract(alg.closure_residuals, closure)).max() <= 1e-12
+    want_coords = coords if generators is None else dense_verdict(basis, unit)[2]
+    assert np.abs(alg.structure_constants.reshape(-1, alg.dim) - want_coords).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make,sizes", [
+    (lambda: build_orbifold_algebra(3, 1, 2)[0], [3] * 6),
+    (lambda: build_orbifold_algebra(4, 1, 2)[0], [4] * 8),
+    (lambda: build_orbifold_algebra(3, 1, 3)[0], [3] * 9),
+    (lambda: build_orbifold_algebra(5, 2, 2)[0], [5] * 10),
+    (lambda: block_diagonal_algebra([1, 2, 3]), [1, 2, 3]),
+    (lambda: rotated(block_diagonal_algebra([2, 1]), seed=7), [3]),
+], ids=["orbifold-3-1-2", "orbifold-4-1-2", "orbifold-3-1-3", "orbifold-5-2-2", "M1+M2+M3",
+        "rotated-M2+M1"])
+def test_packed_table_matches_the_dense_table(make, sizes):
+    alg = make()
+    assert [s.stop - s.start for s in alg._blocks] == oracle_block_sizes(alg.basis, alg.unit) == sizes
+    assert_packed_matches_dense(alg.basis, alg.unit)
+
+
+@pytest.mark.parametrize("spec,blocks", [("ym:k=3,N=3", 3), ("ym:k=2,N=2,lam=0.1", 1)])
+def test_c_d_table_matches_the_dense_table(spec, blocks):
+    triple = model_from_string(spec)
+    gens = triple.pi(generating_set(triple.algebra))
+    letters = np.concatenate([gens, commutator(triple.dirac, gens)])
+    # the letters stay in the point blocks unless the hopping joins the points
+    assert len(staralg._diagonal_blocks(letters)) == blocks
+    cd, _ = c_d_algebra(triple)
+    eye = np.eye(triple.hilbert_dim, dtype=complex)
+    assert_packed_matches_dense(cd.basis, eye, letters)
+    assert_packed_matches_dense(cd.basis, eye)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       where=st.sampled_from(["basis", "letter", "unit"]), scale=st.sampled_from([1e-14, 1e-6, 1.0]),
+       data=st.data())
+def test_an_off_block_entry_merges_the_blocks(sizes, where, scale, data):
+    alg = block_diagonal_algebra(sizes)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    i, j = data.draw(st.tuples(*[st.integers(0, alg.ambient - 1)] * 2)
+                     .filter(lambda ij: block[ij[0]] != block[ij[1]]))
+    basis, unit = np.array(alg.basis), np.array(alg.unit)
+    letters = np.array(alg.basis) if where == "letter" else None  # the basis generates A
+    target = {"basis": basis, "letter": letters, "unit": unit[None]}[where]
+    target[data.draw(st.integers(0, len(target) - 1)), i, j] += scale
+    stacks = [m for m in (basis, unit, letters) if m is not None]
+    blocks = staralg._diagonal_blocks(*stacks)
+    assert [s.stop - s.start for s in blocks] == oracle_block_sizes(*stacks)
+    assert any(s.start <= min(i, j) and max(i, j) < s.stop for s in blocks)
+    assert_packed_matches_dense(basis, unit, letters)
+
+
 # -- the unit solved from the structure constants against the matrix-space solve --
 
 
@@ -273,18 +374,26 @@ def test_an_algebra_is_a_subspace_without_forwarding_methods():
         alg.union(linalg.RealSpan.from_spanning([np.eye(3)]))
 
 
+def packed_width(alg):
+    """Width of the algebra's packed rows: sum_b s_b^2 over its diagonal blocks."""
+    return sum((s.stop - s.start) ** 2 for s in alg._blocks)
+
+
 def test_center_forms_one_product_table(monkeypatch):
     orbifold = build_orbifold_algebra(3, 1, 2)[0]  # its builder already keeps the center
     alg = FiniteStarAlgebra(orbifold.basis, orbifold.unit)
     tables = []
 
     def spy(a, b):
-        tables.append((len(a) * len(b), a.shape[1] * b.shape[2]))
-        return linalg.pair_products(a, b)
+        table = block_products(a, b)
+        tables.append(table.shape)
+        return table
 
-    monkeypatch.setattr(staralg, "pair_products", spy)
+    monkeypatch.setattr(staralg, "block_products", spy)
     z = center(alg)
-    assert tables == [(z.dim ** 2, alg.ambient ** 2)]
+    assert tables == [(z.dim ** 2, packed_width(z))]
+    # the center lives in the 3 x 3 point blocks, 2 q of them: at most 54 of 324 entries
+    assert packed_width(z) <= 2 * 3 * 3 ** 2
     assert center(alg) is z and len(tables) == 1  # kept on the algebra
 
 
