@@ -37,7 +37,6 @@ from .staralg import (
     minimal_projections,
     random_unitary,
     skew_hermitian_basis,
-    subalgebra_from_span,
 )
 from .reporting import (
     SCHEMA_TAG,

@@ -194,8 +194,7 @@ def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int,
         op_norm(doubled_fluctuation(triple, pert) - fluctuate(triple, omega)),
         tol, SCOPE_EXACT))
     u = random_unitary(triple.algebra, seed=seed + 1)
-    new_bg, new_rel = gauge_transform_field(triple, OneForm.zero(triple), omega, u,
-                                            check=False)
+    new_bg, new_rel = gauge_transform_field(triple, OneForm.zero(triple), omega, u)
     rep.add(CheckRecord.from_residual(
         "gauge-covariance", "transforming background and field by u conjugates the "
         "fluctuation (residual relative to max(1, its norm))",

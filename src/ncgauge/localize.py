@@ -25,7 +25,7 @@ from .linalg import (TOL_DERIVED, Subspace, adjoint, as_cmatrix, commutator_map_
                      frobenius, max_op_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import RealSpectralTriple, c_d_algebra, compute_aj, one_form_space
-from .staralg import FiniteStarAlgebra, ProjectionFamily, minimal_projections
+from .staralg import ProjectionFamily, minimal_projections
 from .gauge import gauge_span
 
 __all__ = [
@@ -42,19 +42,23 @@ __all__ = [
 class FiberDecomposition:
     """Base projections, algebra fibers, and one-form-side fibers.
 
+    Each algebra fiber p_x A is kept as a span: it is a *-algebra with unit
+    p_x because p_x is central in A, which ``base-central-in-A`` records.
+    ``cuts`` holds the images pi(p_x), one per point, formed once.
     ``kappa_a`` is the centrality measure kappa_A of the base in A that the
     derived records are stated with.
     """
 
     def __init__(self, triple: RealSpectralTriple, base: ProjectionFamily,
-                 fibers: list[FiniteStarAlgebra], omega_fibers: list[Subspace],
-                 report: Report, kappa_a: float):
+                 fibers: list[Subspace], omega_fibers: list[Subspace],
+                 report: Report, kappa_a: float, cuts: np.ndarray):
         self.triple = triple
         self.base = base
         self.fibers = fibers
         self.omega_fibers = omega_fibers
         self.report = report
         self.kappa_a = kappa_a
+        self.cuts = cuts
 
     @property
     def points(self) -> list[str]:
@@ -72,7 +76,9 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
     in A; their centrality inside the bigger algebra generated by A and
     [D, A] is a consequence of the order-one condition and is recorded,
     not assumed, so triples with broken axioms still localize and show
-    the failure in the report.
+    the failure in the report.  The fibers p_x A are kept as spans, not
+    re-verified as algebras: each is a *-algebra with unit p_x exactly
+    when p_x is central in A, the theorem behind ``base-central-in-A``.
 
     ``base-central-in-A`` is kappa_A = max_x of the norm of a -> [p_x, a]
     on A, Frobenius to Frobenius, which no choice of orthonormal basis of A
@@ -103,8 +109,7 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
         "|a -> [p_x, a]| on A, Frobenius to Frobenius",
         kappa, tol, SCOPE_EXACT))
 
-    fibers = [FiniteStarAlgebra(Subspace.from_spanning(p @ alg.basis).basis, p,
-                                label=f"fiber[{label}]") for label, p in base]
+    fibers = [Subspace.from_spanning(p @ alg.basis) for p in base.projections]
     rep.context["fiber_dims"] = [f.dim for f in fibers]
     rep.add(CheckRecord.from_residual(
         "fiber-dimension-sum", "fiber dimensions add up to dim A",
@@ -130,7 +135,7 @@ def localize(triple: RealSpectralTriple, seed: int = 0,
 
     omega_fibers = [Subspace.from_spanning(pp @ cd.basis) for pp in cuts]
     rep.context["omega_fiber_dims"] = [s.dim for s in omega_fibers]
-    return FiberDecomposition(triple, base, fibers, omega_fibers, rep, kappa)
+    return FiberDecomposition(triple, base, fibers, omega_fibers, rep, kappa, cuts)
 
 
 def norm_is_sup(dec: FiberDecomposition, a: np.ndarray, tol: float = TOL_DERIVED) -> Report:
@@ -212,20 +217,19 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
         "omega-dimension-sum", "one-form-side fiber dimensions add up to dim C_D(A)",
         float(abs(sum(s.dim for s in dec.omega_fibers) - cd.dim)), 0.5, SCOPE_EXACT))
 
-    cuts = triple.pi(np.stack(dec.base.projections))  # pi(p_x), formed once per point
     omega = one_form_space(triple).basis
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
         "that point's fiber",
         max(fib.residual(pp @ omega).max(initial=0.0)
-            for pp, fib in zip(cuts, dec.omega_fibers)), tol, SCOPE_EXACT))
+            for pp, fib in zip(dec.cuts, dec.omega_fibers)), tol, SCOPE_EXACT))
 
     # degree-0 part cut to each fiber, for the per-point parity table
     eye = np.eye(triple.hilbert_dim, dtype=complex)
     even = Subspace.from_spanning(np.concatenate([triple.pi_images, eye[None]]))
-    rep.context["fiber_even_dims"] = [Subspace.from_spanning(pp @ even.basis).dim for pp in cuts]
+    rep.context["fiber_even_dims"] = [Subspace.from_spanning(pp @ even.basis).dim for pp in dec.cuts]
 
-    kappa_pi = max(commutator_map_norm(pp, triple.pi_images) for pp in cuts)
+    kappa_pi = max(commutator_map_norm(pp, triple.pi_images) for pp in dec.cuts)
     rep.add(CheckRecord.from_residual(
         "gauge-action-localizes", "conjugating a one-form then cutting equals cutting then "
         "conjugating: for unitary u in A, |[pi(p), pi(u)] w pi(u)*|_F <= kappa_pi |e|_F |w|_F, "

@@ -2,8 +2,8 @@
 
 An algebra is stored as an orthonormal basis (trace inner product) of a
 product- and adjoint-closed span of n x n matrices, together with its
-unit.  The unit need not be the ambient identity: fibers cut out by a
-central projection p carry p as their unit.
+unit.  The unit need not be the ambient identity: the algebra p A cut out
+by a central projection p of A has p as its unit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "DegenerateDraw",
     "FiniteStarAlgebra",
     "ProjectionFamily",
-    "subalgebra_from_span",
     "full_matrix_algebra",
     "diagonal_algebra",
     "block_diagonal_algebra",
@@ -52,7 +51,7 @@ class AlgebraError(Exception):
 
 
 class NotClosed(AlgebraError):
-    """The candidate span is not closed under products/adjoints, or has no unit.
+    """The candidate span is not closed under products/adjoints, or the unit fails.
 
     ``residual`` is the number the failing check measured: a closure,
     orthonormality or unit residual, or 1.0 (the unit's relative distance
@@ -97,12 +96,11 @@ class FiniteStarAlgebra(Subspace):
     residuals change only through the order of summation.  A dense algebra
     is the one-block case, whose packed rows are the vectorised matrices.
 
-    An omitted unit is solved from the structure constants: e = sum_k e_k
-    b_k acts as the identity when sum_k e_k c[k, j] and sum_k e_k c[j, k]
-    are both the j-th unit vector for every j, a 2 d^2 x d least-squares
-    system.  A finite-dimensional *-algebra of matrices always has a unit,
-    so on a closed span this fails only by rounding; the solved unit is
-    checked in matrix space like a given one.
+    The caller gives the unit, which every constructor knows: the ambient
+    identity, the unit of A for a subalgebra of A that holds it (A_J, Z(A)),
+    or p for the algebra p A cut out by a central projection p.  It is
+    checked in matrix space: it must act as the identity on the basis and
+    lie in the span.
 
     A caller that built the span from generators S, as the span of words in
     S and the unit (a closure under S on the left), passes them as
@@ -114,8 +112,8 @@ class FiniteStarAlgebra(Subspace):
     unit would pass.
     """
 
-    def __init__(self, basis: np.ndarray, unit: np.ndarray | None = None,
-                 label: str = "", tol: float = 1e-8, generators=None):
+    def __init__(self, basis: np.ndarray, unit: np.ndarray, label: str = "",
+                 tol: float = 1e-8, generators=None):
         basis = np.asarray(basis, dtype=complex)
         if not len(basis):
             raise NotClosed("an algebra needs at least one basis element", 1.0)
@@ -129,7 +127,7 @@ class FiniteStarAlgebra(Subspace):
         self._gens: np.ndarray | None = None  # kept by generating_set
         self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: np.ndarray | None = None
-        self._blocks = _diagonal_blocks(basis, *(m for m in (unit, generators) if m is not None))
+        self._blocks = _diagonal_blocks(basis, unit, *([] if generators is None else [generators]))
         self._packed = _joined(self._split(basis))  # the orthonormal rows, packed
         self.closure_residuals = self._verify(tol, unit, generators)
 
@@ -139,12 +137,15 @@ class FiniteStarAlgebra(Subspace):
         """Coordinates of an element, or of each matrix of a stack.
 
         Raises :class:`AlgebraError` unless every matrix lies within
-        1e-6 * max(1, ||a||_F) of the span.
+        1e-6 * max(1, ||a||_F) of the span.  One projection gives both the
+        coordinates and the distance.
         """
         a = np.asarray(a, dtype=complex)
-        if (self.residual(a) > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
+        coords = self.coordinates(a)
+        gap = np.linalg.norm(a - self.combine(coords), axis=(-2, -1))
+        if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
             raise AlgebraError("element lies outside the algebra span")
-        return self.coordinates(a)
+        return coords
 
     @property
     def structure_constants(self) -> np.ndarray:
@@ -182,7 +183,7 @@ class FiniteStarAlgebra(Subspace):
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, tol: float, unit: np.ndarray | None, generators) -> tuple[float, float]:
+    def _verify(self, tol: float, unit: np.ndarray, generators) -> tuple[float, float]:
         """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
         b, d = self.basis, self.dim
         parts = self._split(b)
@@ -201,12 +202,6 @@ class FiniteStarAlgebra(Subspace):
         gram = op_norm(self._packed @ self._packed.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
-        if unit is None:
-            c = self.structure_constants
-            # rows (j, m): sum_k e_k c[k, j, m] (e b_j), then sum_k e_k c[j, k, m] (b_j e)
-            system = np.concatenate([np.moveaxis(c, 0, -1), np.moveaxis(c, 1, -1)]).reshape(-1, d)
-            e, *_ = np.linalg.lstsq(system, np.tile(np.eye(d).ravel(), 2), rcond=None)
-            unit = self.combine(e)
         self.unit = as_cmatrix(unit)
         worst = max_op_norm([self.unit @ b - b, b @ self.unit - b])[0]
         if worst > 1e-9:
@@ -248,16 +243,6 @@ def block_products(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     return _joined([pair_products(x, y) for x, y in zip(a, b)])
 
 
-def subalgebra_from_span(span, label: str = "", tol: float = 1e-8) -> FiniteStarAlgebra:
-    """Verify a span is a unital *-subalgebra and wrap it, with its unit solved.
-
-    Accepts a :class:`~ncgauge.linalg.Subspace` or a spanning stack of matrices.
-    Closure is verified, not assumed.
-    """
-    sub = span if isinstance(span, Subspace) else Subspace.from_spanning(span)
-    return FiniteStarAlgebra(sub.basis, label=label, tol=tol)
-
-
 def full_matrix_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
     """M_n with the matrix-unit basis (already orthonormal)."""
     return block_diagonal_algebra([n], label or f"M{n}")
@@ -292,14 +277,14 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     rounding, keeps its whole span as the center instead of counting
     rounding as rank.
     The center of a *-closed algebra is itself *-closed and contains the
-    unit, so the wrap step cannot fail on consistent input.  Computed once per
-    algebra and kept on it, like u(A).
+    unit of A, which is wrapped as its unit, so the wrap step cannot fail on
+    consistent input.  Computed once per algebra and kept on it, like u(A).
     """
     if algebra._center is None:
         c = algebra.structure_constants
         sub = nullspace(algebra.basis, c - np.swapaxes(c, 0, 1), floor=1e-9)
-        algebra._center = subalgebra_from_span(
-            sub, label=f"Z({algebra.label})" if algebra.label else "center")
+        algebra._center = FiniteStarAlgebra(
+            sub.basis, algebra.unit, label=f"Z({algebra.label})" if algebra.label else "center")
     return algebra._center
 
 
@@ -338,6 +323,11 @@ _DRAW_GAP = 1e-6  # smallest separation it accepts between eigenvalue clusters
 def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0) -> ProjectionFamily:
     """Minimal projections of a commutative *-algebra.
 
+    Commutativity is read from the structure constants the wrap formed:
+    :meth:`FiniteStarAlgebra.is_commutative` at 1e-9, the scale of the
+    nullspace cut of :func:`center`, below which a commutator counts as
+    rounding.  No center is built.
+
     A generic self-adjoint element of a commutative algebra with minimal
     projections p_x has the form sum_x c_x p_x with distinct real c_x, so
     its spectral projections recover the p_x exactly.  The eigenvalue 0 on
@@ -347,9 +337,8 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0) -> Projection
     less than ``_DRAW_GAP`` are retried; after ``_DRAW_TRIES`` failures a
     :class:`DegenerateDraw` is raised.
     """
-    zdim = center(algebra).dim
-    if zdim != algebra.dim:
-        raise NonCommutative(f"algebra of dim {algebra.dim} has center of dim {zdim}")
+    if not algebra.is_commutative(1e-9):
+        raise NonCommutative(f"algebra of dim {algebra.dim} is not commutative")
     sa = -1j * skew_hermitian_basis(algebra)  # hermitian part: -i u(A)
     rng = np.random.default_rng(seed)
     for _ in range(_DRAW_TRIES):

@@ -71,6 +71,7 @@ __all__ = [
 
 _RADIUS_TOL = 1e-12
 _FLAT_JUMP = 1e-12
+_JUMP_BAND = (0.3, 0.7)  # the fine/coarse jump ratios that count as continuous, around 1/2
 _MAX_GRID_POINTS = 10 ** 6  # norm_profile's fine grid (step h/2) over all its angles
 
 
@@ -327,11 +328,12 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     return rows, _jump_stats(h, fine, len(rows))
 
 
-def jump_verdict(stats: dict, lo: float = 0.3, hi: float = 0.7) -> tuple[bool, float]:
+def jump_verdict(stats: dict) -> tuple[bool, float]:
     """Pass flag and residual |ratio - 1/2| of a two-resolution jump statistic.
 
-    A flat profile jumps only by float noise and passes with residual 0.
-    When only the coarse profile is flat the ratio is undefined (``None``);
+    It passes when the ratio lies in ``_JUMP_BAND``, [0.3, 0.7].  A flat
+    profile jumps only by float noise and passes with residual 0.  When
+    only the coarse profile is flat the ratio is undefined (``None``);
     its coarse jump is at most ``_FLAT_JUMP``, so the ratio would be at
     least ``max_jump_half_step / _FLAT_JUMP``, and that finite lower bound
     gives the (failing) residual.
@@ -341,15 +343,17 @@ def jump_verdict(stats: dict, lo: float = 0.3, hi: float = 0.7) -> tuple[bool, f
     ratio = stats["jump_ratio"]
     if ratio is None:
         ratio = stats["max_jump_half_step"] / _FLAT_JUMP
+    lo, hi = _JUMP_BAND
     return lo <= ratio <= hi, abs(ratio - 0.5)
 
 
-def jump_record(name: str, stats: dict, lo: float = 0.3, hi: float = 0.7) -> CheckRecord:
+def jump_record(name: str, stats: dict) -> CheckRecord:
     """The jump-halving record of a two-resolution statistic, by :func:`jump_verdict`.
 
-    Its tolerance is the largest residual the band [lo, hi] lets pass.
+    Its tolerance is the largest residual the band [lo, hi] = ``_JUMP_BAND`` lets pass.
     """
-    ok, resid = jump_verdict(stats, lo, hi)
+    ok, resid = jump_verdict(stats)
+    lo, hi = _JUMP_BAND
     return CheckRecord(name, "halving the grid step roughly halves the largest adjacent "
                        "norm jump", resid, max(hi - 0.5, 0.5 - lo), ok, SCOPE_CONTINUITY)
 
@@ -391,11 +395,11 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
 
 
 def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int,
-                      which: str = "s3", lo: float = 0.3, hi: float = 0.7) -> Report:
+                      which: str = "s3") -> Report:
     """Jump-halving evidence for a family of polynomials.
 
     Each record passes when the fine/coarse jump ratio falls inside
-    [lo, hi]; a constant profile (zero jumps) counts as continuous.
+    [0.3, 0.7]; a constant profile (zero jumps) counts as continuous.
     """
     rep = Report(f"continuity[{which},p={p},q={q},h={h}]", context={
         "h": h, "p": p, "q": q,
@@ -406,6 +410,6 @@ def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int
     for i, e in enumerate(polynomials):
         stats = norm_profile(e, h, p, q, which)[1]
         ratios.append(stats)
-        rep.add(jump_record(f"jump-halving-{i}", stats, lo, hi))
+        rep.add(jump_record(f"jump-halving-{i}", stats))
     rep.context["ratios"] = ratios
     return rep

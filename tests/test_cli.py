@@ -534,7 +534,7 @@ def test_gauge_covariance_reports_the_measured_residual(capsys):
     t = load_model("hs:N=2")
     omega = gauge_field(random_perturbation(t, n_terms=2, seed=0))
     u = random_unitary(t.algebra, seed=1)
-    new_bg, new_rel = gauge_transform_field(t, OneForm.zero(t), omega, u, check=False)
+    new_bg, new_rel = gauge_transform_field(t, OneForm.zero(t), omega, u)
     assert np.isfinite(rec["residual"])
     assert rec["residual"] == covariance_residual(t, u, omega, new_bg + new_rel)
     assert rec["passed"] and rec["residual"] <= rec["tolerance"]

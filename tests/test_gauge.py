@@ -13,6 +13,7 @@ from ncgauge import (
     adjoint,
     build_finite_ym,
     build_hs_model,
+    covariance_residual,
     doubled_fluctuation,
     fluctuate,
     from_unitary,
@@ -25,7 +26,7 @@ from ncgauge import (
     random_perturbation,
     random_unitary,
 )
-from ncgauge.linalg import max_op_norm
+from ncgauge.linalg import TOL_DERIVED, max_op_norm
 from ncgauge.staralg import lie_generating_set
 from ncgauge.models import load_model, triple_from_config
 from test_closure import readme_config
@@ -336,6 +337,7 @@ def test_gauge_transform_field_matches_direct_conjugation():
     want_rel = pu @ omega.matrix @ pus
     assert op_norm(new_bg.matrix - want_bg) < 1e-8
     assert op_norm(new_rel.matrix - want_rel) < 1e-8
+    assert covariance_residual(t, u, omega0 + omega, new_bg + new_rel) <= TOL_DERIVED
 
 
 def test_gauge_transform_with_zero_relative_field():

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ncgauge import (
     random_unitary,
     skew_hermitian_basis,
 )
-from ncgauge import cli
+from ncgauge import cli, linalg, staralg
 from ncgauge.linalg import TOL_DERIVED, commutator, commutator_map_norm
 from ncgauge.models import load_model
 from test_spectral import CONFIG_FIXTURES
@@ -123,9 +124,8 @@ def test_omega_bundle_sums(k, n, cd):
 
 @pytest.mark.parametrize("spec", ["hs:N=2", "hs:N=4", "ym:k=2,N=2", "ym:k=3,N=3"])
 def test_omega_bundle_forms_each_point_image_once(monkeypatch, spec):
-    # one stacked pi for the base points, whatever dim Omega^1 is, and no gauge samples
+    # one stacked pi for the base points in localize, kept for omega_bundle, and no gauge samples
     t = load_model(spec)
-    dec = localize(t)
     pi, calls = t.pi, []
 
     def spy(a):
@@ -133,8 +133,13 @@ def test_omega_bundle_forms_each_point_image_once(monkeypatch, spec):
         return pi(a)
 
     monkeypatch.setattr(t, "pi", spy)
+    dec = localize(t)
+    stacked = (len(dec.base),) + dec.base.projections[0].shape
+    assert calls.count(stacked) == 1
+    assert np.array_equal(dec.cuts, pi(np.stack(dec.base.projections)))
+    calls.clear()
     assert omega_bundle(dec).passed
-    assert calls == [(len(dec.base),) + dec.base.projections[0].shape]
+    assert calls == []
 
 
 def loop_omega_residuals(dec, n_gauge_samples=3, seed=0):
@@ -162,7 +167,8 @@ def non_central(spec):
     base = ProjectionFamily([corner, a.unit - corner], unit=a.unit)
     fibers = [Subspace.from_spanning([t.pi(p) @ t.pi_images[1]]) for p in base.projections]
     kappa = max(commutator_map_norm(p, a.basis) for p in base.projections)
-    return FiberDecomposition(t, base, [a, a], fibers, localize(t).report, kappa)
+    cuts = t.pi(np.stack(base.projections))
+    return FiberDecomposition(t, base, [a, a], fibers, localize(t).report, kappa, cuts)
 
 
 @pytest.mark.parametrize("spec", ["hs:N=2", "hs:N=3", "ym:k=2,N=2"])
@@ -301,14 +307,31 @@ def test_group_bundle_hs():
                      "unitary_dim": 4, "gauge_fiber_dim": 3}]
 
 
+def wrapped_fibers(dec):
+    """Each fiber span verified as a *-algebra with its point projection as unit."""
+    return [FiniteStarAlgebra(fib.basis, p) for (_, p), fib in zip(dec.base, dec.fibers)]
+
+
 @pytest.mark.parametrize("spec", ["hs:N=3", "ym:k=2,N=2", "ym:k=3,N=2"])
 def test_group_bundle_rows_equal_skew_basis_counts(spec):
     # the rows read dim_C of each fiber; dim_R of its skew-hermitian part must agree
     t = load_model(spec)
     dec = localize(t)
     rows, rep = group_bundle_dims(dec)
-    assert [r["unitary_dim"] for r in rows] == [len(skew_hermitian_basis(f)) for f in dec.fibers]
+    assert [r["unitary_dim"] for r in rows] == [len(skew_hermitian_basis(f))
+                                                 for f in wrapped_fibers(dec)]
     assert rep.context["u_A_dim"] == len(skew_hermitian_basis(t.algebra))
+
+
+@pytest.mark.parametrize("spec", ["hs:N=3", "hs:N=4", "ym:k=2,N=1", "ym:k=2,N=3", "ym:k=3,N=3",
+                                  "ym:k=2,N=2,lam=0.1", "ym:k=3,N=2,lam=0.3"])
+def test_fiber_spans_are_the_algebras_base_centrality_promises(spec):
+    # oracle: the fiber algebras localize used to wrap, with the closure they verified
+    dec = localize(load_model(spec))
+    assert dec.report.record("base-central-in-A").passed
+    fibers = wrapped_fibers(dec)
+    assert [f.dim for f in fibers] == [f.dim for f in dec.fibers] == dec.report.context["fiber_dims"]
+    assert max(max(f.closure_residuals) for f in fibers) <= 1e-12
 
 
 def test_hopping_breaks_cd_centrality_but_localizes():
@@ -362,3 +385,32 @@ def test_base_central_in_cd_passes_on_presets(monkeypatch, spec):
     assert localize(load_model(spec)).report.record("base-central-in-CD").passed
     serve_rotated_cd(monkeypatch, 0)
     assert localize(load_model(spec)).report.record("base-central-in-CD").passed
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.name, also through every ncgauge module that imported it by name."""
+    real, calls = getattr(owner, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ncgauge") and vars(module).get(name) is real:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command,spec,algebras,nullspaces", [
+    ("localize", "hs:N=4", 3, 1), ("localize", "ym:k=2,N=3", 3, 1),
+    ("localize", "ym:k=3,N=3", 3, 1), ("check", "hs:N=4", 3, 2), ("check", "ym:k=3,N=3", 3, 2)])
+def test_each_algebra_is_verified_once(monkeypatch, capsys, command, spec, algebras, nullspaces):
+    # localize wraps A, A_J and C_D; the fibers stay spans and Z(A_J) is never built.
+    # check wraps A, A_J and Z(A), whose unit is A's: no least-squares unit solve.
+    built = count_calls(monkeypatch, staralg.FiniteStarAlgebra, "__init__")
+    nulls = count_calls(monkeypatch, linalg, "nullspace")
+    solves = count_calls(monkeypatch, np.linalg, "lstsq")
+    assert cli.main([command, spec]) == 0
+    capsys.readouterr()
+    assert (len(built), len(nulls), len(solves)) == (algebras, nullspaces, 0)

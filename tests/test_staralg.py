@@ -10,6 +10,7 @@ from ncgauge.models import (build_finite_ym, build_hs_model, build_orbifold_alge
 from ncgauge.spectral import c_d_algebra
 from ncgauge.staralg import (
     FiniteStarAlgebra,
+    NonCommutative,
     NotClosed,
     block_diagonal_algebra,
     block_products,
@@ -20,7 +21,6 @@ from ncgauge.staralg import (
     minimal_projections,
     random_unitary,
     skew_hermitian_basis,
-    subalgebra_from_span,
 )
 
 
@@ -75,17 +75,17 @@ def test_contains_rejects_outside():
     assert alg.residual(off) > 0.5
 
 
-def test_subalgebra_from_span_requires_closure():
+def test_non_closed_span_raises_with_its_residual():
     e12 = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(NotClosed) as info:
-        subalgebra_from_span(Subspace.from_spanning([e12], shape=(2, 2)))
-    # the span has no unit; the raise carries the residual it measured
+        FiniteStarAlgebra(Subspace.from_spanning([e12], shape=(2, 2)).basis, np.eye(2))
+    # the span misses e12's adjoint; the raise carries the residual it measured
     assert 1e-9 < info.value.residual < 10
 
 
 def test_empty_span_carries_unit_distance():
     with pytest.raises(NotClosed) as info:
-        subalgebra_from_span(Subspace.from_spanning([np.zeros((2, 2))]))
+        FiniteStarAlgebra(Subspace.from_spanning([np.zeros((2, 2))]).basis, np.eye(2))
     assert info.value.residual == 1.0
 
 
@@ -211,6 +211,15 @@ def test_rotated_commutative_algebra_is_its_own_center(k):
     assert len(minimal_projections(alg)) == k
 
 
+def test_minimal_projections_reads_commutativity_from_the_constants():
+    # no center is built: the commutators are read off the structure constants
+    with pytest.raises(NonCommutative):
+        minimal_projections(full_matrix_algebra(2))
+    alg = rotated(diagonal_algebra(3), seed=3)
+    assert len(minimal_projections(alg)) == 3
+    assert alg._center is None
+
+
 def test_rotated_m2_plus_c_has_two_central_scalars():
     assert center(rotated(block_diagonal_algebra([2, 1]), seed=7)).dim == 2
 
@@ -312,53 +321,23 @@ def test_an_off_block_entry_merges_the_blocks(sizes, where, scale, data):
     assert_packed_matches_dense(basis, unit, letters)
 
 
-# -- the unit solved from the structure constants against the matrix-space solve --
+# -- the center takes the algebra's unit ------------------------------------------
 
 
-def find_unit_oracle(alg):
-    """Oracle: solve e b = b = b e for e in the span, in matrix space (2 d n^2 x d)."""
-    d, n = alg.dim, alg.ambient
-    basis = np.stack(alg.basis)
-    prods = basis[:, None] @ basis[None]  # prods[k, b] = basis[k] @ basis[b]
-    # rows (b, side, i, j), columns k: first (basis[k] @ b)_ij, then (b @ basis[k])_ij
-    a = np.moveaxis(np.stack([np.swapaxes(prods, 0, 1), prods], axis=1), 2, -1).reshape(-1, d)
-    y = np.repeat(basis[:, None], 2, axis=1).reshape(-1)
-    c, *_ = np.linalg.lstsq(a, y, rcond=None)
-    e = (c @ basis.reshape(d, n * n)).reshape(n, n)
-    assert max_op_norm([e @ basis - basis, basis @ e - basis])[0] <= 1e-9
-    return e
-
-
-def assert_unit_matches_oracle(alg):
-    solved = FiniteStarAlgebra(alg.basis)
-    assert op_norm(solved.unit - find_unit_oracle(alg)) <= 1e-12
-    assert op_norm(solved.unit - alg.unit) <= 1e-12
-
-
-@pytest.mark.parametrize("q,p,m", [(4, 1, 1), (3, 1, 2), (4, 1, 2), (3, 1, 3)])
-def test_orbifold_center_unit_matches_oracle(q, p, m):
-    z = center(build_orbifold_algebra(q, p, m)[0])
-    assert op_norm(z.unit - find_unit_oracle(z)) <= 1e-12
-    assert op_norm(z.unit - np.eye(z.ambient)) <= 1e-12
-
-
-@pytest.mark.parametrize("alg", [rotated(diagonal_algebra(3), 3), rotated(diagonal_algebra(4), 4),
-                                 rotated(diagonal_algebra(6), 6),
-                                 rotated(block_diagonal_algebra([2, 1]), 7)],
-                         ids=["C3", "C4", "C6", "M2+C"])
-def test_rotated_algebra_unit_matches_oracle(alg):
-    assert_unit_matches_oracle(alg)
-
-
-@settings(max_examples=30, deadline=None)
-@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2 ** 16))
-def test_rotated_block_diagonal_unit_matches_oracle(sizes, seed):
-    assert_unit_matches_oracle(rotated(block_diagonal_algebra(sizes), seed))
-
-
-def test_solved_unit_of_a_corner_is_its_projection():
-    # the span of the upper-left M_2 corner inside M_3 has the corner projection as unit
-    assert op_norm(corner_of_m3().unit - np.diag([1.0, 1.0, 0.0])) <= 1e-12
+@pytest.mark.parametrize("make", [
+    *(lambda q=q, p=p, m=m: build_orbifold_algebra(q, p, m)[0]
+      for q, p, m in [(4, 1, 1), (3, 1, 2), (4, 1, 2), (3, 1, 3)]),
+    *(lambda k=k: rotated(diagonal_algebra(k), k) for k in (3, 4, 6)),
+    lambda: rotated(block_diagonal_algebra([2, 1]), 7),
+    lambda: rotated(corner_of_m3(), 5),
+], ids=["orbifold-4-1-1", "orbifold-3-1-2", "orbifold-4-1-2", "orbifold-3-1-3",
+        "rotated-C3", "rotated-C4", "rotated-C6", "rotated-M2+C", "rotated-corner"])
+def test_center_takes_the_algebra_unit(make):
+    alg = make()
+    z = center(alg)
+    assert np.array_equal(z.unit, alg.unit)
+    assert z.contains(alg.unit, 1e-12)
+    assert max_op_norm([z.unit @ z.basis - z.basis, z.basis @ z.unit - z.basis])[0] <= 1e-12
 
 
 def test_an_algebra_is_a_subspace_without_forwarding_methods():
@@ -367,7 +346,7 @@ def test_an_algebra_is_a_subspace_without_forwarding_methods():
     assert not {"coordinates", "project", "residual", "contains", "span"} & set(own)
     alg = block_diagonal_algebra([2, 1])
     assert alg.union(Subspace.from_spanning([np.eye(3)])).dim == alg.dim
-    rebuilt = subalgebra_from_span(alg.basis)
+    rebuilt = FiniteStarAlgebra(alg.basis, alg.unit)
     assert type(FiniteStarAlgebra.from_spanning(alg.basis)) is Subspace  # a span, unverified
     assert rebuilt.dim == alg.dim and op_norm(rebuilt.unit - np.eye(3)) <= 1e-12
     with pytest.raises(ValueError):
@@ -432,7 +411,8 @@ def expm_unitary_oracle(alg, seed):
 
 def corner_of_m3():
     """The upper-left M_2 corner of M_3: its unit diag(1, 1, 0) is not the identity."""
-    return subalgebra_from_span([full_matrix_algebra(3).basis[i] for i in (0, 1, 3, 4)])
+    return FiniteStarAlgebra([full_matrix_algebra(3).basis[i] for i in (0, 1, 3, 4)],
+                             np.diag([1.0, 1.0, 0.0]))
 
 
 @pytest.mark.parametrize("alg", [full_matrix_algebra(1), full_matrix_algebra(2),
