@@ -2,7 +2,7 @@
 
 Subcommands
     check      axiom suite, A_J properties, gauge Lie algebra
-    localize   fiber decomposition, norm-sup samples, bundle bookkeeping
+    localize   fiber decomposition, derived section records, bundle bookkeeping
     fluctuate  inner fluctuations for a perturbation spec
     toric-scan norm grid over a sphere base with stratum labels
 
@@ -33,7 +33,6 @@ from .localize import (
     conjugation_bound,
     group_bundle_dims,
     localize,
-    norm_is_sup,
     omega_bundle,
 )
 from .models import BadModelSpec, _parse_kv, load_model, take_int
@@ -95,15 +94,6 @@ def _require_triple(model, spec: str) -> RealSpectralTriple:
     raise BadModelSpec(f"{spec!r} has no Dirac data; this command needs a triple")
 
 
-def _aggregate(rep: Report, sample_reports: list[Report], names: list[str]) -> None:
-    """Fold repeated per-sample records into one worst-case record each."""
-    for name in names:
-        recs = [s.record(name) for s in sample_reports]
-        rep.add(CheckRecord(name, recs[0].statement,
-                            max(r.residual for r in recs), recs[0].tolerance,
-                            all(r.passed for r in recs), recs[0].scope))
-
-
 def cmd_check(args) -> tuple[Report, None]:
     model = load_model(args.model, default_seed=args.seed)
     rep = Report(f"check[{args.model}]",
@@ -138,14 +128,9 @@ def cmd_localize(args) -> tuple[Report, None]:
                           "tol_override": args.tol})
     if aj_or_closure_failure(triple, rep, tol) is None:
         return rep, None  # no base to localize over: A_J is not a *-algebra
-    dec = localize(triple, seed=args.seed, tol=args.tol)
+    dec = localize(triple, tol=args.tol)
     rep.context["localization"] = dec.report.context
     rep.extend(dec.report)
-
-    samples = [norm_is_sup(dec, triple.algebra.random_element(seed=args.seed + 101 + i), tol=tol)
-               for i in range(5)]
-    _aggregate(rep, samples, ["norm-sup-identity", "cross-representation-norm"])
-
     rep.add(conjugation_bound(dec, tol=tol))
 
     ob = omega_bundle(dec, tol=tol)

@@ -188,7 +188,7 @@ class Subspace:
         return row.reshape(row.shape[:-1] + self.shape)
 
     @classmethod
-    def from_spanning(cls, mats, shape: tuple[int, int] | None = None, rtol: float = 1e-10) -> "Subspace":
+    def from_spanning(cls, mats, shape: tuple[int, int] | None = None) -> "Subspace":
         """The span of a (k, r, c) stack, or of a sequence of r x c matrices.
 
         A plain span of the field, also when called on a subclass (as :meth:`union`).
@@ -204,7 +204,7 @@ class Subspace:
         if mats.ndim != 3 or mats.shape[1:] != tuple(shape or mats.shape[1:]):
             raise ValueError("mixed matrix shapes in spanning set")
         field = RealSpan if issubclass(cls, RealSpan) else Subspace
-        return field(_orthonormal_rows(cls._vec(mats), rtol), mats.shape[1:])
+        return field(_orthonormal_rows(cls._vec(mats)), mats.shape[1:])
 
     @property
     def dim(self) -> int:
@@ -235,13 +235,13 @@ class Subspace:
     def contains(self, m: np.ndarray, tol: float = TOL_DERIVED) -> bool:
         return bool(self.residual(m) <= tol * max(1.0, frobenius(m)))
 
-    def union(self, other: "Subspace", rtol: float = 1e-10) -> "Subspace":
+    def union(self, other: "Subspace") -> "Subspace":
         """The span of both, as a plain span of their field (also for subclasses)."""
         field = RealSpan if isinstance(self, RealSpan) else Subspace
         if isinstance(other, RealSpan) is not (field is RealSpan) or other.shape != self.shape:
             raise ValueError("spans differ in field or shape")
         stack = np.vstack([self._stack, other._stack])
-        return field(_orthonormal_rows(stack, rtol), self.shape)
+        return field(_orthonormal_rows(stack), self.shape)
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.union(other).dim
@@ -269,14 +269,14 @@ class RealSpan(Subspace):
         return super()._mat(row[..., :n] + 1j * row[..., n:])
 
 
-def nullspace(domain_basis, images, rcond: float = 1e-9, floor: float = 0.0) -> Subspace:
+def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     """Nullspace of a linear map given on an orthonormal basis of its domain.
 
     ``domain_basis`` is an orthonormal family of matrices and ``images[i]``
     is the image of ``domain_basis[i]`` (any array; it is only ravelled).
     A combination v = sum c_i e_i is kept when ||L(v)|| falls below
-    ``max(rcond * s_max, floor)``, where s_max is the largest singular
-    value of L: a relative threshold ||L(v)|| < rcond * ||L|| * ||v||, and
+    ``max(1e-9 * s_max, floor)``, where s_max is the largest singular
+    value of L: a relative threshold ||L(v)|| < 1e-9 * ||L|| * ||v||, and
     an absolute one for a map whose natural scale is known, so that a map
     that is zero up to rounding has the whole domain as its nullspace.
     Rank plus nullity equals the domain dimension by construction.
@@ -292,7 +292,7 @@ def nullspace(domain_basis, images, rcond: float = 1e-9, floor: float = 0.0) -> 
         raise ValueError("domain basis and image list disagree in length")
     if not len(domain):
         raise ValueError("empty domain")
-    r = _orthonormal_rows(images.reshape(len(images), -1).conj().T, rcond, floor)
+    r = _orthonormal_rows(images.reshape(len(images), -1).conj().T, 1e-9, floor)
     # the absolute floor drops the noise rows an injective map leaves
     coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
     # orthonormal coefficient rows against an orthonormal domain basis

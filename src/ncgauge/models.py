@@ -171,12 +171,16 @@ def _parse_kv(text: str) -> dict:
 
 
 def take_int(params: dict, *names: str, default: int) -> int:
-    """Pop the integer parameter known by any of ``names``, or return the default."""
+    """Pop the integer parameter known by any of ``names``, or return the default.
+
+    A bool is not an integer here, although Python makes it one: a JSON
+    ``true`` in a config must not be read as 1.
+    """
     hits = [params.pop(nm) for nm in names if nm in params]
     if len(hits) > 1:
         raise BadModelSpec(f"duplicate parameter among {names}")
     val = hits[0] if hits else default
-    if not isinstance(val, int):
+    if not isinstance(val, int) or isinstance(val, bool):
         raise BadModelSpec(f"parameter {names[0]!r} must be an integer, got {val!r}")
     return val
 

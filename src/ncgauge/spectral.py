@@ -118,6 +118,10 @@ class RealSpectralTriple:
         n = self.hilbert_dim
         return (coords @ self._pi_stack).reshape(coords.shape[:-1] + (n, n))
 
+    def pi_rank(self) -> int:
+        """Rank of pi on A: of the images of an orthonormal basis, singular values above 1e-10."""
+        return int(np.linalg.matrix_rank(self._pi_stack, tol=1e-10))
+
     def b_opposite(self, b: np.ndarray) -> np.ndarray:
         """Matrix of J b* J^-1, the right-action copy of b (or of each b of a stack)."""
         k = self.real_structure.kernel
@@ -246,10 +250,9 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
         "representation-star", "pi(a*) = pi(a)*",
         max_op_norm([triple.pi(adjoint(basis)) - adjoint(pis)])[0], t_j, SCOPE_EXACT))
 
-    rank = int(np.linalg.matrix_rank(triple._pi_stack, tol=1e-10))
     rep.add(CheckRecord.from_residual(
         "representation-injective", "pi has full rank on the algebra basis",
-        float(alg.dim - rank), 0.5, SCOPE_EXACT))
+        float(alg.dim - triple.pi_rank()), 0.5, SCOPE_EXACT))
 
     rep.add(CheckRecord.from_residual(
         "dirac-self-adjoint", "D = D*", op_norm(d - adjoint(d)), t_con, SCOPE_EXACT))

@@ -43,7 +43,7 @@ __all__ = [
     "random_unitary",
 ]
 
-_GENERATOR_SEED = 2014  # fixed, so that the drawn generators and every output are reproducible
+_GENERATOR_SEED = 2014  # fixed, so that every internal draw and every output is reproducible
 
 
 class AlgebraError(Exception):
@@ -169,13 +169,10 @@ class FiniteStarAlgebra(Subspace):
         c = self.structure_constants
         return bool(np.linalg.norm(c - np.swapaxes(c, 0, 1), axis=2).max() <= tol)
 
-    def random_element(self, seed: int = 0, hermitian: bool = False) -> np.ndarray:
+    def random_element(self, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        a = self.combine(c)
-        if hermitian:
-            a = (a + adjoint(a)) / 2
-        return a
+        return self.combine(c)
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = f" {self.label!r}" if self.label else ""
@@ -320,7 +317,7 @@ _DRAW_TRIES = 10  # spectral draws minimal_projections makes before giving up
 _DRAW_GAP = 1e-6  # smallest separation it accepts between eigenvalue clusters
 
 
-def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0) -> ProjectionFamily:
+def minimal_projections(algebra: FiniteStarAlgebra) -> ProjectionFamily:
     """Minimal projections of a commutative *-algebra.
 
     Commutativity is read from the structure constants the wrap formed:
@@ -333,14 +330,16 @@ def minimal_projections(algebra: FiniteStarAlgebra, seed: int = 0) -> Projection
     its spectral projections recover the p_x exactly.  The eigenvalue 0 on
     the complement of the algebra unit (when the unit is not the ambient
     identity) yields a candidate outside the span, which is dropped by the
-    membership filter.  Draws whose eigenvalue clusters are separated by
-    less than ``_DRAW_GAP`` are retried; after ``_DRAW_TRIES`` failures a
-    :class:`DegenerateDraw` is raised.
+    membership filter.  The draws come from the fixed internal seed of
+    :func:`generating_set`, so the family depends on the algebra alone.
+    Draws whose eigenvalue clusters are separated by less than
+    ``_DRAW_GAP`` are retried with the next draw of that stream; after
+    ``_DRAW_TRIES`` failures a :class:`DegenerateDraw` is raised.
     """
     if not algebra.is_commutative(1e-9):
         raise NonCommutative(f"algebra of dim {algebra.dim} is not commutative")
     sa = -1j * skew_hermitian_basis(algebra)  # hermitian part: -i u(A)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_GENERATOR_SEED)
     for _ in range(_DRAW_TRIES):
         coeff = rng.standard_normal(len(sa))
         h = sum(c * s for c, s in zip(coeff, sa))

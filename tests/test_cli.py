@@ -105,6 +105,11 @@ def test_non_integer_parameter_is_bad_input(capsys, argv, name):
     ({"dirac": {"preset": "random-selfadjoint", "seed": 1.5}}, "seed", "1.5"),
     ({"signs": {"j_squared": 1.9}}, "j_squared", "1.9"),
     ({"signs": {"dirac_commute": -1.0}}, "dirac_commute", "-1.0"),
+    # JSON booleans are Python ints, but no config integer
+    ({"algebra": {"kind": "diagonal", "n": True}}, "n", "True"),
+    ({"algebra": {"kind": "blocks", "sizes": [1, True]}}, "sizes", "True"),
+    ({"signs": {"j_squared": True}}, "j_squared", "True"),
+    ({"dirac": {"preset": "random-selfadjoint", "seed": False}}, "seed", "False"),
 ])
 def test_non_integer_config_field_is_bad_input(capsys, tmp_path, field, name, value):
     """Config integers are checked, never truncated: 2.7 is not read as 2."""

@@ -187,7 +187,7 @@ def test_product_table_check_accepts_the_generator_verified_c_d(spec):
 def unit_multiple_draws(monkeypatch):
     """Make every random element a multiple of the unit: such a draw generates C 1 only."""
     monkeypatch.setattr(FiniteStarAlgebra, "random_element",
-                        lambda self, seed=0, hermitian=False: (1 + seed % 5) * self.unit)
+                        lambda self, seed=0: (1 + seed % 5) * self.unit)
 
 
 @pytest.mark.parametrize("spec", sorted(CD_PRESETS))
@@ -213,7 +213,7 @@ def test_commuting_letters_fail_the_certificate(monkeypatch, n):
     draws = [np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(2)]
     assert generated_algebra(draws, include_unit=True).dim == n < alg.dim
     monkeypatch.setattr(FiniteStarAlgebra, "random_element",
-                        lambda self, seed=0, hermitian=False: draws[seed % 2])
+                        lambda self, seed=0: draws[seed % 2])
     assert np.array_equal(np.stack(generating_set(alg)), np.stack(alg.basis))
 
 
