@@ -24,7 +24,6 @@ from .linalg import (
 )
 from .staralg import (
     AlgebraError,
-    DegenerateDraw,
     FiniteStarAlgebra,
     NonCommutative,
     NotClosed,

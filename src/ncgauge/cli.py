@@ -6,7 +6,8 @@ Subcommands
     fluctuate  inner fluctuations for a perturbation spec
     toric-scan norm grid over a sphere base with stratum labels
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad input, 3 a program
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (a negative
+seed, or an ``--out`` path that cannot be written, among others), 3 a program
 fault, which is any unexpected exception (out of memory, a failed SVD, a bug).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).
@@ -35,7 +36,7 @@ from .localize import (
     localize,
     omega_bundle,
 )
-from .models import BadModelSpec, _parse_kv, load_model, take_int
+from .models import BadModelSpec, _parse_kv, load_model, take_int, take_seed
 from .parsing import ParseError, parse_sphere
 from .reporting import SCOPE_EXACT, CheckRecord, Report, rows_to_csv
 from .spectral import (OneForm, RealSpectralTriple, aj_or_closure_failure, check_axioms,
@@ -201,12 +202,12 @@ def cmd_fluctuate(args) -> tuple[Report, None]:
             "zero-field", "the zero field leaves D unchanged",
             op_norm(d_omega - triple.dirac), tol, SCOPE_EXACT))
     elif head == "pure":
-        _pure_gauge_report(rep, triple, take_int(params, "seed", default=args.seed), tol)
+        _pure_gauge_report(rep, triple, take_seed(params, args.seed), tol)
     elif head == "random":
         terms = take_int(params, "terms", default=2)
         if terms < 1:
             raise BadModelSpec(f"parameter 'terms' must be at least 1, got {terms}")
-        _random_pert_report(rep, triple, terms, take_int(params, "seed", default=args.seed), tol)
+        _random_pert_report(rep, triple, terms, take_seed(params, args.seed), tol)
     else:
         raise BadModelSpec(f"unknown perturbation spec {head!r} "
                            "(known: zero, pure, random)")
@@ -243,6 +244,8 @@ def main(argv=None) -> int:
     handlers = {"check": cmd_check, "localize": cmd_localize,
                 "fluctuate": cmd_fluctuate, "toric-scan": cmd_toric_scan}
     try:
+        if args.seed < 0:
+            raise BadModelSpec(f"--seed must be non-negative, got {args.seed}")
         rep, rows = handlers[args.command](args)
         text = _render(args, rep, rows)
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus) as exc:
@@ -252,8 +255,12 @@ def main(argv=None) -> int:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 2
         print(str(rep), file=sys.stderr)
     else:
         sys.stdout.write(text)

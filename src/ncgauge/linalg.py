@@ -118,6 +118,12 @@ def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:
     ``pi_images`` of a triple or the [D, pi(b_k)], the coefficients are those
     of an element of A, so this is the norm of a -> [p, pi(a)] or of
     a -> [p, [D, pi(a)]] from A's Frobenius norm to H's.
+
+    For a projection p inside a *-algebra spanned by an orthonormal stack,
+    the norm is 0 or 1: x -> [p, x] is self-adjoint there in the trace
+    inner product, as p* = p, and it is the difference of the commuting
+    projections x -> p x and x -> x p, so its spectrum lies in {-1, 0, 1}.
+    It is 0 when p is central in the algebra and 1 otherwise.
     """
     return op_norm(commutator(p, stack).reshape(len(stack), np.size(p)))
 
@@ -231,6 +237,20 @@ class Subspace:
         """Frobenius distance from the span of a matrix, or of each matrix of a stack."""
         m = np.asarray(m, dtype=complex)
         return np.linalg.norm(m - self.project(m), axis=(-2, -1))
+
+    def cut_dims(self, projections: np.ndarray) -> list[int]:
+        """dim p S for each orthogonal projection p of a stack with p S ⊆ S, as one trace each.
+
+        With p S ⊆ S, x -> p x is an orthogonal projection of S in the trace
+        inner product: it is idempotent, and <x, p y> = tr(x* p y) = <p x, y>.
+        Its rank is its trace sum_k <b_k, p b_k> = tr(p F_S) over the
+        orthonormal basis b_k, where F_S = sum_k b_k b_k* is the frame
+        operator of S, which no other orthonormal basis changes.  The premise
+        p S ⊆ S is the caller's: it holds for p in S when S is an algebra.
+        """
+        rows = np.swapaxes(self.basis, 0, 1).reshape(self.shape[0], -1)  # the b_k side by side
+        frame = rows @ rows.conj().T
+        return [int(round(t)) for t in np.einsum("xij,ji->x", projections, frame).real]
 
     def contains(self, m: np.ndarray, tol: float = TOL_DERIVED) -> bool:
         return bool(self.residual(m) <= tol * max(1.0, frobenius(m)))

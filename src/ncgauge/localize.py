@@ -14,8 +14,9 @@ a -> [p_x, a] on A, from Frobenius norm to Frobenius norm.  The section
 and gauge records that follow from it are reported as bounds derived from
 kappa_A (and from kappa_pi, the same measure for pi(p_x) on pi(A)), with
 the identity behind each in its statement.  Nothing in a localization is
-sampled: the base comes from a fixed draw, and the sampled versions of the
-records are kept as test oracles.
+sampled or drawn: the base comes from spectral refinement, every fiber
+dimension is one trace, and the sampled versions of the records are kept
+as test oracles.
 """
 
 from __future__ import annotations
@@ -41,22 +42,23 @@ __all__ = [
 
 
 class FiberDecomposition:
-    """Base projections, algebra fibers, and one-form-side fibers.
+    """Base projections with the dimensions of the algebra and one-form-side fibers.
 
-    Each algebra fiber p_x A is kept as a span: it is a *-algebra with unit
-    p_x because p_x is central in A, which ``base-central-in-A`` records.
-    ``cuts`` holds the images pi(p_x), one per point, formed once.
-    ``kappa_a`` is the centrality measure kappa_A of the base in A that the
-    derived records are stated with.
+    ``fiber_dims`` holds dim p_x A and ``omega_fiber_dims`` dim pi(p_x) C_D,
+    one per point; p_x A is a *-algebra with unit p_x because p_x is
+    central in A, which ``base-central-in-A`` records.  ``cuts`` holds the
+    images pi(p_x), one per point, formed once.  ``kappa_a`` is the
+    centrality measure kappa_A of the base in A that the derived records
+    are stated with.
     """
 
     def __init__(self, triple: RealSpectralTriple, base: ProjectionFamily,
-                 fibers: list[Subspace], omega_fibers: list[Subspace],
+                 fiber_dims: list[int], omega_fiber_dims: list[int],
                  report: Report, kappa_a: float, cuts: np.ndarray):
         self.triple = triple
         self.base = base
-        self.fibers = fibers
-        self.omega_fibers = omega_fibers
+        self.fiber_dims = fiber_dims
+        self.omega_fiber_dims = omega_fiber_dims
         self.report = report
         self.kappa_a = kappa_a
         self.cuts = cuts
@@ -66,7 +68,7 @@ class FiberDecomposition:
         return list(self.base.labels)
 
     def __len__(self) -> int:
-        return len(self.fibers)
+        return len(self.fiber_dims)
 
 
 def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecomposition:
@@ -76,16 +78,24 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     in A; their centrality inside the bigger algebra generated by A and
     [D, A] is a consequence of the order-one condition and is recorded,
     not assumed, so triples with broken axioms still localize and show
-    the failure in the report.  The fibers p_x A are kept as spans, not
-    re-verified as algebras: each is a *-algebra with unit p_x exactly
-    when p_x is central in A, the theorem behind ``base-central-in-A``.
+    the failure in the report.  The fibers p_x A are not formed, let alone
+    re-verified as algebras: each is a *-algebra with unit p_x exactly when
+    p_x is central in A, the theorem behind ``base-central-in-A``.  Their
+    dimensions are read as traces (:meth:`~ncgauge.linalg.Subspace.cut_dims`):
+    dim p_x A = tr(p_x F_A), since p_x lies in A_J ⊆ A, and
+    dim pi(p_x) C_D = tr(pi(p_x) F_CD), since pi(p_x) lies in pi(A) ⊆ C_D.
 
     ``base-central-in-A`` is kappa_A = max_x of the norm of a -> [p_x, a]
     on A, Frobenius to Frobenius, which no choice of orthonormal basis of A
-    changes.  ``section-multiplicative`` is derived from it: p(ab) - (pa)(pb)
-    = [p, a](1 - p)b, and 1 - p is an orthogonal projection, so its
-    Frobenius norm is at most kappa_A |a|_F |b|_F, and the residual is
-    kappa_A.
+    changes.  It reads 0 or 1: for a projection p in a *-algebra S, the map
+    x -> [p, x] = p x - x p is self-adjoint on S in the trace inner product,
+    the difference of the commuting projections x -> p x and x -> x p, so
+    its spectrum lies in {-1, 0, 1}; its norm is 0 when p is central in S
+    and 1 otherwise.  The same holds for ``base-central-in-CD``, with
+    pi(p_x) in C_D.  ``section-multiplicative`` is derived from kappa_A:
+    p(ab) - (pa)(pb) = [p, a](1 - p)b, and 1 - p is an orthogonal
+    projection, so its Frobenius norm is at most kappa_A |a|_F |b|_F, and
+    the residual is kappa_A.
 
     Two more records are read from ``partition-of-unity``, whose residual is
     r = |sum_x p_x - e| for the unit e of A.  ``section-reconstruction``:
@@ -105,10 +115,10 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     injective.  The premise is that pi is a *-representation, which
     ``check`` records.
 
-    The base is :func:`~ncgauge.staralg.minimal_projections`, a fixed draw,
-    so nothing here depends on a seed.  Exact identities of the projections
-    are checked at 1e-9, the rest at ``TOL_DERIVED``; passing ``tol``
-    overrides both.
+    The base is :func:`~ncgauge.staralg.minimal_projections`, found by
+    spectral refinement without a draw, so nothing here depends on a seed.
+    Exact identities of the projections are checked at 1e-9, the rest at
+    ``TOL_DERIVED``; passing ``tol`` overrides both.
     """
     t_exact = tol if tol is not None else 1e-9
     tol = tol if tol is not None else TOL_DERIVED
@@ -129,11 +139,11 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
         "|a -> [p_x, a]| on A, Frobenius to Frobenius",
         kappa, tol, SCOPE_EXACT))
 
-    fibers = [Subspace.from_spanning(p @ alg.basis) for p in base.projections]
-    rep.context["fiber_dims"] = [f.dim for f in fibers]
+    fiber_dims = alg.cut_dims(np.stack(base.projections))
+    rep.context["fiber_dims"] = fiber_dims
     rep.add(CheckRecord.from_residual(
         "fiber-dimension-sum", "fiber dimensions add up to dim A",
-        float(abs(sum(f.dim for f in fibers) - alg.dim)), 0.5, SCOPE_EXACT))
+        float(abs(sum(fiber_dims) - alg.dim)), 0.5, SCOPE_EXACT))
 
     rep.add(CheckRecord.from_residual(
         "section-reconstruction", "summing the fiber components returns the element: "
@@ -162,9 +172,9 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
         "a *-representation is isometric exactly when injective, dim A - rank pi = 0",
         float(alg.dim - triple.pi_rank()), 0.5, SCOPE_EXACT))
 
-    omega_fibers = [Subspace.from_spanning(pp @ cd.basis) for pp in cuts]
-    rep.context["omega_fiber_dims"] = [s.dim for s in omega_fibers]
-    return FiberDecomposition(triple, base, fibers, omega_fibers, rep, kappa, cuts)
+    omega_fiber_dims = cd.cut_dims(cuts)
+    rep.context["omega_fiber_dims"] = omega_fiber_dims
+    return FiberDecomposition(triple, base, fiber_dims, omega_fiber_dims, rep, kappa, cuts)
 
 
 def norm_is_sup(dec: FiberDecomposition, a: np.ndarray, tol: float = TOL_DERIVED) -> Report:
@@ -237,28 +247,35 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
     residual is kappa_pi |e|_F.  kappa_pi is one SVD per point, and not
     the centrality in C_D(A) (``base-central-in-CD``), which transporters
     between points break while pi(A) still localizes.
+
+    ``one-forms-localize`` is derived too.  pi(p) lies in C_D and is a
+    projection, so a contraction: with c the nearest point of C_D to w,
+    pi(p) c lies in pi(p) C_D, and dist(pi(p) w, pi(p) C_D) <=
+    |pi(p)(w - c)|_F <= dist(w, C_D).  The residual is max_j dist(w_j, C_D)
+    over the orthonormal basis w_j of the one-forms: one projection for
+    every point.  The even dimensions are traces over pi(A) + C1, which
+    holds pi(p_x) and is an algebra because pi is multiplicative.
     """
     triple = dec.triple
     cd, cd_rep = c_d_algebra(triple)
     rep = Report(f"omega_bundle[{triple.label or 'triple'}]",
                  context={"cd_dim": cd.dim,
-                          "omega_fiber_dims": [s.dim for s in dec.omega_fibers],
+                          "omega_fiber_dims": dec.omega_fiber_dims,
                           "grading": cd_rep.context})
     rep.add(CheckRecord.from_residual(
         "omega-dimension-sum", "one-form-side fiber dimensions add up to dim C_D(A)",
-        float(abs(sum(s.dim for s in dec.omega_fibers) - cd.dim)), 0.5, SCOPE_EXACT))
+        float(abs(sum(dec.omega_fiber_dims) - cd.dim)), 0.5, SCOPE_EXACT))
 
-    omega = one_form_space(triple).basis
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
-        "that point's fiber",
-        max(fib.residual(pp @ omega).max(initial=0.0)
-            for pp, fib in zip(dec.cuts, dec.omega_fibers)), tol, SCOPE_EXACT))
+        "that point's fiber: dist(pi(p_x) w, pi(p_x) C_D) <= dist(w, C_D), as pi(p_x) in C_D "
+        "is a contraction; the residual is max_j dist(w_j, C_D) over a basis of the one-forms",
+        cd.residual(one_form_space(triple).basis).max(initial=0.0), tol, SCOPE_EXACT))
 
     # degree-0 part cut to each fiber, for the per-point parity table
     eye = np.eye(triple.hilbert_dim, dtype=complex)
     even = Subspace.from_spanning(np.concatenate([triple.pi_images, eye[None]]))
-    rep.context["fiber_even_dims"] = [Subspace.from_spanning(pp @ even.basis).dim for pp in dec.cuts]
+    rep.context["fiber_even_dims"] = even.cut_dims(dec.cuts)
 
     kappa_pi = max(commutator_map_norm(pp, triple.pi_images) for pp in dec.cuts)
     rep.add(CheckRecord.from_residual(
@@ -279,9 +296,8 @@ def group_bundle_dims(dec: FiberDecomposition) -> tuple[list[dict], Report]:
     dim u(A) and, after the -1 per point, the gauge Lie algebra dimension.
     """
     triple = dec.triple
-    rows = [{"point": label, "fiber_dim": fib.dim,
-             "unitary_dim": fib.dim, "gauge_fiber_dim": fib.dim - 1}
-            for (label, _), fib in zip(dec.base, dec.fibers)]
+    rows = [{"point": label, "fiber_dim": dim, "unitary_dim": dim, "gauge_fiber_dim": dim - 1}
+            for label, dim in zip(dec.base.labels, dec.fiber_dims)]
     u_total = triple.algebra.dim
     g = gauge_span(triple)[0]
     rep = Report(f"group_bundle[{triple.label or 'triple'}]",

@@ -185,6 +185,14 @@ def take_int(params: dict, *names: str, default: int) -> int:
     return val
 
 
+def take_seed(params: dict, default: int) -> int:
+    """Pop the ``seed`` parameter: an integer that numpy's generators accept, so not negative."""
+    seed = take_int(params, "seed", default=default)
+    if seed < 0:
+        raise BadModelSpec(f"parameter 'seed' must be non-negative, got {seed}")
+    return seed
+
+
 def _config_int(value, name: str) -> int:
     """An integer config field, checked like a preset parameter (see :func:`take_int`)."""
     return take_int({name: value}, name, default=0)
@@ -206,11 +214,11 @@ def model_from_string(spec: str, default_seed: int = 0):
     try:
         if head == "hs":
             out = build_hs_model(take_int(params, "N", "n", default=2),
-                                 seed=take_int(params, "seed", default=default_seed))
+                                 seed=take_seed(params, default_seed))
         elif head == "ym":
             k = take_int(params, "k", default=2)
             n = take_int(params, "N", "n", default=2)
-            seed = take_int(params, "seed", default=default_seed)
+            seed = take_seed(params, default_seed)
             lam_val = params.pop("lam", None)
             hopping = None
             if lam_val is not None:
@@ -300,7 +308,7 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
     ddoc = cfg["dirac"]
     if isinstance(ddoc, dict) and "preset" in ddoc:
         preset = ddoc["preset"]
-        seed = _config_int(ddoc.get("seed", 0), "seed")
+        seed = take_seed({"seed": ddoc.get("seed", 0)}, 0)
         rng = np.random.default_rng(seed)
         if preset == "zero":
             dirac = np.zeros((hdim, hdim), dtype=complex)

@@ -29,7 +29,6 @@ __all__ = [
     "AlgebraError",
     "NotClosed",
     "NonCommutative",
-    "DegenerateDraw",
     "FiniteStarAlgebra",
     "ProjectionFamily",
     "full_matrix_algebra",
@@ -65,10 +64,6 @@ class NotClosed(AlgebraError):
 
 class NonCommutative(AlgebraError):
     """A commutative algebra was required."""
-
-
-class DegenerateDraw(AlgebraError):
-    """Random spectral draws kept producing clustered eigenvalues."""
 
 
 class FiniteStarAlgebra(Subspace):
@@ -313,61 +308,61 @@ class ProjectionFamily:
         return iter(zip(self.labels, self.projections))
 
 
-_DRAW_TRIES = 10  # spectral draws minimal_projections makes before giving up
-_DRAW_GAP = 1e-6  # smallest separation it accepts between eigenvalue clusters
+_SPLIT_GAP = 1e-6  # minimal_projections cuts the sorted eigenvalues of a part only at larger gaps
 
 
 def minimal_projections(algebra: FiniteStarAlgebra) -> ProjectionFamily:
-    """Minimal projections of a commutative *-algebra.
+    """Minimal projections of a commutative *-algebra, by spectral refinement.
 
     Commutativity is read from the structure constants the wrap formed:
     :meth:`FiniteStarAlgebra.is_commutative` at 1e-9, the scale of the
     nullspace cut of :func:`center`, below which a commutator counts as
     rounding.  No center is built.
 
-    A generic self-adjoint element of a commutative algebra with minimal
-    projections p_x has the form sum_x c_x p_x with distinct real c_x, so
-    its spectral projections recover the p_x exactly.  The eigenvalue 0 on
-    the complement of the algebra unit (when the unit is not the ambient
-    identity) yields a candidate outside the span, which is dropped by the
-    membership filter.  The draws come from the fixed internal seed of
-    :func:`generating_set`, so the family depends on the algebra alone.
-    Draws whose eigenvalue clusters are separated by less than
-    ``_DRAW_GAP`` are retried with the next draw of that stream; after
-    ``_DRAW_TRIES`` failures a :class:`DegenerateDraw` is raised.
+    Let B be the algebra, n its ambient size, e its unit and q_i its
+    minimal projections, of rank r_i.  Every hermitian h in B is
+    sum_i chi_i(h) q_i, so h maps the range of each q_i to itself.  The
+    refinement starts from one part, an orthonormal basis V of the range of
+    e, and goes through the hermitian basis h_k = -i u(B) of
+    :func:`skew_hermitian_basis`: each part V is split by the eigenspaces
+    of V* h_k V, its sorted eigenvalues cut only at gaps above
+    ``_SPLIT_GAP``.  Each part spans a sum of ranges of q_i, and two q_i
+    share a part to the end only if chi_i and chi_j stay close on the whole
+    basis, that is, only if i = j.
+
+    The h_k are orthonormal, and chi_i(h_k) - chi_j(h_k) = tr(h_k y) for
+    the hermitian y = q_i / r_i - q_j / r_j in B, so by Parseval
+    sum_k |chi_i(h_k) - chi_j(h_k)|^2 = |y|_F^2 = 1/r_i + 1/r_j: some h_k
+    separates q_i from q_j by at least sqrt((1/r_i + 1/r_j) / dim B) >=
+    sqrt(2 / (n dim B)).  Two values that stay in one part are joined by a
+    chain of fewer than dim B gaps of at most ``_SPLIT_GAP``, so a cut at
+    1e-6 keeps no two q_i merged while n (dim B)^3 < 2e12.  Every part holds
+    at least one q_i, so once there are dim B parts the loop stops.
+
+    Certificate: exactly dim B parts, and each projection V V* in B at
+    1e-8; otherwise :class:`AlgebraError`.  Nothing is drawn, so the family
+    depends on the algebra alone, and it is ordered by its diagonals.
     """
     if not algebra.is_commutative(1e-9):
         raise NonCommutative(f"algebra of dim {algebra.dim} is not commutative")
-    sa = -1j * skew_hermitian_basis(algebra)  # hermitian part: -i u(A)
-    rng = np.random.default_rng(_GENERATOR_SEED)
-    for _ in range(_DRAW_TRIES):
-        coeff = rng.standard_normal(len(sa))
-        h = sum(c * s for c, s in zip(coeff, sa))
-        vals, vecs = np.linalg.eigh(h)
-        # cluster eigenvalues; identical values must share a cluster
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, len(vals)):
-            if vals[i] - vals[clusters[-1][-1]] < 1e-8:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-        seps = [vals[clusters[i + 1][0]] - vals[clusters[i][-1]] for i in range(len(clusters) - 1)]
-        if any(s < _DRAW_GAP for s in seps):
-            continue
-        projs = []
-        for idx in clusters:
-            v = vecs[:, idx]
-            p = v @ adjoint(v)
-            if algebra.contains(p, 1e-8):
-                projs.append(p)
-        total = sum(projs) if projs else np.zeros_like(algebra.unit)
-        if op_norm(total - algebra.unit) > 1e-9:
-            continue
-        order = sorted(range(len(projs)),
-                       key=lambda i: tuple(np.round(-np.real(np.diag(projs[i])), 6)))
-        projs = [projs[i] for i in order]
-        return ProjectionFamily(projs, unit=algebra.unit)
-    raise DegenerateDraw(f"no well-separated spectral draw in {_DRAW_TRIES} tries")
+    vals, vecs = np.linalg.eigh(algebra.unit)
+    parts = [vecs[:, vals > 0.5]]
+    for h in -1j * skew_hermitian_basis(algebra):
+        if len(parts) == algebra.dim:
+            break
+        refined = []
+        for v in parts:
+            vals, w = np.linalg.eigh(adjoint(v) @ h @ v)
+            refined += [v @ c for c in np.split(w, np.flatnonzero(np.diff(vals) > _SPLIT_GAP) + 1,
+                                                axis=1)]
+        parts = refined
+    projs = [v @ adjoint(v) for v in parts]
+    if len(projs) != algebra.dim or not all(algebra.contains(p, 1e-8) for p in projs):
+        raise AlgebraError(f"spectral refinement found {len(projs)} parts for an algebra of "
+                           f"dim {algebra.dim}, or a part outside it")
+    order = sorted(range(len(projs)),
+                   key=lambda i: tuple(np.round(-np.real(np.diag(projs[i])), 6)))
+    return ProjectionFamily([projs[i] for i in order], unit=algebra.unit)
 
 
 def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> np.ndarray:

@@ -321,11 +321,12 @@ _CLOCK_SHIFT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The q x q pair (R1, R2) with R2 R1 = zeta R1 R2 and R_i^q = 1.
+    """The q x q pair (R1, R2) = (shift, clock), with R2 R1 = zeta R1 R2 and R_i^q = 1.
 
-    Which of the clock and shift matrices plays R1 is not hard-coded: both
-    assignments are tried and the one satisfying the relation for
-    zeta = e^(2 pi i p/q) is kept, failing loudly if neither does.
+    With S e_j = e_(j+1 mod q), C e_j = zeta^j e_j and zeta = e^(2 pi i p/q):
+    C S e_j = zeta^(j+1) e_(j+1) = zeta S C e_j, as zeta^q = 1, so R1 = S and
+    R2 = C satisfy the relation for every p.  It is asserted with unitarity
+    and R_i^q = 1, and the pair is kept per (p mod q, q).
     """
     mode = rational_mode(p, q)
     key = (mode.p, q)
@@ -333,17 +334,13 @@ def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
         return _CLOCK_SHIFT_CACHE[key]
     zeta = np.exp(2j * np.pi * p / q)
     clock = np.diag(zeta ** np.arange(q)).astype(complex)
-    shift = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        shift[(j + 1) % q, j] = 1.0
-    for r1, r2 in ((shift, clock), (clock, shift)):
-        if op_norm(r2 @ r1 - zeta * (r1 @ r2)) < 1e-12:
-            for r in (r1, r2):
-                assert op_norm(np.linalg.matrix_power(r, q) - np.eye(q)) < 1e-10
-                assert op_norm(r @ adjoint(r) - np.eye(q)) < 1e-12
-            _CLOCK_SHIFT_CACHE[key] = (r1, r2)
-            return r1, r2
-    raise BadParameters(f"no clock/shift assignment satisfies the relation for ({p}, {q})")
+    shift = np.roll(np.eye(q, dtype=complex), 1, axis=0)
+    assert op_norm(clock @ shift - zeta * (shift @ clock)) < 1e-12
+    for r in (shift, clock):
+        assert op_norm(np.linalg.matrix_power(r, q) - np.eye(q)) < 1e-10
+        assert op_norm(r @ adjoint(r) - np.eye(q)) < 1e-12
+    _CLOCK_SHIFT_CACHE[key] = (shift, clock)
+    return shift, clock
 
 
 _MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}

@@ -138,7 +138,7 @@ def test_criterion_06_localization_is_a_bundle_of_sections():
         for name in ("partition-of-unity", "section-reconstruction",
                      "section-multiplicative", "base-central-in-A"):
             ok = ok and dec.report.record(name).passed
-        ok = ok and sum(f.dim for f in dec.fibers) == t.algebra.dim
+        ok = ok and sum(dec.fiber_dims) == t.algebra.dim
         for i in range(100):
             rep = norm_is_sup(dec, t.algebra.random_element(seed=i))
             ok = ok and rep.passed

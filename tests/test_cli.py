@@ -24,7 +24,7 @@ from ncgauge.models import load_model
 from ncgauge.parsing import parse_sphere
 from ncgauge.reporting import CheckRecord, Report
 from ncgauge.spectral import OneForm, compute_aj
-from ncgauge.staralg import DegenerateDraw, NonCommutative, generating_set, random_unitary
+from ncgauge.staralg import AlgebraError, NonCommutative, generating_set, random_unitary
 from ncgauge.toric import continuity_report
 from ncgauge.torus import rational_mode
 
@@ -120,6 +120,30 @@ def test_non_integer_config_field_is_bad_input(capsys, tmp_path, field, name, va
     code, out, err = run(capsys, "check", str(config))
     assert (code, out) == (2, "")
     assert err == f"error: parameter {name!r} must be an integer, got {value}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "hs:N=2", "--seed", "-1"), "--seed must be non-negative, got -1"),
+    (("check", "hs:N=2,seed=-3"), "parameter 'seed' must be non-negative, got -3"),
+    (("fluctuate", "hs:N=2", "pure:seed=-1"), "parameter 'seed' must be non-negative, got -1"),
+    (("fluctuate", "hs:N=2", "random:terms=2,seed=-5"),
+     "parameter 'seed' must be non-negative, got -5"),
+    (("check", {"dirac": {"preset": "random-selfadjoint", "seed": -1}}),
+     "parameter 'seed' must be non-negative, got -1"),
+])
+def test_negative_seed_is_bad_input(capsys, tmp_path, argv, message):
+    # numpy's generators reject a negative seed with a bare ValueError, which would exit 3
+    argv = [write_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_unwritable_out_path_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "check", "hs:N=2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot write --out: ")
+    assert not path.exists()
 
 
 def write_config(tmp_path, **fields):
@@ -288,7 +312,8 @@ def test_localize_reports_a_non_closed_aj(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("fault", [NonCommutative("algebra of dim 2 has center of dim 1"),
-                                   DegenerateDraw("no well-separated spectral draw in 10 tries")])
+                                   AlgebraError("spectral refinement found 1 parts for an "
+                                                "algebra of dim 2, or a part outside it")])
 def test_algebra_error_exits_3(capsys, monkeypatch, fault):
     # minimal_projections' failures are program faults, not failed checks
     def broken(*args, **kwargs):

@@ -7,7 +7,8 @@ from ncgauge import linalg, staralg
 from ncgauge.linalg import Subspace, adjoint, commutator, max_op_norm, nullspace, op_norm
 from ncgauge.models import (build_finite_ym, build_hs_model, build_orbifold_algebra,
                             model_from_string)
-from ncgauge.spectral import c_d_algebra
+from ncgauge.models import triple_from_config
+from ncgauge.spectral import c_d_algebra, compute_aj
 from ncgauge.staralg import (
     FiniteStarAlgebra,
     NonCommutative,
@@ -22,6 +23,8 @@ from ncgauge.staralg import (
     random_unitary,
     skew_hermitian_basis,
 )
+from test_localize import LOCALIZING_CONFIGS, PRESETS
+from test_spectral import CONFIG_FIXTURES
 
 
 def test_full_algebra_shape():
@@ -102,13 +105,91 @@ def test_minimal_projections_of_diagonal():
         assert abs(np.trace(p).real - 1.0) < 1e-10
 
 
-def test_minimal_projections_are_a_fixed_draw():
-    # the draw comes from a fixed internal seed: a fresh copy of the algebra gets the same family
+def test_minimal_projections_depend_on_the_algebra_alone():
+    # nothing is drawn: a fresh copy of the algebra gets the same family, bit for bit
     a = minimal_projections(block_diagonal_algebra([1, 1]))
     b = minimal_projections(block_diagonal_algebra([1, 1]))
     assert a.labels == b.labels
     for (_, p), (_, r) in zip(a, b):
         assert np.array_equal(p, r)
+
+
+def drawn_minimal_projections(algebra):
+    """The spectral draw that spectral refinement replaced, kept as its oracle.
+
+    A generic hermitian element sum_x c_x p_x has distinct c_x, so its
+    eigenspaces are the p_x; the eigenvalue 0 on the complement of the unit
+    gives a candidate outside the span, which is dropped.  Draws whose
+    eigenvalue clusters lie closer than 1e-6 are retried, 10 times at most.
+    """
+    sa = -1j * skew_hermitian_basis(algebra)
+    rng = np.random.default_rng(staralg._GENERATOR_SEED)
+    for _ in range(10):
+        vals, vecs = np.linalg.eigh(np.tensordot(rng.standard_normal(len(sa)), sa, axes=1))
+        clusters = [[0]]
+        for i in range(1, len(vals)):
+            if vals[i] - vals[clusters[-1][-1]] < 1e-8:
+                clusters[-1].append(i)
+            else:
+                clusters.append([i])
+        if any(vals[b[0]] - vals[a[-1]] < 1e-6 for a, b in zip(clusters, clusters[1:])):
+            continue
+        projs = [vecs[:, c] @ adjoint(vecs[:, c]) for c in clusters]
+        projs = [p for p in projs if algebra.contains(p, 1e-8)]
+        if op_norm(sum(projs) - algebra.unit) <= 1e-9:
+            return sorted(projs, key=lambda p: tuple(np.round(-np.real(np.diag(p)), 6)))
+    raise AssertionError("no well-separated draw")
+
+
+def degenerate(ranks, spare, seed):
+    """C^k as span{q_i}, of ranks >= 2, in C^(sum ranks + spare) with a random frame and basis.
+
+    Every eigenvalue of every basis element is degenerate, which is
+    asserted, so ``spare`` is 0 or at least 2; the unit sum_i q_i is not
+    the ambient identity when ``spare`` > 0.
+    """
+    rng = np.random.default_rng(seed)
+    n = sum(ranks) + spare
+    v, w = haar_unitary(n, rng), haar_unitary(len(ranks), rng)
+    block = np.repeat(np.arange(len(ranks) + 1), list(ranks) + [spare])
+    qs = [v @ np.diag((block == i).astype(complex)) @ adjoint(v) for i in range(len(ranks))]
+    basis = np.tensordot(w, np.stack([q / np.sqrt(r) for q, r in zip(qs, ranks)]), axes=1)
+    for b in basis:  # each eigenvalue at least twice
+        vals = np.linalg.eigvals(b)
+        assert min(np.sum(abs(vals - v) < 1e-9) for v in vals) >= 2
+    return FiniteStarAlgebra(basis, sum(qs), label=f"degenerate{tuple(ranks)}")
+
+
+def commutative_cases():
+    yield from (compute_aj(model_from_string(spec)) for spec in PRESETS)
+    yield from (compute_aj(triple_from_config(CONFIG_FIXTURES[name]))
+                for name in LOCALIZING_CONFIGS)
+    yield from (degenerate(ranks, spare, seed) for seed, (ranks, spare) in enumerate(
+        [((2, 2), 0), ((2, 3, 2), 2), ((3, 2, 2, 4), 2), ((2,), 3)]))
+
+
+def test_minimal_projections_equal_the_drawn_oracle():
+    for alg in commutative_cases():
+        got, want = minimal_projections(alg), drawn_minimal_projections(alg)
+        assert len(got) == len(want) == alg.dim, alg.label
+        assert max(op_norm(p - q) for p, q in zip(got.projections, want)) <= 1e-12, alg.label
+
+
+def test_minimal_projections_draw_nothing(monkeypatch):
+    algebras = [diagonal_algebra(3), rotated(diagonal_algebra(4), seed=4), degenerate((2, 3), 2, 0)]
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("minimal_projections drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    assert [len(minimal_projections(alg)) for alg in algebras] == [3, 4, 2]
+
+
+def test_minimal_projections_certify_the_refinement(monkeypatch):
+    # a cut that no gap clears leaves one part for three points: an AlgebraError, not a family
+    monkeypatch.setattr(staralg, "_SPLIT_GAP", 10.0)
+    with pytest.raises(staralg.AlgebraError, match="1 parts for an algebra of dim 3"):
+        minimal_projections(diagonal_algebra(3))
 
 
 def test_skew_hermitian_basis_counts():
