@@ -16,6 +16,7 @@ check records (or, for toric-scan, the norm profile rows).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .gauge import (
@@ -48,6 +49,7 @@ from .toric import jump_record, norm_profile, stratum_scan
 _RECORD_COLUMNS = ["name", "residual", "tolerance", "passed", "scope", "statement"]
 
 
+@functools.cache  # built once per process: parsing does not change the parser
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ncgauge",
                                   description="verification reports for finite "

@@ -4,10 +4,17 @@ Conventions
 -----------
 * Matrices are plain ``numpy`` arrays with ``complex`` dtype.
 * Every subspace computation runs in the trace inner product
-  ``<a, b> = tr(a^* b)``.  Row-major vectorisation is an isometry from
-  matrix space to ``C^(r*c)`` for this inner product, so orthonormal
-  bases, projections and nullspaces all reduce to SVD calls on stacked
-  vectorised matrices.
+  ``<a, b> = tr(a^* b)``.  A span lives in the finest contiguous diagonal
+  blocks outside which every matrix spanning it is exactly 0
+  (:func:`_diagonal_blocks`, the one block reader for the algebra side and
+  the Hilbert-space side).  Its matrices are stored as packed rows: the
+  diagonal blocks side by side, each vectorised row-major, of width
+  sum_b s_b^2 instead of n^2.  Packing is an isometry from the matrices
+  that vanish outside the blocks to ``C^(sum_b s_b^2)`` for this inner
+  product, so orthonormal bases, projections and nullspaces all reduce to
+  SVD calls on stacked packed rows.  A dense span is the one-block case,
+  whose packed rows are the row-major vectorised matrices; so is every
+  non-square shape.
 * Anti-linear operators are never stored as "matrices of an anti-linear
   map".  Only the unitary kernel ``K`` of ``v -> K conj(v)`` is kept,
   and operator identities are rewritten as linear matrix identities in
@@ -107,7 +114,7 @@ def max_op_norm(blocks):
     return max(best, 0.0), where
 
 
-def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:
+def commutator_map_norm(p: np.ndarray, stack: np.ndarray):
     """Norm of the map c -> [p, sum_k c_k s_k], from the coefficients c (2-norm) to Frobenius.
 
     The map's matrix has the rows vec([p, s_k]).  For an orthonormal stack
@@ -124,13 +131,85 @@ def commutator_map_norm(p: np.ndarray, stack: np.ndarray) -> float:
     inner product, as p* = p, and it is the difference of the commuting
     projections x -> p x and x -> x p, so its spectrum lies in {-1, 0, 1}.
     It is 0 when p is central in the algebra and 1 otherwise.
+
+    ``p`` may be a stack of matrices; then the result is one norm per
+    matrix, and the stack's zero pattern is read once.  The commutators are
+    formed block by block: outside the diagonal blocks of p and the stack
+    (:func:`_diagonal_blocks`) both are exactly 0, so [p, s] is too, and its
+    block b is [p_b, s_b].  The rows vec([p, s_k]) are packed over these
+    blocks, which drops only exact zeros and changes no singular value.
     """
-    return op_norm(commutator(p, stack).reshape(len(stack), np.size(p)))
+    ps, stack = np.reshape(p, (-1,) + np.shape(p)[-2:]), np.asarray(stack)
+    rows = np.concatenate([commutator(ps[:, None, s, s], stack[None, :, s, s])
+                           .reshape(len(ps), len(stack), (s.stop - s.start) ** 2)
+                           for s in _diagonal_blocks(ps, stack)], axis=-1)
+    norms = (np.linalg.svd(rows, compute_uv=False)[..., 0] if rows.size
+             else np.zeros(len(ps)))
+    return float(norms[0]) if np.ndim(p) == 2 else norms
 
 
 def pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Every product a[i] @ b[j] of two matrix stacks, vectorised as row i len(b) + j."""
     return (a[:, None] @ b[None]).reshape(len(a) * len(b), a.shape[1] * b.shape[2])
+
+
+def _diagonal_blocks(*stacks) -> list[slice]:
+    """The finest contiguous diagonal blocks outside which every matrix given is exactly 0.
+
+    Each argument is a matrix or a stack of n x n matrices; their nonzero
+    pattern is made symmetric.  A block ends at index i when no row up to i
+    reaches a column beyond i.  Non-square matrices are one block.
+    """
+    r, c = np.shape(stacks[0])[-2:]
+    if r != c:
+        return [slice(0, r)]
+    idx = np.arange(r)
+    mask = np.any([np.reshape(m, (-1, r, r)).any(axis=0) for m in stacks], axis=0)
+    reach = np.maximum.accumulate(np.where(mask | mask.T, idx, idx[:, None]).max(axis=1))
+    ends = (np.flatnonzero(reach == idx) + 1).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+def _block_index(blocks: list[slice], n: int) -> np.ndarray | None:
+    """Flat positions in a row-major n x n matrix of the entries packed rows hold; None: all."""
+    if len(blocks) == 1:
+        return None
+    return np.concatenate([(np.arange(s.start, s.stop)[:, None] * n + np.arange(s.start, s.stop))
+                           .ravel() for s in blocks])
+
+
+def _pack(m: np.ndarray, index: np.ndarray | None) -> np.ndarray:
+    """Packed rows of a matrix or stack: its entries at ``index``, block by block (all for None)."""
+    *lead, r, c = np.shape(m)
+    flat = np.reshape(m, (*lead, r * c))
+    return flat if index is None else flat[..., index]
+
+
+def _parts(rows: np.ndarray, blocks: list[slice]) -> list[np.ndarray]:
+    """The diagonal blocks held by packed rows, as (..., s_b, s_b) views of them."""
+    sizes = [s.stop - s.start for s in blocks]
+    ends = np.cumsum([q * q for q in sizes]).tolist()
+    return [rows[..., e - q * q:e].reshape(rows.shape[:-1] + (q, q)) for q, e in zip(sizes, ends)]
+
+
+def _unpack(rows: np.ndarray, index: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """The matrices of packed rows, exactly 0 outside the blocks; a view for one block."""
+    if index is None:
+        return rows.reshape(rows.shape[:-1] + shape)
+    out = np.zeros(rows.shape[:-1] + (shape[0] * shape[1],), dtype=rows.dtype)
+    out[..., index] = rows
+    return out.reshape(rows.shape[:-1] + shape)
+
+
+def block_products(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+    """Every product a[i] @ b[j] of two block-diagonal stacks given block by block.
+
+    ``a`` and ``b`` list the stacks' diagonal blocks, in the same order.
+    Row i len(b) + j holds the packed rows of a[i] @ b[j]: one
+    ``pair_products`` table per block, side by side.
+    """
+    tables = [pair_products(x, y) for x, y in zip(a, b)]
+    return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
 
 
 def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
@@ -162,36 +241,44 @@ def _extend_rows(stack: np.ndarray, rows: np.ndarray, rtol: float, floor: float)
     A first residual with Frobenius norm at most ``floor > 0`` adds nothing,
     and the second pass, which can only shrink it, is skipped.
     """
-    resid = (rows @ stack.conj().T) @ stack
+    dual = stack.conj().T  # formed once, read by both passes
+    resid = (rows @ dual) @ stack
     np.subtract(rows, resid, out=resid)  # in place: one rows-sized temporary, not two
     if floor > 0 and np.linalg.norm(resid) <= floor:
         return resid[:0]
-    resid -= (resid @ stack.conj().T) @ stack  # in place: the second pass adds no rows-sized result
+    resid -= (resid @ dual) @ stack  # in place: the second pass adds no rows-sized result
     return _orthonormal_rows(resid, rtol, floor)
 
 
 class Subspace:
     """Complex-linear span of matrices, orthonormal in the trace inner product.
 
-    The span is stored as orthonormal rows, one vectorised matrix each, and
-    its basis is read as one (dim, r, c) stack.  ``_vec`` (matrix to row)
-    and ``_mat`` (row to matrix) are the only field-specific code; see
-    :class:`RealSpan`.  Both act on the last two (one) axes, so
-    :meth:`coordinates`, :meth:`project` and :meth:`residual` also take a
-    stack of matrices.
+    The span is stored as orthonormal packed rows, one matrix each, over
+    contiguous diagonal blocks (``_blocks``) outside which every matrix of
+    the span is exactly 0, so packing loses nothing: the blocks side by
+    side, of width sum_b s_b^2 instead of r c.  :meth:`from_spanning` takes
+    the finest blocks of the spanning set.  The basis is read as one
+    (dim, r, c) stack.  ``_field_rows``
+    (packed matrix to row) and ``_complex_rows`` (row to packed matrix) are
+    the only field-specific code; see :class:`RealSpan`.  Both act on the
+    last axis, so :meth:`coordinates`, :meth:`project` and :meth:`residual`
+    also take a stack of matrices.  The given rows are packed over
+    ``blocks``; left out, they are the vectorised matrices (one block).
     """
 
-    def __init__(self, stack: np.ndarray, shape: tuple[int, int]):
+    def __init__(self, stack: np.ndarray, shape: tuple[int, int], blocks: list | None = None):
         self._stack = np.asarray(stack)
         self.shape = shape
+        self._blocks = blocks or [slice(0, shape[0])]
+        self._index = _block_index(self._blocks, shape[0])
 
-    @staticmethod
-    def _vec(m: np.ndarray) -> np.ndarray:
-        *lead, r, c = np.shape(m)
-        return np.reshape(m, (*lead, r * c))
+    _field_rows = _complex_rows = staticmethod(np.asarray)  # complex rows are the packed matrices
+
+    def _vec(self, m: np.ndarray) -> np.ndarray:
+        return self._field_rows(_pack(m, self._index))
 
     def _mat(self, row: np.ndarray) -> np.ndarray:
-        return row.reshape(row.shape[:-1] + self.shape)
+        return _unpack(self._complex_rows(row), self._index, self.shape)
 
     @classmethod
     def from_spanning(cls, mats, shape: tuple[int, int] | None = None) -> "Subspace":
@@ -209,8 +296,10 @@ class Subspace:
             mats = np.zeros((1, *shape), dtype=complex)
         if mats.ndim != 3 or mats.shape[1:] != tuple(shape or mats.shape[1:]):
             raise ValueError("mixed matrix shapes in spanning set")
-        field = RealSpan if issubclass(cls, RealSpan) else Subspace
-        return field(_orthonormal_rows(cls._vec(mats)), mats.shape[1:])
+        field, blocks = RealSpan if issubclass(cls, RealSpan) else Subspace, _diagonal_blocks(mats)
+        index = _block_index(blocks, mats.shape[1])
+        return field(_orthonormal_rows(field._field_rows(_pack(mats, index))), mats.shape[1:],
+                     blocks)
 
     @property
     def dim(self) -> int:
@@ -234,7 +323,11 @@ class Subspace:
         return self.combine(self.coordinates(m))
 
     def residual(self, m: np.ndarray):
-        """Frobenius distance from the span of a matrix, or of each matrix of a stack."""
+        """Frobenius distance from the span of a matrix, or of each matrix of a stack.
+
+        Measured in matrix space, so the entries of m outside the blocks,
+        which are orthogonal to the span, count in full.
+        """
         m = np.asarray(m, dtype=complex)
         return np.linalg.norm(m - self.project(m), axis=(-2, -1))
 
@@ -247,21 +340,24 @@ class Subspace:
         orthonormal basis b_k, where F_S = sum_k b_k b_k* is the frame
         operator of S, which no other orthonormal basis changes.  The premise
         p S ⊆ S is the caller's: it holds for p in S when S is an algebra.
+        Every b_k is 0 outside the blocks, so F_S is the direct sum of the
+        block frames F_b, and tr(p F_S) = sum_b tr(p_b F_b).
         """
-        rows = np.swapaxes(self.basis, 0, 1).reshape(self.shape[0], -1)  # the b_k side by side
-        frame = rows @ rows.conj().T
-        return [int(round(t)) for t in np.einsum("xij,ji->x", projections, frame).real]
+        traces = 0.0
+        for s, part in zip(self._blocks, _parts(self._complex_rows(self._stack), self._blocks)):
+            rows = np.swapaxes(part, 0, 1).reshape(len(part[0]), -1)  # the b_k side by side
+            traces = traces + np.einsum("xij,ji->x", projections[:, s, s],
+                                        rows @ rows.conj().T).real
+        return [int(round(t)) for t in traces]
 
     def contains(self, m: np.ndarray, tol: float = TOL_DERIVED) -> bool:
         return bool(self.residual(m) <= tol * max(1.0, frobenius(m)))
 
     def union(self, other: "Subspace") -> "Subspace":
         """The span of both, as a plain span of their field (also for subclasses)."""
-        field = RealSpan if isinstance(self, RealSpan) else Subspace
-        if isinstance(other, RealSpan) is not (field is RealSpan) or other.shape != self.shape:
+        if (isinstance(other, RealSpan), other.shape) != (isinstance(self, RealSpan), self.shape):
             raise ValueError("spans differ in field or shape")
-        stack = np.vstack([self._stack, other._stack])
-        return field(_orthonormal_rows(stack), self.shape)
+        return self.from_spanning(np.concatenate([self.basis, other.basis]), self.shape)
 
     def intersection_dim(self, other: "Subspace") -> int:
         return self.dim + other.dim - self.union(other).dim
@@ -271,8 +367,8 @@ class RealSpan(Subspace):
     """Real-linear span of complex matrices, orthonormal in Re tr(a^* b).
 
     Needed for skew-hermitian and gauge Lie algebra spans, which are real
-    vector spaces not closed under multiplication by i.  A matrix becomes
-    the real row (Re vec, Im vec), an isometry from Re tr(a^* b) to the
+    vector spaces not closed under multiplication by i.  A packed matrix
+    becomes the real row (Re, Im), an isometry from Re tr(a^* b) to the
     real dot product, so the rows and coordinates are real.
     """
 
@@ -280,13 +376,13 @@ class RealSpan(Subspace):
     from_spanning = classmethod(Subspace.from_spanning.__func__)
 
     @staticmethod
-    def _vec(m: np.ndarray) -> np.ndarray:
-        v = Subspace._vec(m)
-        return np.concatenate([v.real, v.imag], axis=-1)
+    def _field_rows(packed: np.ndarray) -> np.ndarray:
+        return np.concatenate([packed.real, packed.imag], axis=-1)
 
-    def _mat(self, row: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _complex_rows(row: np.ndarray) -> np.ndarray:
         n = row.shape[-1] // 2
-        return super()._mat(row[..., :n] + 1j * row[..., n:])
+        return row[..., :n] + 1j * row[..., n:]
 
 
 def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
@@ -305,25 +401,30 @@ def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     a^H, where a stacks the ravelled images as rows: the rows of
     I - R^H R span it, and that matrix is a projector, so its singular
     values are 1 on the nullspace and float noise elsewhere.  Only d x d
-    and r x M factors are formed, never an M x M one.
+    and r x M factors are formed, never an M x M one.  The entries that
+    are 0 in every image are dropped before the SVD: they change neither
+    R nor any singular value.  The nullspace is packed over the blocks of
+    the domain basis.
     """
     domain, images = np.asarray(domain_basis, dtype=complex), np.asarray(images, dtype=complex)
     if len(domain) != len(images):
         raise ValueError("domain basis and image list disagree in length")
     if not len(domain):
         raise ValueError("empty domain")
-    r = _orthonormal_rows(images.reshape(len(images), -1).conj().T, 1e-9, floor)
+    a = images.reshape(len(images), -1)
+    r = _orthonormal_rows(a[:, a.any(axis=0)].conj().T, 1e-9, floor)
     # the absolute floor drops the noise rows an injective map leaves
     coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
     # orthonormal coefficient rows against an orthonormal domain basis
     # give orthonormal nullspace matrices, no re-orthonormalisation needed
-    return Subspace(coeffs @ domain.reshape(len(domain), -1), domain.shape[1:])
+    blocks = _diagonal_blocks(domain)
+    packed = _pack(domain, _block_index(blocks, domain.shape[1]))
+    return Subspace(coeffs @ packed, domain.shape[1:], blocks)
 
 
-def _graded_closure(seeds: list[np.ndarray], n: int,
-                    left: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Orthonormal row stacks of the smallest graded span containing the seed
-    that the left letters map into itself.
+def _graded_closure(seeds: list, n: int, left: list | None = None) -> list[Subspace]:
+    """Spans of the smallest graded span containing the seed that the left
+    letters map into itself, one per grade.
 
     ``seeds[g]`` and ``left[g]`` are stacks of n x n matrices of grade g, for
     k = len(seeds) grades; a product of grades x and y lands in grade
@@ -335,35 +436,47 @@ def _graded_closure(seeds: list[np.ndarray], n: int,
     left out means L = S, the seed itself, and then W is the word closure:
     W is spanned by words in S, so S W ⊆ W gives W W ⊆ W, the algebra S
     generates.  That costs |L| products per new row, not one per row of W.
-    A grade that already holds n^2 rows takes no more products, and the
-    loop ends once no grade gains a row or every grade is full.
+    A grade that already holds every row its blocks allow takes no more
+    products, and the loop ends once no grade gains a row or every grade is
+    full.
+
+    Block by block: outside the diagonal blocks of the seeds and the
+    letters (:func:`_diagonal_blocks`) every word is exactly 0, so all rows
+    are packed over these blocks, and a letter multiplies a word in each
+    block separately (:func:`block_products`).  The spans come out with
+    exact zeros outside the blocks.
 
     Cut: the seed rows are orthonormalised with singular values kept above
     1e-9 times the largest; after that every product is of two Frobenius-
     orthonormal rows, so a new direction is kept when its singular value
     exceeds 1e-9 absolutely (and 1e-9 relative to its round's residual).
     """
-    k, full = len(seeds), n * n
-    stacks = fresh = [_orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in seeds]
+    seeds = [np.reshape(np.asarray(s, dtype=complex), (-1, n, n)) for s in seeds]
+    left = None if left is None else [np.reshape(np.asarray(s, dtype=complex), (-1, n, n))
+                                      for s in left]
+    blocks = _diagonal_blocks(*seeds, *(left or []))
+    index, full = _block_index(blocks, n), sum((s.stop - s.start) ** 2 for s in blocks)
+    stacks = fresh = [_orthonormal_rows(_pack(s, index), _CLOSURE_RTOL) for s in seeds]
     letters = stacks if left is None else [
-        _orthonormal_rows(np.reshape(s, (-1, full)), _CLOSURE_RTOL) for s in left]
-    letters = [s.reshape(-1, n, n) for s in letters]
+        _orthonormal_rows(_pack(s, index), _CLOSURE_RTOL) for s in left]
+    letters = [_parts(s, blocks) for s in letters]
+    k = len(seeds)
     while min(len(s) for s in stacks) < full and any(len(f) for f in fresh):
-        words = [f.reshape(-1, n, n) for f in fresh]
+        words = [_parts(f, blocks) for f in fresh]
         fresh = [stack[:0] for stack in stacks]
         for g in range(k):
             for x in range(k):
-                for letter in letters[x]:
+                for i in range(len(letters[x][0])):
                     if len(stacks[g]) == full:
                         break
                     # one letter at a time: each SVD sees one letter's rows, and a
                     # letter whose products are already in the span costs no SVD
-                    prods = pair_products(letter[None], words[(g - x) % k])
+                    prods = block_products([p[i:i + 1] for p in letters[x]], words[(g - x) % k])
                     new = _extend_rows(stacks[g], prods, _CLOSURE_RTOL, _CLOSURE_RTOL)
                     if len(new):
                         stacks[g] = np.vstack([stacks[g], new])
                         fresh[g] = np.vstack([fresh[g], new])
-    return stacks
+    return [Subspace(s, (n, n), blocks) for s in stacks]
 
 
 def generated_algebra(generators, include_unit: bool = False) -> Subspace:
@@ -379,7 +492,7 @@ def generated_algebra(generators, include_unit: bool = False) -> Subspace:
         raise ValueError("generators must be one or more square matrices of equal size")
     n = gens.shape[1]
     seed = [gens, adjoint(gens)] + ([np.eye(n, dtype=complex)[None]] if include_unit else [])
-    return Subspace(_graded_closure([np.concatenate(seed)], n)[0], (n, n))
+    return _graded_closure([np.concatenate(seed)], n)[0]
 
 
 class AntiLinearOp:

@@ -133,7 +133,7 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
         "partition-of-unity", "the minimal projections of A_J sum to 1",
         partition, t_exact, SCOPE_EXACT))
 
-    kappa = max(commutator_map_norm(p, alg.basis) for p in base.projections)
+    kappa = float(commutator_map_norm(np.stack(base.projections), alg.basis).max())
     rep.add(CheckRecord.from_residual(
         "base-central-in-A", "each point projection is central in A: kappa_A = max_x "
         "|a -> [p_x, a]| on A, Frobenius to Frobenius",
@@ -157,7 +157,7 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
 
     cd, _ = c_d_algebra(triple)
     cuts = triple.pi(np.stack(base.projections))  # pi(p_x), formed once per point
-    worst = max(commutator_map_norm(pp, cd.basis) for pp in cuts)
+    worst = float(commutator_map_norm(cuts, cd.basis).max())
     rep.add(CheckRecord.from_residual(
         "base-central-in-CD", "each point projection is central in the algebra "
         "generated by A and [D, A]",
@@ -277,7 +277,7 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
     even = Subspace.from_spanning(np.concatenate([triple.pi_images, eye[None]]))
     rep.context["fiber_even_dims"] = even.cut_dims(dec.cuts)
 
-    kappa_pi = max(commutator_map_norm(pp, triple.pi_images) for pp in dec.cuts)
+    kappa_pi = float(commutator_map_norm(dec.cuts, triple.pi_images).max())
     rep.add(CheckRecord.from_residual(
         "gauge-action-localizes", "conjugating a one-form then cutting equals cutting then "
         "conjugating: for unitary u in A, |[pi(p), pi(u)] w pi(u)*|_F <= kappa_pi |e|_F |w|_F, "

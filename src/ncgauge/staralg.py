@@ -13,7 +13,11 @@ import numpy as np
 from .linalg import (
     RealSpan,
     Subspace,
+    _block_index,
+    _diagonal_blocks,
     _extend_rows,
+    _pack,
+    _parts,
     adjoint,
     as_cmatrix,
     commutator,
@@ -84,12 +88,14 @@ class FiniteStarAlgebra(Subspace):
     entry (i, j) with i and j in different blocks is sum_k a_ik b_kj, and
     for each k one of the two factors lies outside the blocks, so every
     term is an exact 0; the adjoint maps the symmetric pattern to itself.
-    So the product rows, the adjoint rows, the orthonormality Gram matrix
-    and the structure constants are formed on packed rows that hold the
-    diagonal blocks side by side, of width sum_b s_b^2 instead of n^2.
-    The dropped entries are exact zeros in every row, so coordinates and
-    residuals change only through the order of summation.  A dense algebra
-    is the one-block case, whose packed rows are the vectorised matrices.
+    The span's own packed rows (:class:`~ncgauge.linalg.Subspace`) are
+    kept over these blocks, of width sum_b s_b^2 instead of n^2, and the
+    product rows, the adjoint rows, the orthonormality Gram matrix and the
+    structure constants are formed on them, each block's table projected
+    against that block's slice of the rows.  The dropped entries are exact
+    zeros in every row, so coordinates and residuals change only through
+    the order of summation.  A dense algebra is the one-block case, whose
+    packed rows are the vectorised matrices.
 
     The caller gives the unit, which every constructor knows: the ambient
     identity, the unit of A for a subalgebra of A that holds it (A_J, Z(A)),
@@ -115,16 +121,16 @@ class FiniteStarAlgebra(Subspace):
         n = basis.shape[-1]
         if basis.shape[1:] != (n, n):
             raise NotClosed("algebra elements must be square matrices", 1.0)
-        super().__init__(self._vec(basis), (n, n))
+        gens = None if generators is None else np.asarray(generators, dtype=complex)
+        blocks = _diagonal_blocks(basis, unit, *([] if gens is None else [gens]))
+        super().__init__(_pack(basis, _block_index(blocks, n)), (n, n), blocks)
         self.ambient = n
         self.label = label
         self._skew: np.ndarray | None = None  # u(A), kept by skew_hermitian_basis
         self._gens: np.ndarray | None = None  # kept by generating_set
         self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: np.ndarray | None = None
-        self._blocks = _diagonal_blocks(basis, unit, *([] if generators is None else [generators]))
-        self._packed = _joined(self._split(basis))  # the orthonormal rows, packed
-        self.closure_residuals = self._verify(tol, unit, generators)
+        self.closure_residuals = self._verify(tol, unit, gens)
 
     # -- structure ---------------------------------------------------------
 
@@ -146,15 +152,15 @@ class FiniteStarAlgebra(Subspace):
     def structure_constants(self) -> np.ndarray:
         """c[a, b, k], the k-th coordinate of basis[a] @ basis[b]: the d^2 product table."""
         if self._constants is None:
-            b, d = self._split(self.basis), self.dim
-            self._constants = (block_products(b, b) @ self._packed.conj().T).reshape(d, d, d)
+            parts = _parts(self._stack, self._blocks)
+            tables = self._block_coordinates([pair_products(b, b) for b in parts], parts)
+            self._constants = tables.reshape((self.dim,) * 3)
         return self._constants
 
-    def _split(self, m: np.ndarray) -> list[np.ndarray]:
-        """A matrix stack's diagonal blocks, each contiguous; the stack itself for one block."""
-        if len(self._blocks) == 1:
-            return [m]
-        return [np.ascontiguousarray(m[:, s, s]) for s in self._blocks]
+    @staticmethod
+    def _block_coordinates(tables: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
+        """Coordinates of rows given block by block: each table against its block of the basis."""
+        return sum(t @ p.reshape(len(p), -1).conj().T for t, p in zip(tables, parts))
 
     def is_commutative(self, tol: float = 1e-10) -> bool:
         """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
@@ -177,62 +183,36 @@ class FiniteStarAlgebra(Subspace):
 
     def _verify(self, tol: float, unit: np.ndarray, generators) -> tuple[float, float]:
         """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
-        b, d = self.basis, self.dim
-        parts = self._split(b)
-        left = parts if generators is None else self._split(np.asarray(generators, dtype=complex))
+        d, blocks = self.dim, self._blocks
+        parts = _parts(self._stack, blocks)
+        left = parts if generators is None else [generators[:, s, s] for s in blocks]
         closure, coords = [], []
-        for kind, rows in (("products", block_products(left, parts)),
-                           ("adjoints", _joined([adjoint(x) for x in parts]))):
-            coords.append(rows @ self._packed.conj().T)
-            rows -= coords[-1] @ self._packed  # in place: rows, once read, become the residual
-            closure.append(float(np.max(np.linalg.norm(rows, axis=1))))
+        for kind, tables in (("products", [pair_products(a, b) for a, b in zip(left, parts)]),
+                             ("adjoints", [adjoint(b).reshape(d, -1) for b in parts])):
+            coords.append(self._block_coordinates(tables, parts))
+            for t, p in zip(tables, parts):
+                t -= coords[-1] @ p.reshape(d, -1)  # in place: a table, once read, is its residual
+            # the row norms over all blocks, from real views: no conjugate copy
+            squares = sum(np.einsum("ij,ij->i", t.view(float), t.view(float)) for t in tables)
+            closure.append(float(np.sqrt(squares.max())))
             if closure[-1] > tol:
                 raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
                                 closure[-1])
         if generators is None:
             self._constants = coords[0].reshape(d, d, d)
-        gram = op_norm(self._packed @ self._packed.conj().T - np.eye(d))
+        gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
         self.unit = as_cmatrix(unit)
-        worst = max_op_norm([self.unit @ b - b, b @ self.unit - b])[0]
+        # the unit is 0 outside the blocks too, so each residual is block-diagonal
+        worst = max_op_norm(r for s, b in zip(blocks, parts)
+                            for r in (self.unit[s, s] @ b - b, b @ self.unit[s, s] - b))[0]
         if worst > 1e-9:
             raise NotClosed(f"unit does not act as the identity (residual {worst:.2e})", worst)
         gap = self.residual(self.unit) / max(1.0, frobenius(self.unit))
         if gap > 1e-9:
             raise NotClosed("stored unit lies outside the span", gap)
         return closure[0], closure[1]
-
-
-def _diagonal_blocks(*stacks: np.ndarray) -> list[slice]:
-    """The finest contiguous diagonal blocks outside which every matrix given is exactly 0.
-
-    Each argument is a matrix or a stack of n x n matrices; their nonzero
-    pattern is made symmetric.  A block ends at index i when no row up to i
-    reaches a column beyond i.
-    """
-    idx = np.arange(np.shape(stacks[0])[-1])
-    mask = np.any([np.reshape(m, (-1, len(idx), len(idx))).any(axis=0) for m in stacks], axis=0)
-    reach = np.maximum.accumulate(np.where(mask | mask.T, idx, idx[:, None]).max(axis=1))
-    ends = (np.flatnonzero(reach == idx) + 1).tolist()
-    return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """Rows of the stacks side by side, vectorised; a view when there is one stack."""
-    rows = [np.reshape(p, (len(p), -1)) for p in parts]
-    return rows[0] if len(rows) == 1 else np.concatenate(rows, axis=1)
-
-
-def block_products(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    """Every product a[i] @ b[j] of two block-diagonal stacks given block by block.
-
-    ``a`` and ``b`` list the stacks' diagonal blocks, in the same order.
-    Row i len(b) + j holds the diagonal blocks of a[i] @ b[j] side by side:
-    the packed rows of :class:`FiniteStarAlgebra`, one ``pair_products``
-    table per block.
-    """
-    return _joined([pair_products(x, y) for x, y in zip(a, b)])
 
 
 def full_matrix_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
@@ -424,12 +404,13 @@ def lie_generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
     runs in A's own ambient, not on H.
     """
     x = generating_set(algebra)
-    s = RealSpan.from_spanning(np.concatenate([(x - adjoint(x)) / 2,
-                                               skew_hermitian_basis(center(algebra))])).basis
-    rows = fresh = RealSpan._vec(s)
+    span = RealSpan.from_spanning(np.concatenate([(x - adjoint(x)) / 2,
+                                                  skew_hermitian_basis(center(algebra))]))
+    s = span.basis
+    rows = fresh = span._stack  # brackets stay in the blocks of S, so they pack like S
     while len(fresh) and len(rows) < algebra.dim:  # brackets of S with the rows new last round
-        brackets = commutator(s[:, None], RealSpan(fresh, algebra.shape).basis[None])
-        fresh = _extend_rows(rows, RealSpan._vec(brackets).reshape(-1, rows.shape[1]), 1e-9, 1e-9)
+        brackets = commutator(s[:, None], RealSpan(fresh, span.shape, span._blocks).basis[None])
+        fresh = _extend_rows(rows, span._vec(brackets).reshape(-1, rows.shape[1]), 1e-9, 1e-9)
         rows = np.vstack([rows, fresh])
     return s if len(rows) == algebra.dim else skew_hermitian_basis(algebra)
 

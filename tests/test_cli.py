@@ -591,6 +591,18 @@ def test_runs_are_deterministic(capsys, argv):
     assert first == second
 
 
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    """Later calls parse with the same parser, and add no argument to it."""
+    run(capsys, "check", "hs:N=2")
+    added = []
+    real = cli.argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **k: added.append(a) or real(self, *a, **k))
+    code, _, _ = run(capsys, "localize", "hs:N=2")
+    assert code == 0 and added == []
+    assert cli._parser() is cli._parser()
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, err = run(capsys, "check", "hs:N=2", "--out", str(target))

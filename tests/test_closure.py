@@ -90,14 +90,14 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     even, odd = closure_oracle(seeds, n)
     total = even.union(odd)
 
-    got_even, got_odd = (Subspace(s, (n, n)) for s in _graded_closure(seeds, n))
+    got_even, got_odd = _graded_closure(seeds, n)
     assert_same_span(got_even, even)
     assert_same_span(got_odd, odd)
     (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
 
     cd, rep = c_d_algebra(triple)
     assert_same_span(cd, total)
-    assert_same_span(cd, Subspace(full_seed, (n, n)))
+    assert_same_span(cd, full_seed)
     ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         even.dim, odd.dim, total.dim, even.dim + odd.dim == total.dim) == CD_PRESETS[spec]
@@ -163,7 +163,7 @@ def test_c_d_algebra_matches_the_oracles_on_configs(monkeypatch, name):
     cd, _ = c_d_algebra(triple)
     assert grades == ([1] if omega.contains(eye) else [2])
     assert_same_span(cd, even.union(odd))
-    assert_same_span(cd, Subspace(full_seed, (n, n)))
+    assert_same_span(cd, full_seed)
     assert rep.record("generated-closure").passed
     if name == "full-left-offdiagonal":  # the [D, pi(g)] letters must grow Omega^1
         assert grades == [1] and omega.dim == 12 < cd.dim == 16
@@ -230,31 +230,31 @@ def test_drawn_generators_pass_the_certificate(sizes):
 def test_c_d_verification_forms_letters_times_dim_products(monkeypatch, spec):
     """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table.
 
-    The verification table has one packed row per product, of width
-    sum_b s_b^2 over C_D's diagonal blocks.
+    Both run block by block, one ``pair_products`` table per diagonal block
+    of C_D, so a product is one row in each block's table: the products are
+    counted as table entries over sum_b s_b^2, the packed width.
     """
     triple = model_from_string(spec)
     one_form_space(triple)
     shapes = {"closure": [], "verification": []}
 
-    def closure_spy(a, b):
-        shapes["closure"].append((len(a), len(b)))
-        return real_pair_products(a, b)
+    def spy(kind, real):
+        def wrapped(a, b):
+            table = real(a, b)
+            shapes[kind].append(table.shape)
+            return table
+        return wrapped
 
-    def verification_spy(a, b):
-        table = real_block_products(a, b)
-        shapes["verification"].append(table.shape)
-        return table
-
-    real_pair_products, real_block_products = linalg.pair_products, staralg.block_products
-    monkeypatch.setattr(linalg, "pair_products", closure_spy)
-    monkeypatch.setattr(staralg, "block_products", verification_spy)
+    monkeypatch.setattr(linalg, "pair_products", spy("closure", linalg.pair_products))
+    monkeypatch.setattr(staralg, "pair_products", spy("verification", staralg.pair_products))
     cd, rep = c_d_algebra(triple)
     letters = 2 * len(generating_set(triple.algebra))
-    width = sum((s.stop - s.start) ** 2 for s in cd._blocks)
-    assert shapes["verification"] == [(letters * cd.dim, width)]
-    assert width <= triple.hilbert_dim ** 2
-    assert sum(a * b for a, b in shapes["closure"]) <= letters * cd.dim < cd.dim ** 2
+    widths = [(s.stop - s.start) ** 2 for s in cd._blocks]
+    assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3}[spec]
+    assert shapes["verification"] == [(letters * cd.dim, w) for w in widths]
+    assert sum(widths) <= triple.hilbert_dim ** 2
+    products = sum(rows * w for rows, w in shapes["closure"]) / sum(widths)
+    assert products <= letters * cd.dim < cd.dim ** 2
     assert rep.record("generated-closure").passed
 
 

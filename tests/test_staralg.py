@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgauge import linalg, staralg
-from ncgauge.linalg import Subspace, adjoint, commutator, max_op_norm, nullspace, op_norm
+from ncgauge.linalg import (Subspace, adjoint, commutator, max_op_norm, nullspace, op_norm,
+                            pair_products)
 from ncgauge.models import (build_finite_ym, build_hs_model, build_orbifold_algebra,
                             model_from_string)
 from ncgauge.models import triple_from_config
@@ -14,7 +15,6 @@ from ncgauge.staralg import (
     NonCommutative,
     NotClosed,
     block_diagonal_algebra,
-    block_products,
     center,
     diagonal_algebra,
     full_matrix_algebra,
@@ -376,8 +376,9 @@ def test_c_d_table_matches_the_dense_table(spec, blocks):
     gens = triple.pi(generating_set(triple.algebra))
     letters = np.concatenate([gens, commutator(triple.dirac, gens)])
     # the letters stay in the point blocks unless the hopping joins the points
-    assert len(staralg._diagonal_blocks(letters)) == blocks
+    assert len(linalg._diagonal_blocks(letters)) == blocks
     cd, _ = c_d_algebra(triple)
+    assert len(cd._blocks) == blocks  # the closure leaves exact zeros off the letters' blocks
     eye = np.eye(triple.hilbert_dim, dtype=complex)
     assert_packed_matches_dense(cd.basis, eye, letters)
     assert_packed_matches_dense(cd.basis, eye)
@@ -397,7 +398,7 @@ def test_an_off_block_entry_merges_the_blocks(sizes, where, scale, data):
     target = {"basis": basis, "letter": letters, "unit": unit[None]}[where]
     target[data.draw(st.integers(0, len(target) - 1)), i, j] += scale
     stacks = [m for m in (basis, unit, letters) if m is not None]
-    blocks = staralg._diagonal_blocks(*stacks)
+    blocks = linalg._diagonal_blocks(*stacks)
     assert [s.stop - s.start for s in blocks] == oracle_block_sizes(*stacks)
     assert any(s.start <= min(i, j) and max(i, j) < s.stop for s in blocks)
     assert_packed_matches_dense(basis, unit, letters)
@@ -446,16 +447,17 @@ def test_center_forms_one_product_table(monkeypatch):
     tables = []
 
     def spy(a, b):
-        table = block_products(a, b)
+        table = pair_products(a, b)
         tables.append(table.shape)
         return table
 
-    monkeypatch.setattr(staralg, "block_products", spy)
+    monkeypatch.setattr(staralg, "pair_products", spy)
     z = center(alg)
-    assert tables == [(z.dim ** 2, packed_width(z))]
+    # one table, block by block: z.dim^2 rows in each block, sum_b s_b^2 wide in all
+    assert tables == [(z.dim ** 2, (s.stop - s.start) ** 2) for s in z._blocks]
     # the center lives in the 3 x 3 point blocks, 2 q of them: at most 54 of 324 entries
     assert packed_width(z) <= 2 * 3 * 3 ** 2
-    assert center(alg) is z and len(tables) == 1  # kept on the algebra
+    assert center(alg) is z and len(tables) == len(z._blocks)  # kept on the algebra
 
 
 def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
@@ -473,8 +475,8 @@ def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
         u = random_unitary(alg, seed=s)
         assert op_norm(u @ adjoint(u) - np.eye(3)) < 1e-10
     assert len(minimal_projections(alg)) == 3
-    # the skew candidates: 2d real rows of length 2 n^2
-    assert shapes.count((2 * alg.dim, 2 * alg.ambient ** 2)) == 1
+    # the skew candidates: 2d real rows of length 2 sum_b s_b^2, packed over the blocks
+    assert shapes.count((2 * alg.dim, 2 * packed_width(alg))) == 1
     assert skew_hermitian_basis(alg) is skew_hermitian_basis(alg)
 
 
