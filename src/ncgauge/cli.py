@@ -97,11 +97,21 @@ def _require_triple(model, spec: str) -> RealSpectralTriple:
     raise BadModelSpec(f"{spec!r} has no Dirac data; this command needs a triple")
 
 
+def _frame(args, **extra: str) -> tuple[Report, float]:
+    """A model command's empty report and its tolerance: ``--tol``, else TOL_DERIVED.
+
+    The title is the command over the model and the ``extra`` arguments; the
+    context holds the model, the extra arguments, the seed and ``--tol``.
+    """
+    rep = Report(f"{args.command}[{';'.join([args.model, *extra.values()])}]",
+                 context={"model": args.model, **extra, "seed": args.seed,
+                          "tol_override": args.tol})
+    return rep, TOL_DERIVED if args.tol is None else args.tol
+
+
 def cmd_check(args) -> tuple[Report, None]:
     model = load_model(args.model, default_seed=args.seed)
-    rep = Report(f"check[{args.model}]",
-                 context={"model": args.model, "seed": args.seed,
-                          "tol_override": args.tol})
+    rep, tol = _frame(args)
     if isinstance(model, tuple):
         algebra, sub = model
         rep.extend(sub)
@@ -110,7 +120,6 @@ def cmd_check(args) -> tuple[Report, None]:
         return rep, None
     triple = model
     rep.extend(check_axioms(triple, tol=args.tol))
-    tol = TOL_DERIVED if args.tol is None else args.tol
     aj = verify_aj_properties(triple, tol=tol)
     rep.extend(aj)
     if "closure_error" in aj.context:
@@ -125,10 +134,7 @@ def cmd_check(args) -> tuple[Report, None]:
 
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
-    tol = TOL_DERIVED if args.tol is None else args.tol
-    rep = Report(f"localize[{args.model}]",
-                 context={"model": args.model, "seed": args.seed,
-                          "tol_override": args.tol})
+    rep, tol = _frame(args)
     if aj_or_closure_failure(triple, rep, tol) is None:
         return rep, None  # no base to localize over: A_J is not a *-algebra
     dec = localize(triple, tol=args.tol)
@@ -191,13 +197,10 @@ def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int,
 
 def cmd_fluctuate(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
-    tol = TOL_DERIVED if args.tol is None else args.tol
     head, _, tail = args.perturbation.partition(":")
     head = head.strip().lower()
     params = _parse_kv(tail)
-    rep = Report(f"fluctuate[{args.model};{args.perturbation}]",
-                 context={"model": args.model, "perturbation": args.perturbation,
-                          "seed": args.seed, "tol_override": args.tol})
+    rep, tol = _frame(args, perturbation=args.perturbation)
     if head == "zero":
         d_omega = fluctuate(triple, OneForm.zero(triple))
         rep.add(CheckRecord.from_residual(

@@ -530,16 +530,5 @@ class AntiLinearOp:
         k = self.kernel
         return op_norm(adjoint(k) @ k - np.eye(self.dim))
 
-    def is_isometry(self, tol: float = TOL_CONSTRUCT) -> bool:
-        return self.unitarity_residual() <= tol
-
-    def square_sign(self) -> tuple[int, float]:
-        """Best sign eps and the residual of K conj(K) = eps 1."""
-        kk = self.kernel @ np.conj(self.kernel)
-        eye = np.eye(self.dim)
-        r_plus = op_norm(kk - eye)
-        r_minus = op_norm(kk + eye)
-        return (1, r_plus) if r_plus <= r_minus else (-1, r_minus)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"AntiLinearOp(dim={self.dim})"

@@ -158,6 +158,8 @@ def _parse_kv(text: str) -> dict:
         key, val = item.split("=", 1)
         key = key.strip()
         val = val.strip()
+        if key in out:
+            raise BadModelSpec(f"duplicate parameter {key!r}")
         try:
             out[key] = int(val)
         except ValueError:
@@ -360,12 +362,22 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
         raise BadModelSpec(str(exc)) from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key (json keeps the last by default)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise BadModelSpec(f"duplicate key {key!r} in config document")
+        out[key] = value
+    return out
+
+
 def load_model(spec: str, default_seed: int = 0):
     """Dispatch: an existing ``.json`` path loads a config, else a preset string."""
     if os.path.exists(spec) or spec.endswith(".json"):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, object_pairs_hook=_unique_keys)
         except OSError as exc:
             raise BadModelSpec(f"cannot read config file {spec!r}: {exc}") from exc
         except json.JSONDecodeError as exc:

@@ -23,6 +23,18 @@ import io
 import json
 from dataclasses import dataclass, field
 
+__all__ = [
+    "SCHEMA_TAG",
+    "SCOPE_EXACT",
+    "SCOPE_FINITE",
+    "SCOPE_RATIONAL",
+    "SCOPE_CONTINUITY",
+    "NonFiniteReport",
+    "CheckRecord",
+    "Report",
+    "rows_to_csv",
+]
+
 SCHEMA_TAG = "ncgauge.report/1"
 
 SCOPE_EXACT = "exact"
@@ -148,9 +160,9 @@ class Report:
                                  if self.witnesses else self.context),
         }
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         try:
-            return json.dumps(self.to_dict(), indent=indent, sort_keys=False, allow_nan=False)
+            return json.dumps(self.to_dict(), indent=2, sort_keys=False, allow_nan=False)
         except ValueError as exc:  # allow_nan=False raises it on a NaN or an infinity
             raise NonFiniteReport(f"{self.title}: {exc}") from exc
 

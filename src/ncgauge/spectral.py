@@ -171,9 +171,6 @@ class OneForm:
         m = self.matrix
         return op_norm(m - adjoint(m))
 
-    def span_residual(self) -> float:
-        return one_form_space(self.triple).residual(self.matrix)
-
     def __add__(self, other: "OneForm") -> "OneForm":
         if other.triple is not self.triple:
             raise ValueError("one-forms belong to different triples")

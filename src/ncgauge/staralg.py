@@ -113,8 +113,7 @@ class FiniteStarAlgebra(Subspace):
     unit would pass.
     """
 
-    def __init__(self, basis: np.ndarray, unit: np.ndarray, label: str = "",
-                 tol: float = 1e-8, generators=None):
+    def __init__(self, basis: np.ndarray, unit: np.ndarray, label: str = "", generators=None):
         basis = np.asarray(basis, dtype=complex)
         if not len(basis):
             raise NotClosed("an algebra needs at least one basis element", 1.0)
@@ -130,7 +129,7 @@ class FiniteStarAlgebra(Subspace):
         self._gens: np.ndarray | None = None  # kept by generating_set
         self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: np.ndarray | None = None
-        self.closure_residuals = self._verify(tol, unit, gens)
+        self.closure_residuals = self._verify(unit, gens)
 
     # -- structure ---------------------------------------------------------
 
@@ -181,8 +180,11 @@ class FiniteStarAlgebra(Subspace):
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, tol: float, unit: np.ndarray, generators) -> tuple[float, float]:
-        """Raise unless closed, orthonormal and unital; set the unit; return closure residuals."""
+    def _verify(self, unit: np.ndarray, generators) -> tuple[float, float]:
+        """Raise unless closed, orthonormal and unital; set the unit; return closure residuals.
+
+        Closure is held to 1e-8, orthonormality and the unit to 1e-9.
+        """
         d, blocks = self.dim, self._blocks
         parts = _parts(self._stack, blocks)
         left = parts if generators is None else [generators[:, s, s] for s in blocks]
@@ -195,7 +197,7 @@ class FiniteStarAlgebra(Subspace):
             # the row norms over all blocks, from real views: no conjugate copy
             squares = sum(np.einsum("ij,ij->i", t.view(float), t.view(float)) for t in tables)
             closure.append(float(np.sqrt(squares.max())))
-            if closure[-1] > tol:
+            if closure[-1] > 1e-8:
                 raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
                                 closure[-1])
         if generators is None:
@@ -215,13 +217,13 @@ class FiniteStarAlgebra(Subspace):
         return closure[0], closure[1]
 
 
-def full_matrix_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
+def full_matrix_algebra(n: int) -> FiniteStarAlgebra:
     """M_n with the matrix-unit basis (already orthonormal)."""
-    return block_diagonal_algebra([n], label or f"M{n}")
+    return block_diagonal_algebra([n], f"M{n}")
 
 
-def diagonal_algebra(n: int, label: str = "") -> FiniteStarAlgebra:
-    return block_diagonal_algebra([1] * n, label or f"C^{n}")
+def diagonal_algebra(n: int) -> FiniteStarAlgebra:
+    return block_diagonal_algebra([1] * n, f"C^{n}")
 
 
 def block_diagonal_algebra(sizes: list[int], label: str = "") -> FiniteStarAlgebra:
@@ -261,14 +263,15 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
 
 
 class ProjectionFamily:
-    """Pairwise orthogonal self-adjoint idempotents summing to a unit."""
+    """Pairwise orthogonal self-adjoint idempotents summing to a unit, checked at 1e-9.
 
-    def __init__(self, projections: list[np.ndarray], labels: list[str] | None = None,
-                 unit: np.ndarray | None = None, tol: float = 1e-9):
+    The points are labelled x0, x1, ... in the order given.
+    """
+
+    def __init__(self, projections: list[np.ndarray], unit: np.ndarray | None = None):
         self.projections = [as_cmatrix(p) for p in projections]
-        self.labels = labels or [f"x{i}" for i in range(len(self.projections))]
-        if len(self.labels) != len(self.projections):
-            raise ValueError("label/projection count mismatch")
+        self.labels = [f"x{i}" for i in range(len(self.projections))]
+        tol = 1e-9
         for p in self.projections:
             if op_norm(p @ p - p) > tol or op_norm(p - adjoint(p)) > tol:
                 raise AlgebraError("family member is not a self-adjoint idempotent")
@@ -409,7 +412,7 @@ def lie_generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
     s = span.basis
     rows = fresh = span._stack  # brackets stay in the blocks of S, so they pack like S
     while len(fresh) and len(rows) < algebra.dim:  # brackets of S with the rows new last round
-        brackets = commutator(s[:, None], RealSpan(fresh, span.shape, span._blocks).basis[None])
+        brackets = commutator(s[:, None], span._mat(fresh)[None])
         fresh = _extend_rows(rows, span._vec(brackets).reshape(-1, rows.shape[1]), 1e-9, 1e-9)
         rows = np.vstack([rows, fresh])
     return s if len(rows) == algebra.dim else skew_hermitian_basis(algebra)

@@ -444,6 +444,21 @@ def test_fluctuate_unknown_spec(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "hs:N=2,N=3"), "duplicate parameter 'N'"),
+    (("fluctuate", "hs:N=2", "random:terms=2,terms=3"), "duplicate parameter 'terms'"),
+    (("check", '{"preset": "hs", "params": {"N": 2, "N": 3}}'),
+     "duplicate key 'N' in config document"),
+])
+def test_a_repeated_key_is_bad_input(capsys, tmp_path, argv, message):
+    """A preset, a perturbation spec or a config document that repeats a key exits 2."""
+    config = tmp_path / "repeated.json"
+    config.write_text(argv[-1])
+    argv = [str(config) if a.startswith("{") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_toric_scan_csv_default(capsys):
     code, out, err = run(capsys, "toric-scan", "s3", "1", "2", "0.2")
     assert code == 0

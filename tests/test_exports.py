@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import types
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,8 @@ import pytest
 import ncgauge
 
 MODULES = sorted(f"ncgauge.{m.name}" for m in pkgutil.iter_modules(ncgauge.__path__))
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SPANS_FILE = PERFBENCH / "spans.py"
 
 
@@ -19,6 +22,51 @@ def test_module_all_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert not missing
+
+
+def _declared() -> set[str]:
+    """The union of the modules' ``__all__``."""
+    return {name for module in MODULES
+            for name in getattr(importlib.import_module(module), "__all__", [])}
+
+
+def test_package_namespace_is_the_union_of_module_alls():
+    """Each module declares its public names once; the package re-exports exactly those."""
+    public = {name for name, value in vars(ncgauge).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == _declared()
+
+
+def _reads(source: str) -> set[str]:
+    """Names and attributes a module reads, outside the definitions of the same name."""
+    reads = set()
+
+    def visit(node, inside: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return reads
+
+
+def test_every_exported_name_is_read():
+    """Nothing is public that no code, test, benchmark or the README reads: delete it instead."""
+    sources = [path for folder in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    read = set().union(*(_reads(path.read_text(encoding="utf-8")) for path in sources))
+    read |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert sorted(_declared() - read) == []
+
+
+def test_read_check_skips_a_name_read_only_inside_its_own_definition():
+    source = "def f(n):\n    return f(n - 1)\n\nclass C:\n    x = C\n\nprint(g.attr)\n"
+    assert _reads(source) == {"n", "print", "g", "attr"}
 
 
 def test_perfbench_spans_resolve():

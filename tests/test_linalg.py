@@ -254,16 +254,7 @@ def test_antilinear_conjugation_action():
     assert np.allclose(conj_m @ v, direct)
 
 
-def test_antilinear_square_sign():
-    sign, res = AntiLinearOp(np.eye(2, dtype=complex)).square_sign()
-    assert sign == 1 and res < 1e-14
-    sympl = np.array([[0, -1], [1, 0]], dtype=complex)
-    sign, res = AntiLinearOp(sympl).square_sign()
-    assert sign == -1 and res < 1e-14
-
-
 def test_antilinear_rejects_nothing_but_reports_nonunitary():
     k = np.diag([1.0, 2.0]).astype(complex)
     j = AntiLinearOp(k)
     assert j.unitarity_residual() > 0.5
-    assert not j.is_isometry()
