@@ -192,6 +192,11 @@ def _parts(rows: np.ndarray, blocks: list[slice]) -> list[np.ndarray]:
     return [rows[..., e - q * q:e].reshape(rows.shape[:-1] + (q, q)) for q, e in zip(sizes, ends)]
 
 
+def _incidence(rows: np.ndarray, blocks: list[slice]) -> np.ndarray:
+    """Whether each packed row is nonzero in each diagonal block: a (rows, blocks) mask."""
+    return np.stack([p.any(axis=(-2, -1)) for p in _parts(rows, blocks)], axis=-1)
+
+
 def _unpack(rows: np.ndarray, index: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
     """The matrices of packed rows, exactly 0 outside the blocks; a view for one block."""
     if index is None:
@@ -385,6 +390,23 @@ class RealSpan(Subspace):
         return row[..., :n] + 1j * row[..., n:]
 
 
+def _components(mask: np.ndarray) -> list[np.ndarray]:
+    """The rows of a boolean matrix grouped by chains of shared True columns, in order.
+
+    Each group is sorted and the groups are ordered by their first row; a
+    row with no True entry is a group of its own.  Every row takes the least
+    label among the rows it shares a column with until nothing changes, so
+    each group ends labelled by its first row.
+    """
+    rows = label = np.arange(len(mask))
+    while True:
+        least = np.where(mask, label[:, None], len(mask)).min(axis=0, initial=len(mask))
+        new = np.minimum(label, np.where(mask, least, len(mask)).min(axis=1, initial=len(mask)))
+        if np.array_equal(new, label):
+            return [np.flatnonzero(label == r) for r in rows[label == rows]]
+        label = new
+
+
 def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     """Nullspace of a linear map given on an orthonormal basis of its domain.
 
@@ -397,14 +419,21 @@ def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     that is zero up to rounding has the whole domain as its nullspace.
     Rank plus nullity equals the domain dimension by construction.
 
-    The coefficient nullspace is the complement of the row space R of
-    a^H, where a stacks the ravelled images as rows: the rows of
-    I - R^H R span it, and that matrix is a projector, so its singular
-    values are 1 on the nullspace and float noise elsewhere.  Only d x d
-    and r x M factors are formed, never an M x M one.  The entries that
-    are 0 in every image are dropped before the SVD: they change neither
-    R nor any singular value.  The nullspace is packed over the blocks of
-    the domain basis.
+    The entries that are 0 in every image are dropped, and the domain splits
+    into groups joined by chains of shared diagonal blocks of the domain
+    basis or shared nonzero image entries (:func:`_components`): the
+    summands of a direct sum, when their images have disjoint supports.
+    The stacked images a are then block-diagonal up to a permutation, so
+    their singular values are those of the groups together, s_max is the
+    largest group s_max, and the nullspace is the direct sum of the group
+    nullspaces.  One SVD per group, of a_g* = U S V* (tall, the faster
+    orientation), gives both: c a_g = 0 exactly when a_g* conj(c) = 0,
+    that is when conj(c) has no component along the rows of V* whose
+    singular values exceed the cut, so the coefficient rows are the rows
+    of V* past the rank (all d_g of them are formed).  Only d_g x d_g and
+    M_g x d_g factors are formed.  Orthonormal coefficient rows against an
+    orthonormal domain basis give orthonormal nullspace matrices, packed
+    over the blocks of the domain basis.
     """
     domain, images = np.asarray(domain_basis, dtype=complex), np.asarray(images, dtype=complex)
     if len(domain) != len(images):
@@ -412,14 +441,18 @@ def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     if not len(domain):
         raise ValueError("empty domain")
     a = images.reshape(len(images), -1)
-    r = _orthonormal_rows(a[:, a.any(axis=0)].conj().T, 1e-9, floor)
-    # the absolute floor drops the noise rows an injective map leaves
-    coeffs = _orthonormal_rows(np.eye(len(domain)) - r.conj().T @ r, 0.5, floor=0.5)
-    # orthonormal coefficient rows against an orthonormal domain basis
-    # give orthonormal nullspace matrices, no re-orthonormalisation needed
+    a = a[:, a.any(axis=0)]
     blocks = _diagonal_blocks(domain)
     packed = _pack(domain, _block_index(blocks, domain.shape[1]))
-    return Subspace(coeffs @ packed, domain.shape[1:], blocks)
+    groups = _components(np.concatenate([_incidence(packed, blocks), a != 0], axis=1))
+    svds = [np.linalg.svd(m.conj().T, full_matrices=m.shape[1] < len(g))[1:]
+            for g, m in ((g, a[g][:, a[g].any(axis=0)]) for g in groups)]
+    cut = max(1e-9 * max((s[0] for s, _ in svds if len(s)), default=0.0), floor)
+    coeffs = [np.zeros((0, len(domain)), dtype=complex)]
+    for g, (s, vh) in zip(groups, svds):
+        coeffs.append(np.zeros((len(g) - int(np.sum(s > cut)), len(domain)), dtype=complex))
+        coeffs[-1][:, g] = vh[len(g) - len(coeffs[-1]):]
+    return Subspace(np.concatenate(coeffs) @ packed, domain.shape[1:], blocks)
 
 
 def _graded_closure(seeds: list, n: int, left: list | None = None) -> list[Subspace]:

@@ -209,10 +209,13 @@ def model_from_string(spec: str, default_seed: int = 0):
     real value.
     """
     head, _, tail = spec.partition(":")
-    head = head.strip().lower()
+    return _build_preset(head.strip().lower(), _parse_kv(tail), default_seed)
+
+
+def _build_preset(head, params: dict, default_seed: int):
+    """The preset ``head`` from its parameters, each checked and popped as its builder reads it."""
     if head not in ("hs", "ym", "orbifold"):
         raise BadModelSpec(f"unknown preset {head!r} (known: hs, ym, orbifold)")
-    params = _parse_kv(tail)
     try:
         if head == "hs":
             out = build_hs_model(take_int(params, "N", "n", default=2),
@@ -221,10 +224,11 @@ def model_from_string(spec: str, default_seed: int = 0):
             k = take_int(params, "k", default=2)
             n = take_int(params, "N", "n", default=2)
             seed = take_seed(params, default_seed)
-            lam_val = params.pop("lam", None)
-            hopping = None
-            if lam_val is not None:
-                hopping = float(lam_val) * (np.ones((k, k)) - np.eye(k))
+            lam = params.pop("lam", None)
+            if lam is not None and (isinstance(lam, bool) or not isinstance(lam, (int, float))
+                                    or not math.isfinite(lam)):
+                raise BadModelSpec(f"parameter 'lam' must be a finite number, got {lam!r}")
+            hopping = None if lam is None else lam * (np.ones((k, k)) - np.eye(k))
             out = build_finite_ym(k, n, hopping=hopping, seed=seed)
         else:
             out = build_orbifold_algebra(take_int(params, "q", default=2),
@@ -290,8 +294,7 @@ def triple_from_config(cfg: dict) -> RealSpectralTriple:
         params = cfg.get("params", {})
         if not isinstance(params, dict):
             raise BadModelSpec("'params' must be an object")
-        pieces = ",".join(f"{k}={v}" for k, v in params.items())
-        return model_from_string(f"{cfg['preset']}:{pieces}")
+        return _build_preset(cfg["preset"], dict(params), 0)
 
     for key in ("algebra", "representation", "dirac", "real_structure"):
         if key not in cfg:

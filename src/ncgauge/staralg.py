@@ -14,8 +14,10 @@ from .linalg import (
     RealSpan,
     Subspace,
     _block_index,
+    _components,
     _diagonal_blocks,
     _extend_rows,
+    _incidence,
     _pack,
     _parts,
     adjoint,
@@ -76,9 +78,8 @@ class FiniteStarAlgebra(Subspace):
     Closure and the unit property are verified at construction, which
     keeps the worst product- and adjoint-closure residuals in
     ``closure_residuals``.  Without generators, the closure check computes
-    the coordinates of every product of two basis elements, and keeps them
-    as the structure constants: ``structure_constants[a, b, k]`` is the
-    k-th coordinate of basis[a] @ basis[b], a d x d x d array.
+    the coordinates of every product of two basis elements of a summand
+    (below), and keeps them as the structure constants.
 
     The product table is formed block by block.  At construction the
     ambient index range splits into the finest contiguous diagonal blocks
@@ -89,13 +90,26 @@ class FiniteStarAlgebra(Subspace):
     for each k one of the two factors lies outside the blocks, so every
     term is an exact 0; the adjoint maps the symmetric pattern to itself.
     The span's own packed rows (:class:`~ncgauge.linalg.Subspace`) are
-    kept over these blocks, of width sum_b s_b^2 instead of n^2, and the
-    product rows, the adjoint rows, the orthonormality Gram matrix and the
-    structure constants are formed on them, each block's table projected
-    against that block's slice of the rows.  The dropped entries are exact
-    zeros in every row, so coordinates and residuals change only through
-    the order of summation.  A dense algebra is the one-block case, whose
-    packed rows are the vectorised matrices.
+    kept over these blocks, of width sum_b s_b^2 instead of n^2, and each
+    block's table is projected against that block's slice of the rows.
+
+    The algebra is a direct sum of its summands, read once, at
+    construction: a summand is a group of basis elements joined by chains
+    of shared diagonal blocks (:func:`~ncgauge.linalg._components` of the
+    element-block incidence), such as one M_N per point of ``ym:k,N`` or
+    one summand per orbit of the orbifold algebra.  Elements of different
+    summands have no block in common, so their products are exact zeros in
+    every block, and a product or an adjoint of elements of one summand
+    lies in that summand's blocks, where every element of another summand
+    is exactly 0: its coordinates on those elements are exact zeros too.
+    So the closure check forms, for each summand c, its d_c^2 products (or
+    the |S| d_c products S x basis_c, below) and its adjoints over c's
+    blocks only, and projects them against c's elements only; residuals
+    and coordinates change only through the order of summation.
+    ``structure_constants[c][a, b, k]`` is the k-th coordinate of the
+    product of the a-th and b-th elements of summand c, on its k-th
+    element.  A dense algebra, or a basis that straddles blocks (a rotated
+    basis), is the one-summand case.
 
     The caller gives the unit, which every constructor knows: the ambient
     identity, the unit of A for a subalgebra of A that holds it (A_J, Z(A)),
@@ -128,7 +142,9 @@ class FiniteStarAlgebra(Subspace):
         self._skew: np.ndarray | None = None  # u(A), kept by skew_hermitian_basis
         self._gens: np.ndarray | None = None  # kept by generating_set
         self._center: FiniteStarAlgebra | None = None  # kept by center
-        self._constants: np.ndarray | None = None
+        self._constants: list[np.ndarray] | None = None
+        touches = _incidence(self._stack, blocks)
+        self._summands = [(e, np.flatnonzero(touches[e].any(axis=0))) for e in _components(touches)]
         self.closure_residuals = self._verify(unit, gens)
 
     # -- structure ---------------------------------------------------------
@@ -148,13 +164,18 @@ class FiniteStarAlgebra(Subspace):
         return coords
 
     @property
-    def structure_constants(self) -> np.ndarray:
-        """c[a, b, k], the k-th coordinate of basis[a] @ basis[b]: the d^2 product table."""
+    def structure_constants(self) -> list[np.ndarray]:
+        """One d_c x d_c x d_c product table per summand, in the order of ``_summands``."""
         if self._constants is None:
-            parts = _parts(self._stack, self._blocks)
-            tables = self._block_coordinates([pair_products(b, b) for b in parts], parts)
-            self._constants = tables.reshape((self.dim,) * 3)
+            self._constants = [self._block_coordinates([pair_products(p, p) for p in parts], parts)
+                               .reshape((len(e),) * 3) for e, _, parts in self._summand_parts()]
         return self._constants
+
+    def _summand_parts(self) -> list[tuple[np.ndarray, list[slice], list[np.ndarray]]]:
+        """Each summand's elements, the slices of its blocks and its elements' parts in them."""
+        parts = _parts(self._stack, self._blocks)
+        return [(e, [self._blocks[b] for b in bs], [parts[b][e] for b in bs])
+                for e, bs in self._summands]
 
     @staticmethod
     def _block_coordinates(tables: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
@@ -164,10 +185,11 @@ class FiniteStarAlgebra(Subspace):
     def is_commutative(self, tol: float = 1e-10) -> bool:
         """Whether every commutator of basis elements has Frobenius norm at most ``tol``.
 
-        [b_a, b_b] has the coordinates c[a, b] - c[b, a] in the orthonormal basis.
+        [b_a, b_b] has the coordinates c[a, b] - c[b, a] in the orthonormal
+        basis, and it is exactly 0 for elements of different summands.
         """
-        c = self.structure_constants
-        return bool(np.linalg.norm(c - np.swapaxes(c, 0, 1), axis=2).max() <= tol)
+        return all(np.linalg.norm(c - np.swapaxes(c, 0, 1), axis=2).max() <= tol
+                   for c in self.structure_constants)
 
     def random_element(self, seed: int = 0) -> np.ndarray:
         rng = np.random.default_rng(seed)
@@ -185,29 +207,33 @@ class FiniteStarAlgebra(Subspace):
 
         Closure is held to 1e-8, orthonormality and the unit to 1e-9.
         """
-        d, blocks = self.dim, self._blocks
-        parts = _parts(self._stack, blocks)
-        left = parts if generators is None else [generators[:, s, s] for s in blocks]
-        closure, coords = [], []
-        for kind, tables in (("products", [pair_products(a, b) for a, b in zip(left, parts)]),
-                             ("adjoints", [adjoint(b).reshape(d, -1) for b in parts])):
-            coords.append(self._block_coordinates(tables, parts))
-            for t, p in zip(tables, parts):
-                t -= coords[-1] @ p.reshape(d, -1)  # in place: a table, once read, is its residual
-            # the row norms over all blocks, from real views: no conjugate copy
-            squares = sum(np.einsum("ij,ij->i", t.view(float), t.view(float)) for t in tables)
-            closure.append(float(np.sqrt(squares.max())))
-            if closure[-1] > 1e-8:
-                raise NotClosed(f"span not closed under {kind} (residual {closure[-1]:.2e})",
-                                closure[-1])
-        if generators is None:
-            self._constants = coords[0].reshape(d, d, d)
+        d, blocks, summands = self.dim, self._blocks, self._summand_parts()
+        closure = []
+        for kind in ("products", "adjoints"):
+            worst, coords = 0.0, []
+            for _, slices, parts in summands:
+                left = parts if generators is None else [generators[:, s, s] for s in slices]
+                tables = ([pair_products(a, b) for a, b in zip(left, parts)] if kind == "products"
+                          else [adjoint(b).reshape(len(b), -1) for b in parts])
+                coords.append(self._block_coordinates(tables, parts))
+                for t, p in zip(tables, parts):  # in place: a table, once read, is its residual
+                    t -= coords[-1] @ p.reshape(len(p), -1)
+                # the row norms over the summand's blocks, from real views: no conjugate copy
+                squares = sum((np.einsum("ij,ij->i", t.view(float), t.view(float)) for t in tables),
+                              np.zeros(1))
+                worst = max(worst, float(np.sqrt(squares.max())))
+            closure.append(worst)
+            if worst > 1e-8:
+                raise NotClosed(f"span not closed under {kind} (residual {worst:.2e})", worst)
+            if generators is None and kind == "products":
+                self._constants = [np.reshape(c, (len(e),) * 3)
+                                   for c, (e, _, _) in zip(coords, summands)]
         gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
         if gram > 1e-9:
             raise NotClosed("basis is not orthonormal in the trace inner product", gram)
         self.unit = as_cmatrix(unit)
         # the unit is 0 outside the blocks too, so each residual is block-diagonal
-        worst = max_op_norm(r for s, b in zip(blocks, parts)
+        worst = max_op_norm(r for s, b in zip(blocks, _parts(self._stack, blocks))
                             for r in (self.unit[s, s] @ b - b, b @ self.unit[s, s] - b))[0]
         if worst > 1e-9:
             raise NotClosed(f"unit does not act as the identity (residual {worst:.2e})", worst)
@@ -240,10 +266,18 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
 
     Computed as the nullspace of a -> ([a, b_1], ..., [a, b_d]) restricted
     to the span, read from the structure constants: [b_a, b_b] has the
-    coordinates c[a, b] - c[b, a], so the map is d x d^2 in coordinates.
-    The basis is orthonormal and every commutator lies in A, so taking
-    coordinates is an isometry on the image: this is the same linear map
-    as on the d n^2 commutator matrices, with the same singular values.
+    coordinates c[a, b] - c[b, a].  The basis is orthonormal and every
+    commutator lies in A, so taking coordinates is an isometry on the
+    image: this is the same linear map as on the d n^2 commutator matrices,
+    with the same singular values.
+
+    The center of a direct sum is the direct sum of the centers,
+    Z(⊕A_c) = ⊕Z(A_c): a commutator of elements of different summands is
+    an exact 0, so the map sends summand c into the d_c^2 coordinates of
+    its own commutators, and the images of different summands have
+    disjoint supports.  The map is one d x sum_c d_c^2 stack, and the one
+    :func:`~ncgauge.linalg.nullspace` call splits its SVD by summand: one
+    SVD of d_c x d_c^2 coordinates each, never one of d x d^2.
 
     The nullspace cut is ``1e-9 * max(s_max, 1)``.  Every coordinate row
     of [b_a, b_b] has norm at most 2, so 1 is the map's natural scale, and
@@ -255,8 +289,12 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     consistent input.  Computed once per algebra and kept on it, like u(A).
     """
     if algebra._center is None:
-        c = algebra.structure_constants
-        sub = nullspace(algebra.basis, c - np.swapaxes(c, 0, 1), floor=1e-9)
+        images, at = np.zeros((algebra.dim, sum(len(e) ** 2 for e, _ in algebra._summands)),
+                              dtype=complex), 0
+        for (e, _), c in zip(algebra._summands, algebra.structure_constants):
+            images[e, at:at + len(e) ** 2] = (c - np.swapaxes(c, 0, 1)).reshape(len(e), -1)
+            at += len(e) ** 2
+        sub = nullspace(algebra.basis, images, floor=1e-9)
         algebra._center = FiniteStarAlgebra(
             sub.basis, algebra.unit, label=f"Z({algebra.label})" if algebra.label else "center")
     return algebra._center

@@ -459,6 +459,34 @@ def test_a_repeated_key_is_bad_input(capsys, tmp_path, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"preset": "hs", "params": {"N": "2,seed=5"}},
+     "parameter 'N' must be an integer, got '2,seed=5'"),
+    ({"preset": "hs", "params": {"N": "2"}}, "parameter 'N' must be an integer, got '2'"),
+    ({"preset": "hs:N=3"}, "unknown preset 'hs:N=3' (known: hs, ym, orbifold)"),
+    ({"preset": "ym", "params": {"lam": "0.3"}},
+     "parameter 'lam' must be a finite number, got '0.3'"),
+    ({"preset": "ym", "params": {"lam": True}},
+     "parameter 'lam' must be a finite number, got True"),
+])
+def test_preset_params_are_values_not_preset_text(capsys, tmp_path, doc, message):
+    """A config's preset ``params`` are checked as the preset parser checks its values."""
+    config = tmp_path / "preset.json"
+    config.write_text(json.dumps(doc))
+    assert run(capsys, "check", str(config)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("params,spec", [({"N": 2}, "hs:N=2"),
+                                         ({"k": 2, "N": 2, "lam": 0.3}, "ym:k=2,N=2,lam=0.3")])
+def test_preset_params_load_the_preset_triple(tmp_path, params, spec):
+    config = tmp_path / "preset.json"
+    config.write_text(json.dumps({"preset": spec.partition(":")[0], "params": params}))
+    got, want = load_model(str(config)), load_model(spec)
+    for a, b in [(got.algebra.basis, want.algebra.basis), (got.pi_images, want.pi_images),
+                 (got.dirac, want.dirac), (got.real_structure.kernel, want.real_structure.kernel)]:
+        assert np.array_equal(a, b)
+
+
 def test_toric_scan_csv_default(capsys):
     code, out, err = run(capsys, "toric-scan", "s3", "1", "2", "0.2")
     assert code == 0

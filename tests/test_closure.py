@@ -31,6 +31,7 @@ from ncgauge.spectral import c_d_algebra, one_form_space
 from ncgauge.toric import BasePoint3, BasePoint4, s3_fiber_dimension, stratum_scan
 from ncgauge.torus import clock_shift
 from test_spectral import CONFIG_FIXTURES
+from test_staralg import dense_constants, table_shapes
 
 
 def closure_oracle(seeds, n):
@@ -181,7 +182,7 @@ def test_product_table_check_accepts_the_generator_verified_c_d(spec):
     cd, _ = c_d_algebra(triple)
     table = FiniteStarAlgebra(cd.basis, np.eye(triple.hilbert_dim))
     assert max(table.closure_residuals) < 1e-12
-    assert np.abs(cd.structure_constants - table.structure_constants).max() < 1e-12
+    assert np.abs(dense_constants(cd) - dense_constants(table)).max() < 1e-12
 
 
 def unit_multiple_draws(monkeypatch):
@@ -227,33 +228,28 @@ def test_drawn_generators_pass_the_certificate(sizes):
 
 
 @pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3"])
-def test_c_d_verification_forms_letters_times_dim_products(monkeypatch, spec):
+def test_c_d_verification_forms_letters_times_dim_products(count_calls, spec):
     """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table.
 
     Both run block by block, one ``pair_products`` table per diagonal block
     of C_D, so a product is one row in each block's table: the products are
-    counted as table entries over sum_b s_b^2, the packed width.
+    counted as table entries over sum_b s_b^2, the packed width.  The
+    verification forms |L| d_c products per summand c of C_D, one table per
+    (summand, block); the closure's orthonormal rows mix the point blocks of
+    ym, so there C_D is one summand over three blocks.
     """
     triple = model_from_string(spec)
     one_form_space(triple)
-    shapes = {"closure": [], "verification": []}
-
-    def spy(kind, real):
-        def wrapped(a, b):
-            table = real(a, b)
-            shapes[kind].append(table.shape)
-            return table
-        return wrapped
-
-    monkeypatch.setattr(linalg, "pair_products", spy("closure", linalg.pair_products))
-    monkeypatch.setattr(staralg, "pair_products", spy("verification", staralg.pair_products))
+    verification = count_calls(staralg, "pair_products")  # first: staralg's calls only
+    closure = count_calls(linalg, "pair_products")
     cd, rep = c_d_algebra(triple)
     letters = 2 * len(generating_set(triple.algebra))
     widths = [(s.stop - s.start) ** 2 for s in cd._blocks]
-    assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3}[spec]
-    assert shapes["verification"] == [(letters * cd.dim, w) for w in widths]
+    assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3}[spec] and len(cd._summands) == 1
+    assert table_shapes(verification) == [(letters * len(e), widths[b])
+                                          for e, blocks in cd._summands for b in blocks]
     assert sum(widths) <= triple.hilbert_dim ** 2
-    products = sum(rows * w for rows, w in shapes["closure"]) / sum(widths)
+    products = sum(rows * w for rows, w in table_shapes(closure)) / sum(widths)
     assert products <= letters * cd.dim < cd.dim ** 2
     assert rep.record("generated-closure").passed
 

@@ -2,7 +2,6 @@
 
 import importlib
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -482,33 +481,22 @@ def test_base_central_in_cd_passes_on_presets(monkeypatch, spec):
     assert localize(load_model(spec)).report.record("base-central-in-CD").passed
 
 
-def count_calls(monkeypatch, owner, name):
-    """Count calls of owner.name, also through every ncgauge module that imported it by name."""
-    real, calls = getattr(owner, name), []
-
-    def spy(*args, **kwargs):
-        calls.append(name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, spy)
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("ncgauge") and vars(module).get(name) is real:
-            monkeypatch.setattr(module, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("command,spec,algebras,nullspaces", [
     ("localize", "hs:N=4", 3, 1), ("localize", "ym:k=2,N=3", 3, 1),
-    ("localize", "ym:k=3,N=3", 3, 1), ("check", "hs:N=4", 3, 2), ("check", "ym:k=3,N=3", 3, 2)])
-def test_each_algebra_is_verified_once(monkeypatch, capsys, command, spec, algebras, nullspaces):
+    ("localize", "ym:k=3,N=3", 3, 1), ("check", "hs:N=4", 3, 2), ("check", "ym:k=3,N=3", 3, 2),
+    ("check", "orbifold:q=3,p=1,m=2", 2, 1)])
+def test_each_algebra_is_verified_once(count_calls, capsys, command, spec, algebras, nullspaces):
     # localize wraps A, A_J and C_D; the fibers stay spans and Z(A_J) is never built.
     # check wraps A, A_J and Z(A), whose unit is A's: no least-squares unit solve.
-    built = count_calls(monkeypatch, staralg.FiniteStarAlgebra, "__init__")
-    nulls = count_calls(monkeypatch, linalg, "nullspace")
-    solves = count_calls(monkeypatch, np.linalg, "lstsq")
+    built = count_calls(staralg.FiniteStarAlgebra, "__init__")
+    nulls = count_calls(linalg, "nullspace")
+    solves = count_calls(np.linalg, "lstsq")
+    tables = count_calls(staralg, "pair_products")
     assert cli.main([command, spec]) == 0
     capsys.readouterr()
     assert (len(built), len(nulls), len(solves)) == (algebras, nullspaces, 0)
+    # one product table per (summand, block) of each algebra, none across two summands
+    assert len(tables) == sum(len(blocks) for args in built for _, blocks in args[0]._summands)
 
 
 def span_dims(dec):
@@ -561,7 +549,7 @@ def test_one_forms_localize_fails_when_cd_misses_the_one_forms(monkeypatch, spec
 
 
 @pytest.mark.parametrize("spec,points", [("hs:N=3", 1), ("ym:k=2,N=2", 2), ("ym:k=3,N=3", 3)])
-def test_localize_spans_nothing_per_point(monkeypatch, spec, points):
+def test_localize_spans_nothing_per_point(count_calls, spec, points):
     # with A_J, C_D, the one-forms and u(A) kept on the triple, a second pass spans two
     # things, whatever the number of points: pi(A) + C1, and the gauge generators
     t = load_model(spec)
@@ -573,8 +561,8 @@ def test_localize_spans_nothing_per_point(monkeypatch, spec, points):
         return len(dec)
 
     assert bundles() == points
-    complex_calls = count_calls(monkeypatch, linalg.Subspace, "from_spanning")
-    real_calls = count_calls(monkeypatch, linalg.RealSpan, "from_spanning")
+    complex_calls = count_calls(linalg.Subspace, "from_spanning")
+    real_calls = count_calls(linalg.RealSpan, "from_spanning")
     bundles()
     assert (len(complex_calls), len(real_calls)) == (1, 1)
 

@@ -24,7 +24,7 @@ from ncgauge.spectral import c_d_algebra, compute_aj, one_form_space
 from ncgauge.staralg import NotClosed, center, generating_set
 from test_localize import PRESETS
 from test_spectral import CONFIG_FIXTURES
-from test_staralg import oracle_block_sizes
+from test_staralg import dense_constants, oracle_block_sizes
 
 FIXTURES = PRESETS + [f"config:{name}" for name in sorted(CONFIG_FIXTURES)]
 CUT = 1e-9  # the closure cut
@@ -168,7 +168,7 @@ def test_packed_nullspaces_match_the_dense_nullspaces(spec):
     floor = 1e-9 * np.linalg.norm(pis, axis=(1, 2)).max()
     assert_same_span(nullspace(alg.basis, images, floor),
                      dense_nullspace(alg.basis, images, floor))
-    c = alg.structure_constants
+    c = dense_constants(alg)
     assert_same_span(nullspace(alg.basis, c - np.swapaxes(c, 0, 1), floor=1e-9),
                      dense_nullspace(alg.basis, c - np.swapaxes(c, 0, 1), floor=1e-9))
     assert_same_span(center(alg), dense_nullspace(alg.basis, c - np.swapaxes(c, 0, 1), 1e-9))

@@ -238,6 +238,14 @@ def dense_center(alg):
     return nullspace(alg.basis, images, floor=1e-9)
 
 
+def dense_constants(alg):
+    """The summands' product tables laid out as one d x d x d array, exactly 0 across summands."""
+    c = np.zeros((alg.dim,) * 3, dtype=complex)
+    for (e, _), table in zip(alg._summands, alg.structure_constants):
+        c[np.ix_(e, e, e)] = table
+    return c
+
+
 def haar_unitary(n, rng):
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -255,7 +263,7 @@ def rotated(alg, seed):
 def assert_matches_oracles(alg, center_dim):
     prods = einsum_products(alg)
     stack = np.stack(alg.basis).reshape(alg.dim, -1)
-    rebuilt = alg.structure_constants.reshape(alg.dim ** 2, alg.dim) @ stack
+    rebuilt = dense_constants(alg).reshape(alg.dim ** 2, alg.dim) @ stack
     scale = np.linalg.norm(prods, axis=1).max()
     assert np.linalg.norm(rebuilt - prods, axis=1).max() <= 1e-12 * scale
     z, want = center(alg), dense_center(alg)
@@ -352,7 +360,7 @@ def assert_packed_matches_dense(basis, unit, generators=None):
     assert want is None
     assert np.abs(np.subtract(alg.closure_residuals, closure)).max() <= 1e-12
     want_coords = coords if generators is None else dense_verdict(basis, unit)[2]
-    assert np.abs(alg.structure_constants.reshape(-1, alg.dim) - want_coords).max() <= 1e-12
+    assert np.abs(dense_constants(alg).reshape(-1, alg.dim) - want_coords).max() <= 1e-12
 
 
 @pytest.mark.parametrize("make,sizes", [
@@ -441,23 +449,22 @@ def packed_width(alg):
     return sum((s.stop - s.start) ** 2 for s in alg._blocks)
 
 
-def test_center_forms_one_product_table(monkeypatch):
+def table_shapes(calls):
+    """The shapes of the ``pair_products`` tables formed by the spied calls."""
+    return [(len(a) * len(b), a.shape[1] * b.shape[2]) for a, b in calls]
+
+
+def test_center_forms_one_product_table(count_calls):
     orbifold = build_orbifold_algebra(3, 1, 2)[0]  # its builder already keeps the center
     alg = FiniteStarAlgebra(orbifold.basis, orbifold.unit)
-    tables = []
-
-    def spy(a, b):
-        table = pair_products(a, b)
-        tables.append(table.shape)
-        return table
-
-    monkeypatch.setattr(staralg, "pair_products", spy)
+    tables = count_calls(staralg, "pair_products")
     z = center(alg)
-    # one table, block by block: z.dim^2 rows in each block, sum_b s_b^2 wide in all
-    assert tables == [(z.dim ** 2, (s.stop - s.start) ** 2) for s in z._blocks]
+    # one table per (summand, block): d_c^2 rows, s_b^2 wide; one scalar per orbit, on q blocks
+    assert table_shapes(tables) == [(len(e) ** 2, (z._blocks[b].stop - z._blocks[b].start) ** 2)
+                                    for e, blocks in z._summands for b in blocks] == [(1, 9)] * 6
     # the center lives in the 3 x 3 point blocks, 2 q of them: at most 54 of 324 entries
     assert packed_width(z) <= 2 * 3 * 3 ** 2
-    assert center(alg) is z and len(tables) == len(z._blocks)  # kept on the algebra
+    assert center(alg) is z and len(tables) == 6  # kept on the algebra
 
 
 def test_skew_basis_is_one_svd_per_algebra(monkeypatch):
