@@ -42,6 +42,7 @@ class SphereElement(PhasePolynomial):
     """Finite sum of normal-ordered monomials over PhaseScalar coefficients."""
 
     __slots__ = ()
+    _letters = ("a", "ad", "b", "bd", "x")
 
     @classmethod
     def monomial(cls, mode: PhaseMode, key: MonKey, coeff=1.0) -> "SphereElement":
@@ -81,16 +82,6 @@ class SphereElement(PhasePolynomial):
     def is_torus_invariant(self) -> bool:
         """True when every monomial balances alpha against alpha*, beta against beta*."""
         return all(a == ap and b == bp for (a, ap, b, bp, _) in self.terms)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = ("a", "ad", "b", "bd", "x")
-        bits = []
-        for key in sorted(self.terms):
-            mon = "*".join(f"{n}^{e}" for n, e in zip(names, key) if e) or "1"
-            bits.append(f"[{self.terms[key]!r}]*{mon}")
-        return " + ".join(bits)
 
 
 def sphere_one(mode: PhaseMode) -> SphereElement:

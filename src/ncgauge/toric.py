@@ -10,14 +10,17 @@ with (R1, R2) the clock/shift pair.  The 3-sphere is the psi = 0 slice,
 so both spheres share one evaluator, which fills a stack of base points
 at once through :func:`~ncgauge.torus.monomial_sum`, as ``torus_rep``
 does.  A base point's stratum is read off from which radii vanish; its
-fiber is the algebra generated by the evaluated generators.  Radii and
-torus coordinates only rescale those, which never changes a generated
-span, so the fiber dimension is a stratum law: q^2 inside, q on an edge
-and 1 at the pole.  The stratum scan certifies that law by closing the
-algebra at two torus points per stratum, and profile rows carry it
-without closing anything.  The norm at a point is taken at
-z = (1, 1), which equals the max over the q*q root-of-unity torus
-coordinates (unitarily equivalent evaluations).  It thus samples one
+fiber is the algebra generated by the evaluated generators.  Each is a
+scaled word S^a C^b, and as gcd(p, q) = 1 the q^2 words are orthogonal
+with norm^2 q and a product of two is a scaled word, so the fiber is
+spanned by the words of the subgroup H of (Z/q)^2 that the degrees of the
+nonzero generators generate, and its dimension is |H| (Rieffel, Pacific
+J. Math. 93, 1981): q^2 inside, q on an edge and 1 at the pole.  The
+stratum scan computes |H| at two torus points per stratum, checking on
+the evaluated data that each letter is a scaled word and that the words
+of H are orthogonal; profile rows carry that law.  The norm at a point
+is taken at z = (1, 1), which equals the max over the q*q root-of-unity
+torus coordinates (unitarily equivalent evaluations).  It thus samples one
 class of irreducible representations and misses the fiber norm when net
 degrees collide mod q: ``a^2 - 1`` at q = 2 reads 0 where the sup is 2.
 
@@ -36,7 +39,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .linalg import generated_algebra, op_norm
+from .linalg import op_norm
 from .reporting import SCOPE_CONTINUITY, SCOPE_RATIONAL, CheckRecord, Report
 from .spheres import SphereElement
 from .torus import (
@@ -51,6 +54,7 @@ from .torus import (
 )
 
 __all__ = [
+    "NotAWord",
     "BasePoint3",
     "BasePoint4",
     "stratum3",
@@ -70,9 +74,14 @@ __all__ = [
 ]
 
 _RADIUS_TOL = 1e-12
+_WORD_TOL = 1e-9  # entrywise distance of a letter from its scaled word
 _FLAT_JUMP = 1e-12
 _JUMP_BAND = (0.3, 0.7)  # the fine/coarse jump ratios that count as continuous, around 1/2
 _MAX_GRID_POINTS = 10 ** 6  # norm_profile's fine grid (step h/2) over all its angles
+
+
+class NotAWord(ArithmeticError):
+    """An evaluated fiber letter is no scaled clock/shift word, or H's words are not orthogonal."""
 
 
 def _validate(pt, **angles: float) -> None:
@@ -143,12 +152,7 @@ def _stratum(pt: BasePoint, q: int) -> tuple[str, int]:
     return "Interior", q * q
 
 
-def stratum3(pt: BasePoint3, q: int) -> tuple[str, int]:
-    return _stratum(pt, q)
-
-
-def stratum4(pt: BasePoint4, q: int) -> tuple[str, int]:
-    return _stratum(pt, q)
+stratum3 = stratum4 = _stratum  # one law on both spheres: the 3-sphere is the psi = 0 slice
 
 
 def _check_element(e: PhasePolynomial, p: int, q: int, which: str = "s4") -> None:
@@ -186,19 +190,54 @@ def s4_eval(e: SphereElement, pt: BasePoint4, p: int, q: int) -> np.ndarray:
 
 
 def _fiber_dim(pt: BasePoint, p: int, q: int) -> int:
+    """|H|, the order of the word group the evaluated letters generate, checked on the letters.
+
+    The word S^a C^b carries zeta^(b j) at [j + a, j], on the a-th cyclic
+    off-diagonal; its phases come from exact arithmetic mod q.  Each letter
+    (r z1 R1, s z2 R2 and x 1, with the pair from ``clock_shift``) is read as
+    c S^a C^b, (a, b, c) its largest coordinate in the words, and must lie
+    within ``_WORD_TOL`` of c S^a C^b in every entry.  Letters with
+    |c| < ``_RADIUS_TOL`` are dropped (at chi = pi/2, r = 6e-17), and the
+    degrees (a, b) of the rest and the unit's (0, 0) generate H in
+    (Z/q)^2.  A product or adjoint of scaled words is a scaled word, so the
+    algebra is the span of the words of H, and its dimension is |H| when
+    they are orthogonal with norm^2 q.  Words on different off-diagonals
+    are.  The b's of H on one off-diagonal are a coset of its b's on the
+    diagonal, whose clock columns zeta^(b j) have the same Gram matrix, so
+    that one (at most q x q) Gram matrix must be within q ``_WORD_TOL`` of
+    q 1.  All of it is O(q^3).  Raises :class:`NotAWord` when a letter is
+    not a scaled word or the Gram matrix has a defect.
+    """
     r1, r2 = clock_shift(q, p)
     r, s, x = pt.rsx
-    gens = [r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)]
-    return generated_algebra(gens, include_unit=True).dim
+    idx = np.arange(q)
+    phases = np.exp(2j * np.pi * (np.outer(idx, idx) * p % q) / q)  # [b, j] = zeta^(b j)
+    letters = np.stack([r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)])
+    diagonals = letters[:, (idx[:, None] + idx) % q, idx]  # [l, a, j] = letters[l, j + a, j]
+    coords = diagonals @ phases.conj() / q  # [l, a, b] = <S^a C^b, letters[l]> / q
+    a, b = np.unravel_index(np.abs(coords).reshape(len(letters), -1).argmax(axis=1), (q, q))
+    c = coords[range(len(letters)), a, b]
+    diagonals[range(len(letters)), a] -= c[:, None] * phases[b]
+    if (resid := np.abs(diagonals).max()) > _WORD_TOL:
+        raise NotAWord(f"a fiber letter is {resid:.3e} from its scaled word")
+    kept = (abs(c) >= _RADIUS_TOL) & ((a > 0) | (b > 0))  # the unit's (0, 0) is in H already
+    group = {(0, 0)}
+    for da, db in zip(a[kept].tolist(), b[kept].tolist()):  # H gains the multiples of (da, db)
+        group = {((u + i * da) % q, (v + i * db) % q) for u, v in group for i in range(q)}
+    clock = phases[[v for u, v in group if u == 0]]  # each off-diagonal's b's: a coset of these
+    if (defect := np.abs(clock @ clock.conj().T - q * np.eye(len(clock))).max()) > q * _WORD_TOL:
+        raise NotAWord(f"the words of H have a Gram defect {defect:.3e}")
+    return len(group)
 
 
 def s3_fiber_dimension(chi: float, p: int, q: int,
                        z1: complex = 1.0, z2: complex = 1.0) -> int:
-    """Dimension of the algebra generated by the evaluated generators.
+    """Dimension of the algebra generated by the evaluated generators: |H| of their word group.
 
-    Computed honestly from the given data, including the torus
-    coordinates, so independence from z is a checkable statement rather
-    than a baked-in assumption.
+    Read from the given data, including the torus coordinates, so
+    independence from z is a checkable statement rather than a baked-in
+    assumption: each evaluated letter must be a scaled word and the words
+    of H orthogonal (``_fiber_dim``), else :class:`NotAWord` is raised.
     """
     return _fiber_dim(BasePoint3(chi, z1, z2), p, q)
 
@@ -297,13 +336,13 @@ def norm_profile(e: SphereElement, h: float, p: int, q: int,
     the single psi = 0 column.  The norms are those of ``fiber_norm3/4``,
     one stack of evaluations and one batched SVD per fine-grid chi row
     (the whole column on the 3-sphere), so memory stays at one row at any
-    h.  The fiber dimension is the stratum law of ``stratum3/4``,
-    which :func:`stratum_scan` certifies by closure; nothing is closed
-    here.  Stats holds the maximal adjacent norm jump at steps h and
-    h/2 (the fine grid contains the coarse one exactly) and their ratio,
-    ``None`` when only the coarse jump is 0;
-    jumps shrinking roughly in half is continuity evidence, a ratio near
-    1 flags a discontinuity.
+    h.  The fiber dimension is the stratum law of ``stratum3/4``, the
+    order |H| of the word group that :func:`stratum_scan` computes and
+    checks; no fiber dimension is computed here.  Stats holds the maximal
+    adjacent norm jump at steps h and h/2 (the fine grid contains the
+    coarse one exactly) and their ratio, ``None`` when only the coarse jump
+    is 0; jumps shrinking roughly in half is continuity evidence, a ratio
+    near 1 flags a discontinuity.
     """
     point, _ = _sphere(which)
     _check_element(e, p, q, which)
@@ -359,15 +398,20 @@ def jump_record(name: str, stats: dict) -> CheckRecord:
 
 
 def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
-    """Fiber dimensions per stratum, checked at two torus coordinates each.
+    """Fiber dimensions per stratum from the word group, at two torus coordinates each.
 
-    A representative angle per stratum is closed at z = (1, 1) and at
-    (e^i, e^{i sqrt 2}), a root of unity for no q, two closures at every
-    q; the dimension must match the stratum law.  The two stand for every
-    torus coordinate: z_i -> w z_i scales the generator z_i R_i by the
-    unit w, which never changes the generated algebra.  At the q^2 roots
-    of unity it is a unitary conjugation, R2 R1 R2^-1 = zeta R1 and
-    R1^-1 R2 R1 = zeta R2 (zeta = e^{2 pi i p/q}): those are one class.
+    A representative angle per stratum is read at z = (1, 1) and at
+    (e^i, e^{i sqrt 2}), a root of unity for no q, by
+    ``s3/s4_fiber_dimension``: each evaluated letter must be a scaled
+    clock/shift word and the words of the group H their degrees generate
+    must be orthogonal; the dimension |H| must then match the stratum law
+    at both points.  When the letters fail the word check
+    (:class:`NotAWord`) the record fails and its ``dims`` entry is empty;
+    nothing is closed numerically.  The two stand for every torus
+    coordinate: z_i -> w z_i scales the letter z_i R_i by the unit w, which
+    never changes its word.  At the q^2 roots of unity it is a unitary
+    conjugation, R2 R1 R2^-1 = zeta R1 and R1^-1 R2 R1 = zeta R2
+    (zeta = e^{2 pi i p/q}): those are one class.
     """
     rep = Report(f"strata[{which},p={p},q={q}]", context={
         "p": p, "q": q,
@@ -385,7 +429,10 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
     dims = {}
     for label, angles in cases:
         got_label, want = _stratum(point(*angles), q)
-        seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in _CLASS_POINTS}
+        try:
+            seen = {fiber_dimension(*angles, p, q, z1=z1, z2=z2) for z1, z2 in _CLASS_POINTS}
+        except NotAWord:  # no dimension is read: the record fails
+            seen = set()
         dims[label] = sorted(seen)
         rep.add(CheckRecord.from_residual(
             f"stratum-{label}", f"the {label} fiber dimension is {want} at every torus coordinate",

@@ -120,7 +120,7 @@ class PhaseScalar:
     def t_power(cls, mode: PhaseMode, k: int, c: complex = 1.0) -> "PhaseScalar":
         return cls(mode, {k: complex(c)})
 
-    def _check(self, other: "PhaseScalar") -> None:
+    def _check(self, other) -> None:
         if self.mode != other.mode:
             raise ModeMismatch(f"{self.mode} vs {other.mode}")
 
@@ -173,14 +173,8 @@ class PhaseScalar:
         return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
-            head = f"({c:.6g})" if k == 0 else (f"({c:.6g})*t^{k}" if k != 1 else f"({c:.6g})*t")
-            bits.append(head)
-        return " + ".join(bits)
+        return " + ".join(f"({c:.6g})" + ("" if k == 0 else "*t" if k == 1 else f"*t^{k}")
+                          for k, c in sorted(self.coeffs.items())) or "0"
 
 
 def _accumulate(out: dict, key, c: PhaseScalar) -> None:
@@ -193,7 +187,8 @@ class PhasePolynomial:
     Subclasses supply three static methods: ``_key(key)`` normalizes and
     validates a monomial key, ``_product_phase(left, right)`` is the
     t-exponent of reordering a product of two monomials, and ``_star(key)``
-    returns the starred monomial's key with its t-exponent.
+    returns the starred monomial's key with its t-exponent; ``_letters``
+    names the letter of each key slot, for ``repr``.
     """
 
     __slots__ = ("mode", "terms")
@@ -212,9 +207,7 @@ class PhasePolynomial:
     def _scalar(mode: PhaseMode, c) -> PhaseScalar:
         return c if isinstance(c, PhaseScalar) else PhaseScalar.const(mode, c)
 
-    def _check(self, other: "PhasePolynomial") -> None:
-        if self.mode != other.mode:
-            raise ModeMismatch(f"{self.mode} vs {other.mode}")
+    _check = PhaseScalar._check  # ModeMismatch unless both operands carry one mode
 
     def __add__(self, other):
         self._check(other)
@@ -266,11 +259,18 @@ class PhasePolynomial:
             self.terms.get(k, zero).allclose(other.terms.get(k, zero), tol) for k in keys
         )
 
+    def __repr__(self) -> str:
+        """[coefficient]*letter^exponent*... per term, the letters named by ``_letters``."""
+        def monomial(key):
+            return "*".join(f"{n}^{e}" for n, e in zip(self._letters, key) if e) or "1"
+        return " + ".join(f"[{c!r}]*{monomial(k)}" for k, c in sorted(self.terms.items())) or "0"
+
 
 class TorusElement(PhasePolynomial):
     """Finite sum of normal-ordered monomials c(n1,n2) U1^n1 U2^n2."""
 
     __slots__ = ()
+    _letters = ("U1", "U2")
 
     @classmethod
     def monomial(cls, mode: PhaseMode, n1: int, n2: int, coeff=1.0) -> "TorusElement":
@@ -293,14 +293,6 @@ class TorusElement(PhasePolynomial):
 
     def coefficient(self, n1: int, n2: int) -> PhaseScalar:
         return self.terms.get((n1, n2), PhaseScalar(self.mode))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (m, n) in sorted(self.terms):
-            bits.append(f"[{self.terms[(m, n)]!r}]*U1^{m}*U2^{n}")
-        return " + ".join(bits)
 
 
 def torus_one(mode: PhaseMode) -> TorusElement:

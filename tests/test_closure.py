@@ -6,6 +6,7 @@ and round.  The kernel multiplies only new basis elements, on the left by
 the seed; both must find the same spans.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from ncgauge.staralg import (FiniteStarAlgebra, block_diagonal_algebra, full_mat
                              generating_set)
 from ncgauge.models import model_from_string, triple_from_config
 from ncgauge.spectral import c_d_algebra, one_form_space
+from ncgauge import toric
 from ncgauge.toric import BasePoint3, BasePoint4, s3_fiber_dimension, stratum_scan
 from ncgauge.torus import clock_shift
 from test_spectral import CONFIG_FIXTURES
@@ -331,11 +333,21 @@ STRATA = {
 }
 
 
-def fiber_seed(pt, p, q):
-    """The fiber's generators at z = (1, 1), their adjoints and the unit."""
+def fiber_letters(pt, p, q):
+    """The fiber's evaluated generators r z1 R1, s z2 R2 and x 1 at a base point."""
     r1, r2 = clock_shift(q, p)
     r, s, x = pt.rsx
-    gens = [r * r1, s * r2, x * np.eye(q, dtype=complex)]
+    return [r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)]
+
+
+def closure_dim(pt, p, q):
+    """The numeric closure of the fiber's generators and the unit: the word group's oracle."""
+    return generated_algebra(fiber_letters(pt, p, q), include_unit=True).dim
+
+
+def fiber_seed(pt, p, q):
+    """The fiber's generators at z = (1, 1), their adjoints and the unit."""
+    gens = fiber_letters(dataclasses.replace(pt, z1=1.0, z2=1.0), p, q)
     return gens + [adjoint(g) for g in gens] + [np.eye(q, dtype=complex)]
 
 
@@ -347,6 +359,35 @@ def test_stratum_scan_dims_match_the_pairwise_oracle(which, q):
     for label, pt in STRATA[which].items():
         (want,) = closure_oracle([fiber_seed(pt, 1, q)], q)
         assert dims[label] == [want.dim], label
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (2, 3), (2, 5), (3, 7), (5, 13), (3, 31)])
+@pytest.mark.parametrize("which", sorted(STRATA))
+def test_word_group_dims_match_the_numeric_closure(which, p, q):
+    """|H| of every stratum's word group is the closure's dimension at both class points."""
+    dims = stratum_scan(p, q, which).context["dims"]
+    assert dims.keys() == STRATA[which].keys()
+    for label, pt in STRATA[which].items():
+        want = {closure_dim(dataclasses.replace(pt, z1=z1, z2=z2), p, q)
+                for z1, z2 in toric._CLASS_POINTS}
+        assert dims[label] == sorted(want), label
+
+
+@pytest.mark.parametrize("which", sorted(STRATA))
+def test_letters_off_their_words_fail_the_stratum_records(monkeypatch, which):
+    """A clock/shift pair conjugated by a non-monomial unitary is no pair of words."""
+    q = 5
+    r1, r2 = clock_shift(q, 1)
+    u = np.linalg.qr(np.arange(1, q * q + 1).reshape(q, q) + 1j * np.eye(q))[0]
+    monkeypatch.setattr(toric, "clock_shift", lambda q, p: (u @ r1 @ adjoint(u),
+                                                           u @ r2 @ adjoint(u)))
+    with pytest.raises(toric.NotAWord, match="scaled word"):
+        s3_fiber_dimension(math.pi / 4, 1, q)
+    rep = stratum_scan(1, q, which)
+    failed = {rec.name for rec in rep.records if not rec.passed}
+    assert {"stratum-Interior", "stratum-EdgeAlpha", "stratum-EdgeBeta"} <= failed
+    assert "stratum-Pole" not in failed  # x 1 alone is a word whatever the pair
+    assert rep.context["dims"]["Interior"] == []
 
 
 def test_every_closure_product_has_a_seed_row_on_the_left(monkeypatch):
@@ -361,7 +402,7 @@ def test_every_closure_product_has_a_seed_row_on_the_left(monkeypatch):
 
     monkeypatch.setattr(linalg, "pair_products", spy)
     rank = Subspace.from_spanning(fiber_seed(STRATA["s3"]["Interior"], 1, q)).dim
-    assert s3_fiber_dimension(math.pi / 4, 1, q) == q * q
+    assert closure_dim(STRATA["s3"]["Interior"], 1, q) == q * q
     assert shapes and max(a for a, _ in shapes) <= rank
     assert sum(a * b for a, b in shapes) <= rank * q * q
 
@@ -377,13 +418,27 @@ def test_interior_fiber_closes_at_q_23_under_a_memory_cap():
     A table of all 529^2 pair products of 23 x 23 matrices alone would take
     2.4 GB; the word closure forms at most |S| q^2 of them.
     """
-    code = ("import math; from ncgauge.toric import s3_fiber_dimension as f; "
-            "print(f(math.pi / 4, 1, 23))")
+    code = ("import math, numpy as np; from ncgauge.linalg import generated_algebra; "
+            "from ncgauge.torus import clock_shift; r1, r2 = clock_shift(23, 1); "
+            "r, s = math.cos(math.pi / 4), math.sin(math.pi / 4); "
+            "gens = [r * r1, s * r2, 0.0 * np.eye(23, dtype=complex)]; "
+            "print(generated_algebra(gens, include_unit=True).dim)")
     env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           preexec_fn=_cap_address_space, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == str(23 * 23)
+
+
+def test_toric_scan_at_q_41_runs_under_a_memory_cap():
+    """toric-scan s3 1 41 0.05 reads its strata from the word group: M_41 is never closed."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "ncgauge.cli", "toric-scan", "s3", "1", "41",
+                           "0.05", "--format", "json"], capture_output=True, text=True, env=env,
+                          preexec_fn=_cap_address_space, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    dims = json.loads(proc.stdout)["context"]["strata"]["dims"]
+    assert dims == {"EdgeAlpha": [41], "EdgeBeta": [41], "Interior": [41 * 41]}
 
 
 def test_orbifold_check_runs_under_a_memory_cap():

@@ -31,7 +31,7 @@ from ncgauge import (
     sphere_x,
     stratum_scan,
 )
-from ncgauge import toric
+from ncgauge import linalg, toric
 from ncgauge.torus import monomial_table
 from ncgauge.cli import main
 
@@ -250,8 +250,8 @@ def test_stratum_scan_matches_the_root_point_scan(which, p, q):
     assert [(c.name, c.passed) for c in rep.records] == verdicts
 
 
-def spy_closures(monkeypatch) -> list:
-    """Record the (p, q) of every fiber closure from here on."""
+def spy_fiber_dims(monkeypatch) -> list:
+    """Record the (p, q) of every fiber dimension read from here on."""
     fiber_dim, calls = toric._fiber_dim, []
 
     def spy(pt, p, q):
@@ -262,19 +262,22 @@ def spy_closures(monkeypatch) -> list:
     return calls
 
 
-def test_stratum_scan_closes_a_fixed_number_per_stratum(monkeypatch, capsys):
-    """Two class representatives per stratum in the scan, and no other closure in toric-scan."""
-    calls = spy_closures(monkeypatch)
+def test_toric_scan_reads_two_points_per_stratum_and_closes_nothing(monkeypatch, capsys,
+                                                                     count_calls):
+    """Two class representatives per stratum in the scan, and no numeric closure in toric-scan."""
+    calls = spy_fiber_dims(monkeypatch)
+    closures = count_calls(linalg, "generated_algebra")
     for which, q, strata in (("s3", 2, 3), ("s3", 7, 3), ("s4", 5, 4)):
         calls.clear()
         assert main(["toric-scan", which, "1", str(q), "0.1"]) == 0
         assert calls == [(1, q)] * 2 * strata
+    assert closures == []
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("which", ["s3", "s4"])
 def test_profile_and_continuity_report_close_nothing(monkeypatch, which):
-    calls = spy_closures(monkeypatch)
+    calls = spy_fiber_dims(monkeypatch)
     mode = rational_mode(2, 5)
     polys = [sphere_alpha(mode), sphere_alpha(mode) * sphere_beta(mode)]
     rows, _ = norm_profile(polys[0], 0.1, 2, 5, which=which)
