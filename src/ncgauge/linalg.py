@@ -512,20 +512,19 @@ def _graded_closure(seeds: list, n: int, left: list | None = None) -> list[Subsp
     return [Subspace(s, (n, n), blocks) for s in stacks]
 
 
-def generated_algebra(generators, include_unit: bool = False) -> Subspace:
+def generated_algebra(generators) -> Subspace:
     """Smallest product- and adjoint-closed span containing the generators.
 
     Closure under products of an adjoint-closed spanning set is
     automatically adjoint-closed, so the seed is generators plus their
-    adjoints (plus the identity when requested) and the closure only
-    multiplies: the ungraded (k = 1) case of the graded closure kernel.
+    adjoints and the closure only multiplies: the ungraded (k = 1) case of
+    the graded closure kernel.  A unital closure takes the identity among
+    the generators.
     """
     gens = np.asarray(generators, dtype=complex)  # mixed shapes raise here
     if gens.ndim != 3 or not len(gens) or gens.shape[1] != gens.shape[2]:
         raise ValueError("generators must be one or more square matrices of equal size")
-    n = gens.shape[1]
-    seed = [gens, adjoint(gens)] + ([np.eye(n, dtype=complex)[None]] if include_unit else [])
-    return _graded_closure([np.concatenate(seed)], n)[0]
+    return _graded_closure([np.concatenate([gens, adjoint(gens)])], gens.shape[1])[0]
 
 
 class AntiLinearOp:

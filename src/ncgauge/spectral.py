@@ -54,7 +54,6 @@ __all__ = [
     "aj_or_closure_failure",
     "real_structure_residuals",
     "verify_aj_properties",
-    "conjugate_triple",
     "transpose_permutation",
 ]
 
@@ -484,19 +483,3 @@ def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report,
                             exc.residual, tol, False, SCOPE_EXACT))
         rep.context["closure_error"] = str(exc)
         return None
-
-
-def conjugate_triple(triple: RealSpectralTriple, u: np.ndarray, label: str = "") -> RealSpectralTriple:
-    """The triple carried along a unitary of H: same A, conjugated pi, D, J."""
-    u = as_cmatrix(u)
-    n = triple.hilbert_dim
-    if op_norm(u @ adjoint(u) - np.eye(n)) > 1e-9:
-        raise SpectralInputError("conjugator is not unitary")
-    return RealSpectralTriple(
-        triple.algebra,
-        u @ triple.pi_images @ adjoint(u),
-        u @ triple.dirac @ adjoint(u),
-        AntiLinearOp(u @ triple.real_structure.kernel @ u.T),
-        eps=triple.eps, eps_prime=triple.eps_prime,
-        label=label or (triple.label + "~conj" if triple.label else "conjugated"),
-    )

@@ -9,16 +9,19 @@ rational phase p/q every sphere polynomial evaluates into M_q through
 with (R1, R2) the clock/shift pair.  The 3-sphere is the psi = 0 slice,
 so both spheres share one evaluator, which fills a stack of base points
 at once through :func:`~ncgauge.torus.monomial_sum`, as ``torus_rep``
-does.  A base point's stratum is read off from which radii vanish; its
+does: a word S^a C^b is the phase row zeta^(b j) on the a-th cyclic
+off-diagonal, and ``torus.word_layout`` keeps those rows and cells per
+(p, q).  A base point's stratum is read off from which radii vanish; its
 fiber is the algebra generated by the evaluated generators.  Each is a
-scaled word S^a C^b, and as gcd(p, q) = 1 the q^2 words are orthogonal
-with norm^2 q and a product of two is a scaled word, so the fiber is
-spanned by the words of the subgroup H of (Z/q)^2 that the degrees of the
-nonzero generators generate, and its dimension is |H| (Rieffel, Pacific
-J. Math. 93, 1981): q^2 inside, q on an edge and 1 at the pole.  The
-stratum scan computes |H| at two torus points per stratum, checking on
-the evaluated data that each letter is a scaled word and that the words
-of H are orthogonal; profile rows carry that law.  The norm at a point
+scaled word S^a C^b, read against the same layout, and as gcd(p, q) = 1
+the q^2 words are orthogonal with norm^2 q and a product of two is a
+scaled word, so the fiber is spanned by the words of the subgroup H of
+(Z/q)^2 that the degrees of the nonzero generators generate, and its
+dimension is |H| (Rieffel, Pacific J. Math. 93, 1981): q^2 inside, q on
+an edge and 1 at the pole.  The stratum scan computes |H| at two torus
+points per stratum, checking on the evaluated data that each letter is a
+scaled word and that the words of H are orthogonal; profile rows carry
+that law.  The norm at a point
 is taken at z = (1, 1), which equals the max over the q*q root-of-unity
 torus coordinates (unitarily equivalent evaluations).  It thus samples one
 class of irreducible representations and misses the fiber norm when net
@@ -45,12 +48,12 @@ from .spheres import SphereElement
 from .torus import (
     BadParameters,
     ModeMismatch,
-    PhaseMode,
     PhasePolynomial,
     check_unit,
     clock_shift,
     monomial_sum,
     rational_mode,
+    word_layout,
 )
 
 __all__ = [
@@ -63,14 +66,12 @@ __all__ = [
     "s4_eval",
     "s3_fiber_dimension",
     "s4_fiber_dimension",
-    "invariant_subalgebra",
     "fiber_norm3",
     "fiber_norm4",
     "norm_profile",
     "jump_verdict",
     "jump_record",
     "stratum_scan",
-    "continuity_report",
 ]
 
 _RADIUS_TOL = 1e-12
@@ -193,7 +194,8 @@ def _fiber_dim(pt: BasePoint, p: int, q: int) -> int:
     """|H|, the order of the word group the evaluated letters generate, checked on the letters.
 
     The word S^a C^b carries zeta^(b j) at [j + a, j], on the a-th cyclic
-    off-diagonal; its phases come from exact arithmetic mod q.  Each letter
+    off-diagonal: the phases and cells of ``torus.word_layout``, the tables
+    :func:`~ncgauge.torus.monomial_sum` writes words with.  Each letter
     (r z1 R1, s z2 R2 and x 1, with the pair from ``clock_shift``) is read as
     c S^a C^b, (a, b, c) its largest coordinate in the words, and must lie
     within ``_WORD_TOL`` of c S^a C^b in every entry.  Letters with
@@ -209,12 +211,11 @@ def _fiber_dim(pt: BasePoint, p: int, q: int) -> int:
     not a scaled word or the Gram matrix has a defect.
     """
     r1, r2 = clock_shift(q, p)
+    phases, cells = word_layout(q, p)
     r, s, x = pt.rsx
-    idx = np.arange(q)
-    phases = np.exp(2j * np.pi * (np.outer(idx, idx) * p % q) / q)  # [b, j] = zeta^(b j)
     letters = np.stack([r * pt.z1 * r1, s * pt.z2 * r2, x * np.eye(q, dtype=complex)])
-    diagonals = letters[:, (idx[:, None] + idx) % q, idx]  # [l, a, j] = letters[l, j + a, j]
-    coords = diagonals @ phases.conj() / q  # [l, a, b] = <S^a C^b, letters[l]> / q
+    diagonals = letters.reshape(3, q * q)[:, cells]  # [l, a, j] = letters[l, j + a, j]
+    coords = diagonals @ phases.T.conj() / q  # [l, a, b] = <S^a C^b, letters[l]> / q
     a, b = np.unravel_index(np.abs(coords).reshape(len(letters), -1).argmax(axis=1), (q, q))
     c = coords[range(len(letters)), a, b]
     diagonals[range(len(letters)), a] -= c[:, None] * phases[b]
@@ -245,33 +246,6 @@ def s3_fiber_dimension(chi: float, p: int, q: int,
 def s4_fiber_dimension(chi: float, psi: float, p: int, q: int,
                        z1: complex = 1.0, z2: complex = 1.0) -> int:
     return _fiber_dim(BasePoint4(chi, psi, z1, z2), p, q)
-
-
-def invariant_subalgebra(mode: PhaseMode, degree: int, which: str = "s3") -> list[SphereElement]:
-    """Monomials fixed by the torus action, up to the degree bound.
-
-    The rotation (alpha, beta) -> (e^{it1} alpha, e^{it2} beta) scales a
-    monomial by e^{i(t1(a - a') + t2(b - b'))}, so the fixed monomials
-    are the balanced ones (alpha alpha*)^a (beta beta*)^b x^c with
-    a + b + c <= degree (x only on the 4-sphere).  The returned family
-    commutes: balanced monomials carry zero net degree, so every
-    reordering phase exponent vanishes.
-    """
-    if which not in ("s3", "s4"):
-        raise ValueError("which must be 's3' or 's4'")
-    if degree < 0:
-        raise ValueError("degree bound must be >= 0")
-    out = []
-    for a in range(degree + 1):
-        for b in range(degree + 1 - a):
-            c_range = range(degree + 1 - a - b) if which == "s4" else (0,)
-            for c in c_range:
-                out.append(SphereElement.monomial(mode, (a, a, b, b, c)))
-    for i, e in enumerate(out):
-        for f in out[i + 1:]:
-            if not (e * f - f * e).is_zero():
-                raise ArithmeticError("invariant monomials failed to commute")
-    return out
 
 
 # (1, 1) stands for the q^2 roots of unity; (e^i, e^{i sqrt 2}) is one for no q
@@ -438,25 +412,4 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
             f"stratum-{label}", f"the {label} fiber dimension is {want} at every torus coordinate",
             float(0 if seen == {want} and got_label == label else 1), 0.5, SCOPE_RATIONAL))
     rep.context["dims"] = dims
-    return rep
-
-
-def continuity_report(polynomials: list[SphereElement], h: float, p: int, q: int,
-                      which: str = "s3") -> Report:
-    """Jump-halving evidence for a family of polynomials.
-
-    Each record passes when the fine/coarse jump ratio falls inside
-    [0.3, 0.7]; a constant profile (zero jumps) counts as continuous.
-    """
-    rep = Report(f"continuity[{which},p={p},q={q},h={h}]", context={
-        "h": h, "p": p, "q": q,
-        "scope_note": "grid statistics are evidence for norm continuity over the "
-                      "base, not a proof",
-    })
-    ratios = []
-    for i, e in enumerate(polynomials):
-        stats = norm_profile(e, h, p, q, which)[1]
-        ratios.append(stats)
-        rep.add(jump_record(f"jump-halving-{i}", stats))
-    rep.context["ratios"] = ratios
     return rep

@@ -17,8 +17,10 @@ a point (z1, z2) of the ordinary torus.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,7 +38,6 @@ __all__ = [
     "torus_one",
     "torus_generator",
     "clock_shift",
-    "monomial_table",
     "monomial_sum",
     "torus_rep",
     "trace_state",
@@ -335,26 +336,22 @@ def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return shift, clock
 
 
-_MONOMIAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+@functools.cache
+def word_layout(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (q, q) tables (phases, cells) that place every word R1^a R2^b, kept per (p, q).
 
-
-def monomial_table(q: int, p: int) -> np.ndarray:
-    """Read-only q x q x q x q table whose [i, j] entry is R1^i R2^j.
-
-    Built once per (p, q) from the clock/shift pair; :func:`monomial_sum`,
-    which every torus and sphere evaluation goes through, reads it.
+    ``phases[b]`` is the diagonal zeta^(b j) of R2^b, the running matrix
+    product of the ``clock_shift`` clock, and ``cells[a, j]`` is the flat
+    index of entry [(j + a) mod q, j] of a q x q matrix: R1^a R2^b = S^a C^b
+    is phases[b] on the a-th cyclic off-diagonal, ``cells[a]``.
     """
-    key = (p, q)
-    if key not in _MONOMIAL_CACHE:
-        r1, r2 = clock_shift(q, p)
-        pow1, pow2 = [np.eye(q, dtype=complex)], [np.eye(q, dtype=complex)]
-        for _ in range(q - 1):
-            pow1.append(pow1[-1] @ r1)
-            pow2.append(pow2[-1] @ r2)
-        table = np.array([[a @ b for b in pow2] for a in pow1])
+    _, clock = clock_shift(q, p)
+    powers = accumulate([clock] * (q - 1), np.matmul, initial=np.eye(q, dtype=complex))
+    j = np.arange(q)
+    layout = (np.array([m.diagonal() for m in powers]), (j + j[:, None]) % q * q + j)
+    for table in layout:
         table.flags.writeable = False
-        _MONOMIAL_CACHE[key] = table
-    return _MONOMIAL_CACHE[key]
+    return layout
 
 
 def check_unit(z: complex) -> complex:
@@ -369,12 +366,17 @@ def monomial_sum(terms, q: int, p: int, points: tuple[int, ...] = ()) -> np.ndar
 
     A scalar is one number, or a sequence of one number per point, which
     gives a ``points + (q, q)`` stack; every term scales its matrix the
-    same way, so each stack entry is bit for bit a stack of one.
+    same way, so each stack entry is bit for bit a stack of one.  A term
+    adds scalar * phases[n2] onto the q cells of its shift power n1
+    (:func:`word_layout`), O(q) per point, and leaves every other entry as
+    it is; its entries are those of scalar * (R1^n1 @ R2^n2) with the
+    powers formed as running matrix products, bit for bit.
     """
-    table = monomial_table(q, p)
+    phases, cells = word_layout(q, p)
     out = np.zeros(points + (q, q), dtype=complex)
+    flat = out.reshape(points + (q * q,))
     for (n1, n2), scalar in terms:
-        out += np.asarray(scalar)[..., None, None] * table[n1 % q, n2 % q]
+        flat[..., cells[n1 % q]] += np.asarray(scalar)[..., None] * phases[n2 % q]
     return out
 
 

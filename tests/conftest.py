@@ -1,6 +1,17 @@
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import ncgauge
+
+
+def _cap_address_space():
+    cap = 4 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
 
 @pytest.fixture
@@ -27,3 +38,20 @@ def count_calls(monkeypatch):
         return calls
 
     return count
+
+
+@pytest.fixture
+def run_capped():
+    """``run_capped(*args, timeout=120)`` runs ``python *args`` under a 4 GiB address-space cap.
+
+    The args are those of ``-m ncgauge.cli ...`` or ``-c <code>``; the child
+    imports this checkout's package and the finished process is returned,
+    its output captured as text.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
+
+    def run(*args, timeout=120):
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                              preexec_fn=_cap_address_space, timeout=timeout)
+
+    return run

@@ -15,7 +15,6 @@ from ncgauge import (
     central_monomials,
     check_axioms,
     compute_aj,
-    continuity_report,
     doubled_fluctuation,
     fiber_gauge_action,
     fluctuate,
@@ -37,6 +36,7 @@ from ncgauge import (
     stratum_scan,
     torus_generator,
 )
+from test_toric import continuity_report
 
 TOL = 1e-8
 

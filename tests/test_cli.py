@@ -3,7 +3,6 @@
 import importlib
 import json
 import os
-import resource
 import subprocess
 import sys
 import warnings
@@ -25,8 +24,8 @@ from ncgauge.parsing import parse_sphere
 from ncgauge.reporting import CheckRecord, Report
 from ncgauge.spectral import OneForm, compute_aj
 from ncgauge.staralg import AlgebraError, NonCommutative, generating_set, random_unitary
-from ncgauge.toric import continuity_report
 from ncgauge.torus import rational_mode
+from test_toric import continuity_report
 
 localize_module = importlib.import_module("ncgauge.localize")
 gauge_module = importlib.import_module("ncgauge.gauge")
@@ -392,19 +391,11 @@ def test_check_orbifold(capsys):
     assert doc["context"]["center_dim"] == 1
 
 
-def _cap_address_space():
-    cap = 4 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
 @pytest.mark.parametrize("q,m", [(4, 2), (3, 3)])
-def test_check_large_orbifold_under_memory_cap(q, m):
+def test_check_large_orbifold_under_memory_cap(run_capped, q, m):
     # an M x M nullspace factor here would need 16 GiB (q=4, m=2); the run
     # is capped at 4 GiB in a child process so that it cannot take the host's
-    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ncgauge.cli", "check", f"orbifold:q={q},p=1,m={m}"],
-        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120)
+    proc = run_capped("-m", "ncgauge.cli", "check", f"orbifold:q={q},p=1,m={m}")
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(proc.stdout)
     assert doc["context"]["algebra_dim"] == m * q * q

@@ -9,11 +9,7 @@ the seed; both must find the same spans.
 import dataclasses
 import json
 import math
-import os
 import re
-import resource
-import subprocess
-import sys
 from math import gcd
 from pathlib import Path
 
@@ -22,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncgauge
 from ncgauge import linalg, spectral, staralg
 from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
 from ncgauge.staralg import (FiniteStarAlgebra, block_diagonal_algebra, full_matrix_algebra,
@@ -214,7 +209,7 @@ def test_commuting_letters_fail_the_certificate(monkeypatch, n):
     alg = full_matrix_algebra(n)
     rng = np.random.default_rng(n)
     draws = [np.diag(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(2)]
-    assert generated_algebra(draws, include_unit=True).dim == n < alg.dim
+    assert generated_algebra(draws + [np.eye(n)]).dim == n < alg.dim
     monkeypatch.setattr(FiniteStarAlgebra, "random_element",
                         lambda self, seed=0: draws[seed % 2])
     assert np.array_equal(np.stack(generating_set(alg)), np.stack(alg.basis))
@@ -225,7 +220,7 @@ def test_drawn_generators_pass_the_certificate(sizes):
     alg = block_diagonal_algebra(sizes)
     gens = generating_set(alg)
     assert len(gens) == 4
-    assert generated_algebra(gens, include_unit=True).dim == alg.dim
+    assert generated_algebra(list(gens) + [np.eye(len(gens[0]))]).dim == alg.dim
     assert generating_set(alg) is gens  # kept on the algebra
 
 
@@ -277,13 +272,12 @@ def test_readme_diagonal_config_takes_the_graded_closure(monkeypatch):
     assert rep.record("generated-closure").passed
 
 
-def assert_matches_ungraded_oracle(gens, include_unit):
+def assert_matches_ungraded_oracle(gens, with_unit):
     n = gens[0].shape[0]
     seed = list(gens) + [adjoint(g) for g in gens]
-    if include_unit:
-        seed.append(np.eye(n, dtype=complex))
-    (want,) = closure_oracle([seed], n)
-    assert_same_span(generated_algebra(gens, include_unit=include_unit), want)
+    unit = [np.eye(n, dtype=complex)] if with_unit else []
+    (want,) = closure_oracle([seed + unit], n)
+    assert_same_span(generated_algebra(list(gens) + unit), want)
 
 
 scales = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
@@ -342,7 +336,7 @@ def fiber_letters(pt, p, q):
 
 def closure_dim(pt, p, q):
     """The numeric closure of the fiber's generators and the unit: the word group's oracle."""
-    return generated_algebra(fiber_letters(pt, p, q), include_unit=True).dim
+    return generated_algebra(fiber_letters(pt, p, q) + [np.eye(q)]).dim
 
 
 def fiber_seed(pt, p, q):
@@ -407,12 +401,7 @@ def test_every_closure_product_has_a_seed_row_on_the_left(monkeypatch):
     assert sum(a * b for a, b in shapes) <= rank * q * q
 
 
-def _cap_address_space():
-    cap = 4 << 30
-    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-
-def test_interior_fiber_closes_at_q_23_under_a_memory_cap():
+def test_interior_fiber_closes_at_q_23_under_a_memory_cap(run_capped):
     """M_23 closes to dimension 529 in a child capped at 4 GiB of address space.
 
     A table of all 529^2 pair products of 23 x 23 matrices alone would take
@@ -422,36 +411,34 @@ def test_interior_fiber_closes_at_q_23_under_a_memory_cap():
             "from ncgauge.torus import clock_shift; r1, r2 = clock_shift(23, 1); "
             "r, s = math.cos(math.pi / 4), math.sin(math.pi / 4); "
             "gens = [r * r1, s * r2, 0.0 * np.eye(23, dtype=complex)]; "
-            "print(generated_algebra(gens, include_unit=True).dim)")
-    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          preexec_fn=_cap_address_space, timeout=120)
+            "print(generated_algebra(gens + [np.eye(23)]).dim)")
+    proc = run_capped("-c", code)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == str(23 * 23)
 
 
-def test_toric_scan_at_q_41_runs_under_a_memory_cap():
-    """toric-scan s3 1 41 0.05 reads its strata from the word group: M_41 is never closed."""
-    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "ncgauge.cli", "toric-scan", "s3", "1", "41",
-                           "0.05", "--format", "json"], capture_output=True, text=True, env=env,
-                          preexec_fn=_cap_address_space, timeout=60)
+@pytest.mark.parametrize("q", [41, 144])
+def test_toric_scan_runs_under_a_memory_cap(run_capped, q):
+    """toric-scan s3 1 q 0.05 reads its strata from the word group and writes words onto cells.
+
+    M_q is never closed, and no q^4 table of every word is built: at q = 144
+    that table alone would take 6.9 GB.
+    """
+    proc = run_capped("-m", "ncgauge.cli", "toric-scan", "s3", "1", str(q), "0.05",
+                      "--format", "json", timeout=60)
     assert proc.returncode == 0, proc.stderr[-2000:]
     dims = json.loads(proc.stdout)["context"]["strata"]["dims"]
-    assert dims == {"EdgeAlpha": [41], "EdgeBeta": [41], "Interior": [41 * 41]}
+    assert dims == {"EdgeAlpha": [q], "EdgeBeta": [q], "Interior": [q * q]}
 
 
-def test_orbifold_check_runs_under_a_memory_cap():
+def test_orbifold_check_runs_under_a_memory_cap(run_capped):
     """check orbifold:q=6,p=1,m=3 exits 0 in a child capped at 4 GiB of address space.
 
     Its dense product table alone would hold 108^2 rows of 108^2 entries,
     2.2 GB, and as much again in temporaries; the algebra lives in 18 point
     blocks of 6 x 6, so its packed rows hold 648 entries each.
     """
-    env = dict(os.environ, PYTHONPATH=str(Path(ncgauge.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "ncgauge.cli", "check", "orbifold:q=6,p=1,m=3",
-                           "--format", "json"], capture_output=True, text=True, env=env,
-                          preexec_fn=_cap_address_space, timeout=120)
+    proc = run_capped("-m", "ncgauge.cli", "check", "orbifold:q=6,p=1,m=3", "--format", "json")
     assert proc.returncode == 0, proc.stderr[-2000:]
     context = json.loads(proc.stdout)["context"]
     assert (context["dim"], context["center_dim"]) == (108, 3)

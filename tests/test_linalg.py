@@ -236,7 +236,7 @@ def test_generated_algebra_of_shift_and_clock():
 def test_generated_algebra_unit_flag():
     p = np.diag([1.0, 0.0]).astype(complex)
     without = generated_algebra([p])
-    with_unit = generated_algebra([p], include_unit=True)
+    with_unit = generated_algebra([p, np.eye(2)])
     assert without.dim == 1
     assert with_unit.dim == 2
 

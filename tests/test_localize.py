@@ -17,7 +17,6 @@ from ncgauge import (
     build_hs_model,
     c_d_algebra,
     check_axioms,
-    conjugate_triple,
     conjugation_bound,
     fiber_gauge_action,
     frobenius,
@@ -33,7 +32,7 @@ from ncgauge import (
 from ncgauge import cli, linalg, staralg
 from ncgauge.linalg import TOL_DERIVED, commutator, commutator_map_norm
 from ncgauge.models import load_model, triple_from_config
-from test_spectral import CONFIG_FIXTURES
+from test_spectral import CONFIG_FIXTURES, conjugate_triple
 
 localize_module = importlib.import_module("ncgauge.localize")
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgauge.linalg import (TOL_DERIVED, AntiLinearOp, Subspace, adjoint, commutator,
-                            commutator_map_norm, op_norm)
+from ncgauge.linalg import (TOL_DERIVED, AntiLinearOp, Subspace, adjoint, as_cmatrix,
+                            commutator, commutator_map_norm, op_norm)
 from ncgauge.models import build_finite_ym, build_hs_model, model_from_string, triple_from_config
 from ncgauge.spectral import (
     OneForm,
@@ -13,7 +13,6 @@ from ncgauge.spectral import (
     c_d_algebra,
     check_axioms,
     compute_aj,
-    conjugate_triple,
     one_form_space,
     real_structure_residuals,
     transpose_permutation,
@@ -432,6 +431,22 @@ def test_order_one_fails_for_offdiagonal_real_dirac_with_conjugation_j():
     rep = check_axioms(triple_from_config(cfg))
     assert not rep.record("order-one-condition").passed
     assert rep.record("real-structure-dirac-sign").passed
+
+
+def conjugate_triple(triple, u, label=""):
+    """The triple carried along a unitary of H: same A, conjugated pi, D, J."""
+    u = as_cmatrix(u)
+    n = triple.hilbert_dim
+    if op_norm(u @ adjoint(u) - np.eye(n)) > 1e-9:
+        raise SpectralInputError("conjugator is not unitary")
+    return RealSpectralTriple(
+        triple.algebra,
+        u @ triple.pi_images @ adjoint(u),
+        u @ triple.dirac @ adjoint(u),
+        AntiLinearOp(u @ triple.real_structure.kernel @ u.T),
+        eps=triple.eps, eps_prime=triple.eps_prime,
+        label=label or (triple.label + "~conj" if triple.label else "conjugated"),
+    )
 
 
 def test_unitary_equivalence_of_conjugated_triple():

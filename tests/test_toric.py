@@ -12,11 +12,11 @@ from ncgauge import (
     NotOnTorus,
     PhaseScalar,
     SphereElement,
+    Report,
     clock_shift,
-    continuity_report,
     fiber_norm3,
     fiber_norm4,
-    invariant_subalgebra,
+    jump_record,
     norm_profile,
     op_norm,
     parse_sphere,
@@ -32,8 +32,55 @@ from ncgauge import (
     stratum_scan,
 )
 from ncgauge import linalg, toric
-from ncgauge.torus import monomial_table
+from test_torus import monomial_table
 from ncgauge.cli import main
+
+
+def continuity_report(polynomials, h, p, q, which="s3"):
+    """Jump-halving evidence for a family of polynomials.
+
+    Each record passes when the fine/coarse jump ratio falls inside
+    [0.3, 0.7]; a constant profile (zero jumps) counts as continuous.
+    """
+    rep = Report(f"continuity[{which},p={p},q={q},h={h}]", context={
+        "h": h, "p": p, "q": q,
+        "scope_note": "grid statistics are evidence for norm continuity over the "
+                      "base, not a proof",
+    })
+    ratios = []
+    for i, e in enumerate(polynomials):
+        stats = norm_profile(e, h, p, q, which)[1]
+        ratios.append(stats)
+        rep.add(jump_record(f"jump-halving-{i}", stats))
+    rep.context["ratios"] = ratios
+    return rep
+
+
+def invariant_subalgebra(mode, degree, which="s3"):
+    """Monomials fixed by the torus action, up to the degree bound.
+
+    The rotation (alpha, beta) -> (e^{it1} alpha, e^{it2} beta) scales a
+    monomial by e^{i(t1(a - a') + t2(b - b'))}, so the fixed monomials
+    are the balanced ones (alpha alpha*)^a (beta beta*)^b x^c with
+    a + b + c <= degree (x only on the 4-sphere).  The returned family
+    commutes: balanced monomials carry zero net degree, so every
+    reordering phase exponent vanishes.
+    """
+    if which not in ("s3", "s4"):
+        raise ValueError("which must be 's3' or 's4'")
+    if degree < 0:
+        raise ValueError("degree bound must be >= 0")
+    out = []
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            c_range = range(degree + 1 - a - b) if which == "s4" else (0,)
+            for c in c_range:
+                out.append(SphereElement.monomial(mode, (a, a, b, b, c)))
+    for i, e in enumerate(out):
+        for f in out[i + 1:]:
+            if not (e * f - f * e).is_zero():
+                raise ArithmeticError("invariant monomials failed to commute")
+    return out
 
 
 def random_element(mode, rng, with_x=False, nterms=3, maxexp=2):

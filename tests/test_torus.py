@@ -12,12 +12,13 @@ from ncgauge.torus import (
     TorusElement,
     central_monomials,
     clock_shift,
-    monomial_table,
+    monomial_sum,
     rational_mode,
     torus_generator,
     torus_one,
     torus_rep,
     trace_state,
+    word_layout,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,6 +175,23 @@ def test_torus_rep_is_homomorphism():
         assert np.max(np.abs(star - torus_rep(a, z1, z2).conj().T)) < 1e-10
 
 
+def rebuilt_powers(q, p):
+    """R1^i and R2^j for i, j < q, by the running matrix products of the clock/shift pair."""
+    r1, r2 = clock_shift(q, p)
+    pow1 = [np.eye(q, dtype=complex)]
+    pow2 = [np.eye(q, dtype=complex)]
+    for _ in range(q - 1):
+        pow1.append(pow1[-1] @ r1)
+        pow2.append(pow2[-1] @ r2)
+    return pow1, pow2
+
+
+def monomial_table(q, p):
+    """The q x q x q x q table whose [i, j] entry is R1^i R2^j (oracle)."""
+    pow1, pow2 = rebuilt_powers(q, p)
+    return np.array([[a @ b for b in pow2] for a in pow1])
+
+
 def term_loop_rep(a, z1, z2):
     """One scalar times a table matrix per term, summed in place (oracle)."""
     p, q = a.mode.p, a.mode.q
@@ -203,19 +221,15 @@ def test_torus_rep_matches_the_term_loop(p, q):
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 5), (3, 7)])
-def test_monomial_table_matches_rebuilt_powers(p, q):
-    r1, r2 = clock_shift(q, p)
-    pow1 = [np.eye(q, dtype=complex)]
-    pow2 = [np.eye(q, dtype=complex)]
-    for _ in range(q - 1):
-        pow1.append(pow1[-1] @ r1)
-        pow2.append(pow2[-1] @ r2)
-    table = monomial_table(q, p)
-    assert table.shape == (q, q, q, q)
-    assert not table.flags.writeable
+def test_monomial_sum_matches_rebuilt_powers(p, q):
+    pow1, pow2 = rebuilt_powers(q, p)
     for i in range(q):
         for j in range(q):
-            assert np.array_equal(table[i, j], pow1[i] @ pow2[j])
+            assert np.array_equal(monomial_sum([((i, j), 1)], q, p), pow1[i] @ pow2[j])
+    assert word_layout(q, p) is word_layout(q, p)  # kept per (p, q)
+    for table in word_layout(q, p):
+        assert table.shape == (q, q)
+        assert not table.flags.writeable
 
 
 @pytest.mark.parametrize("p,q,message", [(1, 0, "q must be a positive integer, got 0"),
