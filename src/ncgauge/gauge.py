@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (TOL_DERIVED, RealSpan, adjoint, as_cmatrix, commutator, max_op_norm,
-                     op_norm)
+from .linalg import (TOL_DERIVED, TOL_EXACT, RealSpan, adjoint, as_cmatrix, commutator,
+                     max_op_norm, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import OneForm, RealSpectralTriple, compute_aj
 from .staralg import lie_generating_set, skew_hermitian_basis
@@ -126,8 +126,8 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     """The gauge Lie algebra with the dimension identity and bracket checks.
 
     dim g = dim u(A) - dim u(A_J): the kernel of X -> pi(X) + JXJ^-1 on
-    skew elements is exactly u(A_J).  Skewness is checked at 1e-9, the
-    rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
+    skew elements is exactly u(A_J).  Skewness is checked at ``TOL_EXACT``,
+    the rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
 
     The bracket records pair the basis X of u(A) with a set S certified to
     generate u(A) as a Lie algebra (:func:`~ncgauge.staralg.lie_generating_set`),
@@ -146,7 +146,7 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     S is real-orthonormal like the basis, so no residual is rescaled, and the
     witnesses are the pair (index of X in the basis of u(A), index of Y in S).
     """
-    t_skew = tol if tol is not None else 1e-9
+    t_skew = tol if tol is not None else TOL_EXACT
     tol = tol if tol is not None else TOL_DERIVED
 
     span, xs, ts = gauge_span(triple)
@@ -288,6 +288,16 @@ def fluctuate(triple: RealSpectralTriple, omega) -> np.ndarray:
     scale = max(1.0, op_norm(w))
     if op_norm(w - adjoint(w)) > TOL_DERIVED * scale:
         raise ValueError("fluctuation input must be self-adjoint")
+    return _fluctuation(triple, w)
+
+
+def _fluctuation(triple: RealSpectralTriple, w: np.ndarray) -> np.ndarray:
+    """D + w + eps' J w J^-1 for any matrix w on H: the formula of :func:`fluctuate`, unchecked.
+
+    The commands record whether the gauge field is self-adjoint, at their
+    own tolerance, and evaluate the fluctuation through this formula, so a
+    field that fails that record still reaches the records after it.
+    """
     return triple.dirac + w + triple.eps_prime * triple.j_conjugate(w)
 
 
@@ -331,7 +341,11 @@ def gauge_transform_field(triple: RealSpectralTriple, omega0: OneForm, omega: On
 
 def covariance_residual(triple: RealSpectralTriple, u: np.ndarray, before: OneForm,
                         after: OneForm) -> float:
-    """||D_after - U D_before U*|| / max(1, ||U D_before U*||), U the gauge unitary of u."""
+    """||D_after - U D_before U*|| / max(1, ||U D_before U*||), U the gauge unitary of u.
+
+    The fluctuations are evaluated unchecked (:func:`_fluctuation`): a field
+    that is not self-adjoint gives a residual, not an exception.
+    """
     big_u = gauge_matrix(triple, u)
-    rhs = big_u @ fluctuate(triple, before) @ adjoint(big_u)
-    return op_norm(fluctuate(triple, after) - rhs) / max(1.0, op_norm(rhs))
+    rhs = big_u @ _fluctuation(triple, before.matrix) @ adjoint(big_u)
+    return op_norm(_fluctuation(triple, after.matrix) - rhs) / max(1.0, op_norm(rhs))

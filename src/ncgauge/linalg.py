@@ -21,20 +21,25 @@ Conventions
   ``K`` before they are evaluated (see :class:`AntiLinearOp`).
 
 Tolerance ladder: construction-level identities are expected to hold at
-``TOL_CONSTRUCT`` and identities that chain a few operations at
-``TOL_DERIVED``.
+``TOL_CONSTRUCT``, exact identities of the real structure and of
+projections at ``TOL_EXACT``, and identities that chain a few operations
+at ``TOL_DERIVED``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 TOL_CONSTRUCT = 1e-10
+TOL_EXACT = 1e-9
 TOL_DERIVED = 1e-8
 _CLOSURE_RTOL = 1e-9  # singular-value cut of every closure round
 
 __all__ = [
     "TOL_CONSTRUCT",
+    "TOL_EXACT",
     "TOL_DERIVED",
     "as_cmatrix",
     "adjoint",
@@ -50,6 +55,19 @@ __all__ = [
     "generated_algebra",
     "AntiLinearOp",
 ]
+
+
+def _kept(fn):
+    """``fn(obj)``, computed on the first call and kept on ``obj`` for every later one."""
+    key = f"_kept_{fn.__name__}"
+
+    @functools.wraps(fn)
+    def kept(obj):
+        if key not in vars(obj):
+            vars(obj)[key] = fn(obj)
+        return vars(obj)[key]
+
+    return kept
 
 
 def as_cmatrix(m) -> np.ndarray:
@@ -455,23 +473,23 @@ def nullspace(domain_basis, images, floor: float = 0.0) -> Subspace:
     return Subspace(np.concatenate(coeffs) @ packed, domain.shape[1:], blocks)
 
 
-def _graded_closure(seeds: list, n: int, left: list | None = None) -> list[Subspace]:
+def _graded_closure(seeds: list, n: int, left: list) -> list[Subspace]:
     """Spans of the smallest graded span containing the seed that the left
     letters map into itself, one per grade.
 
     ``seeds[g]`` and ``left[g]`` are stacks of n x n matrices of grade g, for
-    k = len(seeds) grades; a product of grades x and y lands in grade
-    (x + y) mod k.  With W_0 = span seed and W_{j+1} = W_j + L W_j, the rows
-    new at step j only need multiplying on the left by the letters L (the
-    orthonormalised rows L_x of each grade x), one letter at a time.  At the
-    fixed point L W ⊆ W: W is the smallest L-invariant span containing the
-    seed, a left module over the algebra the letters generate.  ``left``
-    left out means L = S, the seed itself, and then W is the word closure:
-    W is spanned by words in S, so S W ⊆ W gives W W ⊆ W, the algebra S
-    generates.  That costs |L| products per new row, not one per row of W.
-    A grade that already holds every row its blocks allow takes no more
-    products, and the loop ends once no grade gains a row or every grade is
-    full.
+    k = len(seeds) grades (a stack may be empty); a product of grades x and
+    y lands in grade (x + y) mod k.  With W_0 = span seed and
+    W_{j+1} = W_j + L W_j, the rows new at step j only need multiplying on
+    the left by the letters L (the orthonormalised rows L_x of each grade
+    x), one letter at a time.  At the fixed point L W ⊆ W: W is the smallest
+    L-invariant span containing the seed, a left module over the algebra the
+    letters generate.  Seeded by the unit, W is spanned by the words in L,
+    graded by their letters: the algebra L and the unit generate.  Seeded by
+    S with letters S, it is the algebra S generates: S W ⊆ W gives W W ⊆ W.
+    That costs |L| products per new row, not one per row of W.  A grade that
+    already holds every row its blocks allow takes no more products, and the
+    loop ends once no grade gains a row or every grade is full.
 
     Block by block: outside the diagonal blocks of the seeds and the
     letters (:func:`_diagonal_blocks`) every word is exactly 0, so all rows
@@ -484,15 +502,12 @@ def _graded_closure(seeds: list, n: int, left: list | None = None) -> list[Subsp
     orthonormal rows, so a new direction is kept when its singular value
     exceeds 1e-9 absolutely (and 1e-9 relative to its round's residual).
     """
-    seeds = [np.reshape(np.asarray(s, dtype=complex), (-1, n, n)) for s in seeds]
-    left = None if left is None else [np.reshape(np.asarray(s, dtype=complex), (-1, n, n))
-                                      for s in left]
-    blocks = _diagonal_blocks(*seeds, *(left or []))
+    seeds, left = ([np.reshape(np.asarray(s, dtype=complex), (-1, n, n)) for s in group]
+                   for group in (seeds, left))
+    blocks = _diagonal_blocks(*seeds, *left)
     index, full = _block_index(blocks, n), sum((s.stop - s.start) ** 2 for s in blocks)
     stacks = fresh = [_orthonormal_rows(_pack(s, index), _CLOSURE_RTOL) for s in seeds]
-    letters = stacks if left is None else [
-        _orthonormal_rows(_pack(s, index), _CLOSURE_RTOL) for s in left]
-    letters = [_parts(s, blocks) for s in letters]
+    letters = [_parts(_orthonormal_rows(_pack(s, index), _CLOSURE_RTOL), blocks) for s in left]
     k = len(seeds)
     while min(len(s) for s in stacks) < full and any(len(f) for f in fresh):
         words = [_parts(f, blocks) for f in fresh]
@@ -517,14 +532,15 @@ def generated_algebra(generators) -> Subspace:
 
     Closure under products of an adjoint-closed spanning set is
     automatically adjoint-closed, so the seed is generators plus their
-    adjoints and the closure only multiplies: the ungraded (k = 1) case of
-    the graded closure kernel.  A unital closure takes the identity among
-    the generators.
+    adjoints, and the closure multiplies it by itself: the ungraded (k = 1)
+    case of the graded closure kernel, with the seed as its letters.  A
+    unital closure takes the identity among the generators.
     """
     gens = np.asarray(generators, dtype=complex)  # mixed shapes raise here
     if gens.ndim != 3 or not len(gens) or gens.shape[1] != gens.shape[2]:
         raise ValueError("generators must be one or more square matrices of equal size")
-    return _graded_closure([np.concatenate([gens, adjoint(gens)])], gens.shape[1])[0]
+    seed = np.concatenate([gens, adjoint(gens)])
+    return _graded_closure([seed], gens.shape[1], [seed])[0]
 
 
 class AntiLinearOp:

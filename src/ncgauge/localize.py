@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (TOL_DERIVED, Subspace, adjoint, as_cmatrix, commutator_map_norm,
-                     frobenius, op_norm)
+from .linalg import (TOL_DERIVED, TOL_EXACT, Subspace, adjoint, as_cmatrix,
+                     commutator_map_norm, frobenius, op_norm)
 from .reporting import SCOPE_EXACT, CheckRecord, Report
 from .spectral import RealSpectralTriple, c_d_algebra, compute_aj, one_form_space
 from .staralg import ProjectionFamily, minimal_projections
@@ -117,10 +117,10 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
 
     The base is :func:`~ncgauge.staralg.minimal_projections`, found by
     spectral refinement without a draw, so nothing here depends on a seed.
-    Exact identities of the projections are checked at 1e-9, the rest at
-    ``TOL_DERIVED``; passing ``tol`` overrides both.
+    Exact identities of the projections are checked at ``TOL_EXACT``, the
+    rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
     """
-    t_exact = tol if tol is not None else 1e-9
+    t_exact = tol if tol is not None else TOL_EXACT
     tol = tol if tol is not None else TOL_DERIVED
     alg = triple.algebra
     aj = compute_aj(triple)

@@ -9,7 +9,8 @@ eps' relating JD and DJ.
 Everything anti-linear is rewritten in terms of K before evaluation:
 
     J D = eps' D J           <=>  K conj(D) = eps' D K
-    b_opp = J b* J^-1             has matrix  eps K transpose(pi(b)) conj(K)
+    J m J^-1 (m linear)           has matrix  K conj(m) K*
+    b_opp = J b* J^-1             has matrix  K transpose(pi(b)) K*
     a J = J a*               <=>  pi(a) K = K transpose(pi(a))
     U J U* (U linear unitary)     has kernel U K transpose(U)
 
@@ -29,13 +30,16 @@ import numpy as np
 from .linalg import (
     TOL_CONSTRUCT,
     TOL_DERIVED,
+    TOL_EXACT,
     AntiLinearOp,
     Subspace,
     _graded_closure,
+    _kept,
     adjoint,
     as_cmatrix,
     commutator,
     commutator_map_norm,
+    frobenius,
     max_op_norm,
     nullspace,
     op_norm,
@@ -57,7 +61,6 @@ __all__ = [
     "transpose_permutation",
 ]
 
-_J_AXIOM_TOL = 1e-9
 _ON_G = "for a, b in the certified generating set g of A"
 
 
@@ -102,9 +105,6 @@ class RealSpectralTriple:
         self.label = label
         self.hilbert_dim = n
         self._pi_stack = self.pi_images.reshape(algebra.dim, n * n)
-        self._omega1: Subspace | None = None
-        self._cd: tuple[FiniteStarAlgebra, Report] | None = None
-        self._aj: FiniteStarAlgebra | None = None
 
     # -- representation ------------------------------------------------
 
@@ -127,8 +127,7 @@ class RealSpectralTriple:
 
     def b_opposite(self, b: np.ndarray) -> np.ndarray:
         """Matrix of J b* J^-1, the right-action copy of b (or of each b of a stack)."""
-        k = self.real_structure.kernel
-        return self.eps * k @ np.swapaxes(self.pi(b), -2, -1) @ np.conj(k)
+        return self.j_conjugate(adjoint(self.pi(b)))
 
     def dirac_commutator(self, a: np.ndarray) -> np.ndarray:
         return commutator(self.dirac, self.pi(a))
@@ -175,9 +174,6 @@ class OneForm:
             raise ValueError("one-forms belong to different triples")
         return OneForm(self.triple, self.terms + other.terms)
 
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.triple, [(-a, b) for a, b in self.terms])
-
     @classmethod
     def zero(cls, triple: RealSpectralTriple) -> "OneForm":
         return cls(triple, [])
@@ -221,7 +217,7 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
     is a basis index of A).
     """
     t_con = tol if tol is not None else TOL_CONSTRUCT
-    t_j = tol if tol is not None else _J_AXIOM_TOL
+    t_j = tol if tol is not None else TOL_EXACT
     t_der = tol if tol is not None else TOL_DERIVED
 
     alg = triple.algebra
@@ -288,6 +284,7 @@ def real_structure_residuals(triple: RealSpectralTriple) -> tuple[float, float, 
 # -- derived structures ------------------------------------------------------
 
 
+@_kept
 def one_form_space(triple: RealSpectralTriple) -> Subspace:
     """The one-form space Omega^1 = span{pi(a) [D, pi(b)]}; cached on the triple.
 
@@ -305,14 +302,12 @@ def one_form_space(triple: RealSpectralTriple) -> Subspace:
     product is of Frobenius-orthonormal rows and letters, and a new
     direction is kept when its singular value exceeds 1e-9.
     """
-    if triple._omega1 is None:
-        n = triple.hilbert_dim
-        seed = triple.pi(triple.algebra.unit) @ commutator(triple.dirac, triple.pi_images)
-        letters = triple.pi(generating_set(triple.algebra))
-        triple._omega1 = _graded_closure([seed], n, [letters])[0]
-    return triple._omega1
+    seed = triple.pi(triple.algebra.unit) @ commutator(triple.dirac, triple.pi_images)
+    letters = triple.pi(generating_set(triple.algebra))
+    return _graded_closure([seed], triple.hilbert_dim, [letters])[0]
 
 
+@_kept
 def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     """The algebra C_D generated by pi(A) and [D, pi(A)], with its parity split.
 
@@ -322,66 +317,68 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     trivially, which can fail at finite dimension (the even and odd words
     may collide).  Consistency is reported, not asserted.
 
+    Everything is built from the letters L = pi(g) ∪ [D, pi(g)] for a
+    certified *-closed generating set g of A
+    (:func:`~ncgauge.staralg.generating_set`), never from pi(A) and
+    [D, pi(A)].  Words in g and the unit span A, so with pi(1) = 1 the
+    words in pi(g) and the unit span pi(A); and since [D, .] is a
+    derivation, [D, pi(w)] of a word w in g is a sum of words in L with
+    exactly one [D, .] letter.  So the even words in L (with the unit) span
+    E, the odd ones span O, and C_D is the algebra L and the unit generate.
+    L is *-closed as a span, since pi(g)^* = pi(g^*) and
+    [D, pi(g)]^* = -[D, pi(g^*)].
+
     Lemma: if the unit lies in the one-form space Omega^1, then
     E = O = C_D.  Proof: a one-form a [D, b] has exactly one [D, .]
     letter, so Omega^1 lies in O, and with it the unit.  Then
     E = E 1 lies in E O, which lies in O, and O = O 1 lies in O O,
     which lies in E; so E = O, and both equal E + O = C_D.
 
-    So C_D is one closure or two.  When the unit is in Omega^1 (one
-    projection of the unit onto :func:`one_form_space`), C_D is the closure
-    of Omega^1 under left multiplication by the letters
-    L = {pi(g), [D, pi(g)]} for a certified *-closed generating set g of A
-    (:func:`~ncgauge.staralg.generating_set`).  Since [D, .] is a
-    derivation, [D, pi(w)] of a word w in g is a sum of words in L, so
-    pi(A), [D, pi(A)] and Omega^1 all lie in the algebra L and the unit
-    generate, which is C_D; and the closure holds every word in L, as it
-    holds the unit.  L is *-closed as a span, since pi(g)^* = pi(g^*) and
-    [D, pi(g)]^* = -[D, pi(g^*)].  The result is wrapped with ``generators=L``,
-    so its closure check forms |L| dim C_D products, not the dim C_D^2
-    table.  Otherwise the closure kernel runs with two grades, the even one
-    seeded by pi(A) and the unit and the odd one by [D, pi(A)], and C_D is
-    the union of the two spans.  The unit's distance from Omega^1 is
-    reported as ``unit_one_form_distance``.
+    So C_D is one closure of two kinds.  The unit's distance from
+    :func:`one_form_space`, one projection, is reported as
+    ``unit_one_form_distance`` and decides between them.  When the unit is
+    in Omega^1, C_D is the closure of Omega^1 under left multiplication by
+    L: Omega^1 lies in C_D, and the closure holds every word in L, as it
+    holds the unit.  Otherwise the closure kernel starts from the unit in
+    the even grade, with pi(g) as even letters and [D, pi(g)] as odd ones,
+    and C_D is the union of E and O.  Either way C_D is spanned by words in
+    L and the unit, so it is wrapped with ``generators=L``, and its closure
+    check forms |L| dim C_D products, not the dim C_D^2 table.
 
     The ``generated-closure`` record is a one-pass certificate, not a second
-    closure: the worst of the relative distances of pi(A)'s basis images,
-    of every [D, pi(b)] and of the unit from the result, and of the product-
-    and adjoint-closure residuals of the wrapped algebra.  The kernel only
-    forms words in the generators, so these show that the result is the
-    generated *-algebra.
+    closure: the worst of the relative distances of the letters and of the
+    unit from the result, and of the product- and adjoint-closure residuals
+    of the wrapped algebra.  The kernel only forms words in the letters, so
+    these show that the result is the *-algebra they generate.
     """
-    if triple._cd is not None:
-        return triple._cd
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
-    pis = triple.pi_images
-    d_comms = commutator(triple.dirac, pis)
+    gens = triple.pi(generating_set(triple.algebra))
+    d_gens = commutator(triple.dirac, gens)
+    letters = np.concatenate([gens, d_gens])
     omega = one_form_space(triple)
-    if omega.contains(eye):
-        gens = triple.pi(generating_set(triple.algebra))
-        letters = np.concatenate([gens, commutator(triple.dirac, gens)])
+    gap = omega.residual(eye)
+    if gap <= TOL_DERIVED * frobenius(eye):  # the unit lies in Omega^1: E = O = C_D
         even = odd = total = _graded_closure([omega.basis], n, [letters])[0]
     else:
-        letters = None  # the closure check forms the dim C_D^2 product table
-        even, odd = _graded_closure([np.concatenate([pis, eye[None]]), d_comms], n)
+        even, odd = _graded_closure([eye[None], eye[:0]], n, [gens, d_gens])
         total = even.union(odd)
     algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})",
                                 generators=letters)
-    generators = np.concatenate([pis, d_comms, eye[None]])
-    missing = np.max(total.residual(generators)
-                     / np.maximum(1.0, np.linalg.norm(generators, axis=(1, 2))))
+    spanning = np.concatenate([letters, eye[None]])
+    missing = np.max(total.residual(spanning)
+                     / np.maximum(1.0, np.linalg.norm(spanning, axis=(1, 2))))
     rep = Report(f"c_d_algebra[{triple.label or 'triple'}]",
                  context={"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
                           "grading_consistent": even.dim + odd.dim == total.dim,
-                          "unit_one_form_distance": omega.residual(eye)})
+                          "unit_one_form_distance": gap})
     rep.add(CheckRecord.from_residual(
         "generated-closure", "the closure equals the two-sided generated span",
         max(float(missing), *algebra.closure_residuals), TOL_DERIVED, SCOPE_EXACT))
-    triple._cd = (algebra, rep)
-    return triple._cd
+    return algebra, rep
 
 
+@_kept
 def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
     """The subalgebra {a : aJ = Ja*}, cut out by pi(a) K = K transpose(pi(a)).
 
@@ -393,17 +390,13 @@ def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
     is all of A in a rotated frame, the map is zero only up to rounding,
     and the rounding must not count as rank.
     """
-    if triple._aj is not None:
-        return triple._aj
     k, pis = triple.real_structure.kernel, triple.pi_images
     sub = nullspace(triple.algebra.basis, pis @ k - k @ np.swapaxes(pis, 1, 2),
                     floor=1e-9 * np.linalg.norm(pis, axis=(1, 2)).max())
     if sub.dim == 0:
         raise NotClosed("the real-structure condition has trivial solution space", 1.0)
-    alg = FiniteStarAlgebra(sub.basis, triple.algebra.unit,
-                            label=f"A_J({triple.label or 'A'})")
-    triple._aj = alg
-    return alg
+    return FiniteStarAlgebra(sub.basis, triple.algebra.unit,
+                             label=f"A_J({triple.label or 'A'})")
 
 
 def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -> Report:

@@ -18,6 +18,7 @@ from .linalg import (
     _diagonal_blocks,
     _extend_rows,
     _incidence,
+    _kept,
     _pack,
     _parts,
     adjoint,
@@ -139,9 +140,6 @@ class FiniteStarAlgebra(Subspace):
         super().__init__(_pack(basis, _block_index(blocks, n)), (n, n), blocks)
         self.ambient = n
         self.label = label
-        self._skew: np.ndarray | None = None  # u(A), kept by skew_hermitian_basis
-        self._gens: np.ndarray | None = None  # kept by generating_set
-        self._center: FiniteStarAlgebra | None = None  # kept by center
         self._constants: list[np.ndarray] | None = None
         touches = _incidence(self._stack, blocks)
         self._summands = [(e, np.flatnonzero(touches[e].any(axis=0))) for e in _components(touches)]
@@ -261,6 +259,7 @@ def block_diagonal_algebra(sizes: list[int], label: str = "") -> FiniteStarAlgeb
                              label=label or "+".join(f"M{s}" for s in sizes))
 
 
+@_kept
 def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     """Elements commuting with the whole algebra, as a subalgebra.
 
@@ -288,16 +287,14 @@ def center(algebra: FiniteStarAlgebra) -> FiniteStarAlgebra:
     unit of A, which is wrapped as its unit, so the wrap step cannot fail on
     consistent input.  Computed once per algebra and kept on it, like u(A).
     """
-    if algebra._center is None:
-        images, at = np.zeros((algebra.dim, sum(len(e) ** 2 for e, _ in algebra._summands)),
-                              dtype=complex), 0
-        for (e, _), c in zip(algebra._summands, algebra.structure_constants):
-            images[e, at:at + len(e) ** 2] = (c - np.swapaxes(c, 0, 1)).reshape(len(e), -1)
-            at += len(e) ** 2
-        sub = nullspace(algebra.basis, images, floor=1e-9)
-        algebra._center = FiniteStarAlgebra(
-            sub.basis, algebra.unit, label=f"Z({algebra.label})" if algebra.label else "center")
-    return algebra._center
+    images, at = np.zeros((algebra.dim, sum(len(e) ** 2 for e, _ in algebra._summands)),
+                          dtype=complex), 0
+    for (e, _), c in zip(algebra._summands, algebra.structure_constants):
+        images[e, at:at + len(e) ** 2] = (c - np.swapaxes(c, 0, 1)).reshape(len(e), -1)
+        at += len(e) ** 2
+    sub = nullspace(algebra.basis, images, floor=1e-9)
+    return FiniteStarAlgebra(sub.basis, algebra.unit,
+                             label=f"Z({algebra.label})" if algebra.label else "center")
 
 
 class ProjectionFamily:
@@ -386,6 +383,7 @@ def minimal_projections(algebra: FiniteStarAlgebra) -> ProjectionFamily:
     return ProjectionFamily([projs[i] for i in order], unit=algebra.unit)
 
 
+@_kept
 def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> np.ndarray:
     """Real-orthonormal basis of the skew-hermitian part u(A) = {a : a* = -a}.
 
@@ -395,17 +393,16 @@ def skew_hermitian_basis(algebra: FiniteStarAlgebra) -> np.ndarray:
     (random unitaries, minimal projections, the gauge Lie algebra) shares
     one SVD.
     """
-    if algebra._skew is None:
-        b = algebra.basis  # candidates interleaved: (b - b*)/2, then i(b + b*)/2, per b
-        cands = np.stack([(b - adjoint(b)) / 2, 1j * (b + adjoint(b)) / 2], axis=1)
-        span = RealSpan.from_spanning(cands.reshape(-1, *algebra.shape), algebra.shape)
-        if span.dim != algebra.dim:
-            raise AlgebraError(
-                f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
-        algebra._skew = span.basis
-    return algebra._skew
+    b = algebra.basis  # candidates interleaved: (b - b*)/2, then i(b + b*)/2, per b
+    cands = np.stack([(b - adjoint(b)) / 2, 1j * (b + adjoint(b)) / 2], axis=1)
+    span = RealSpan.from_spanning(cands.reshape(-1, *algebra.shape), algebra.shape)
+    if span.dim != algebra.dim:
+        raise AlgebraError(
+            f"skew-hermitian part has real dim {span.dim}, expected {algebra.dim}")
+    return span.basis
 
 
+@_kept
 def generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
     """A *-closed set that generates the algebra together with its unit, certified.
 
@@ -417,13 +414,11 @@ def generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:
     replaced by the basis, which generates A trivially.  Computed once per
     algebra and kept on it, like u(A).
     """
-    if algebra._gens is None:
-        gens = np.stack([algebra.random_element(seed=_GENERATOR_SEED + i) for i in range(2)])
-        gens = np.concatenate([gens, adjoint(gens)])
-        if generated_algebra(np.concatenate([gens, algebra.unit[None]])).dim != algebra.dim:
-            gens = algebra.basis
-        algebra._gens = gens
-    return algebra._gens
+    gens = np.stack([algebra.random_element(seed=_GENERATOR_SEED + i) for i in range(2)])
+    gens = np.concatenate([gens, adjoint(gens)])
+    if generated_algebra(np.concatenate([gens, algebra.unit[None]])).dim != algebra.dim:
+        return algebra.basis
+    return gens
 
 
 def lie_generating_set(algebra: FiniteStarAlgebra) -> np.ndarray:

@@ -114,10 +114,6 @@ class PhaseScalar:
         return cls(mode, {0: complex(c)})
 
     @classmethod
-    def one(cls, mode: PhaseMode) -> "PhaseScalar":
-        return cls.const(mode, 1.0)
-
-    @classmethod
     def t_power(cls, mode: PhaseMode, k: int, c: complex = 1.0) -> "PhaseScalar":
         return cls(mode, {k: complex(c)})
 
@@ -310,21 +306,16 @@ def torus_generator(mode: PhaseMode, which: int, power: int = 1) -> TorusElement
 
 # -- rational representations ------------------------------------------------
 
-_CLOCK_SHIFT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The q x q pair (R1, R2) = (shift, clock), with R2 R1 = zeta R1 R2 and R_i^q = 1.
 
     With S e_j = e_(j+1 mod q), C e_j = zeta^j e_j and zeta = e^(2 pi i p/q):
     C S e_j = zeta^(j+1) e_(j+1) = zeta S C e_j, as zeta^q = 1, so R1 = S and
     R2 = C satisfy the relation for every p.  It is asserted with unitarity
-    and R_i^q = 1, and the pair is kept per (p mod q, q).
+    and R_i^q = 1, and the pair is kept per (q, p).
     """
-    mode = rational_mode(p, q)
-    key = (mode.p, q)
-    if key in _CLOCK_SHIFT_CACHE:
-        return _CLOCK_SHIFT_CACHE[key]
+    rational_mode(p, q)  # rejects q < 1 and p, q not coprime
     zeta = np.exp(2j * np.pi * p / q)
     clock = np.diag(zeta ** np.arange(q)).astype(complex)
     shift = np.roll(np.eye(q, dtype=complex), 1, axis=0)
@@ -332,7 +323,6 @@ def clock_shift(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     for r in (shift, clock):
         assert op_norm(np.linalg.matrix_power(r, q) - np.eye(q)) < 1e-10
         assert op_norm(r @ adjoint(r) - np.eye(q)) < 1e-12
-    _CLOCK_SHIFT_CACHE[key] = (shift, clock)
     return shift, clock
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncgauge import linalg, spectral, staralg
+from ncgauge import cli, linalg, spectral, staralg
 from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
 from ncgauge.staralg import (FiniteStarAlgebra, block_diagonal_algebra, full_matrix_algebra,
                              generating_set)
@@ -88,10 +88,10 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     even, odd = closure_oracle(seeds, n)
     total = even.union(odd)
 
-    got_even, got_odd = _graded_closure(seeds, n)
+    got_even, got_odd = _graded_closure(seeds, n, seeds)
     assert_same_span(got_even, even)
     assert_same_span(got_odd, odd)
-    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
+    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n, [seeds[0] + seeds[1]])
 
     cd, rep = c_d_algebra(triple)
     assert_same_span(cd, total)
@@ -110,7 +110,7 @@ def closure_grades(monkeypatch, triple):
     """
     grades = []
 
-    def spy(seeds, n, left=None):
+    def spy(seeds, n, left):
         grades.append(len(seeds))
         return _graded_closure(seeds, n, left)
 
@@ -155,7 +155,7 @@ def test_c_d_algebra_matches_the_oracles_on_configs(monkeypatch, name):
     eye = np.eye(n, dtype=complex)
     seeds = [[*triple.pi_images, eye], [triple.dirac_commutator(b) for b in triple.algebra.basis]]
     even, odd = closure_oracle(seeds, n)
-    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n)
+    (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n, [seeds[0] + seeds[1]])
     omega = one_form_space(triple)
     rep, grades = closure_grades(monkeypatch, triple)
     cd, _ = c_d_algebra(triple)
@@ -224,7 +224,15 @@ def test_drawn_generators_pass_the_certificate(sizes):
     assert generating_set(alg) is gens  # kept on the algebra
 
 
-@pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3"])
+def load(spec):
+    """A preset, or ``config:<name>`` for a config fixture."""
+    if spec.startswith("config:"):
+        return triple_from_config(CONFIG_FIXTURES[spec.removeprefix("config:")])
+    return model_from_string(spec)
+
+
+# blocks-left takes the graded branch (the unit is 2.6 from Omega^1) and closes to M_9
+@pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3", "config:blocks-left"])
 def test_c_d_verification_forms_letters_times_dim_products(count_calls, spec):
     """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table.
 
@@ -233,22 +241,55 @@ def test_c_d_verification_forms_letters_times_dim_products(count_calls, spec):
     counted as table entries over sum_b s_b^2, the packed width.  The
     verification forms |L| d_c products per summand c of C_D, one table per
     (summand, block); the closure's orthonormal rows mix the point blocks of
-    ym, so there C_D is one summand over three blocks.
+    ym, so there C_D is one summand over three blocks.  Both branches wrap
+    C_D with its letters: on blocks-left that is |L| 81 products, not 81^2.
     """
-    triple = model_from_string(spec)
+    triple = load(spec)
     one_form_space(triple)
     verification = count_calls(staralg, "pair_products")  # first: staralg's calls only
     closure = count_calls(linalg, "pair_products")
     cd, rep = c_d_algebra(triple)
     letters = 2 * len(generating_set(triple.algebra))
     widths = [(s.stop - s.start) ** 2 for s in cd._blocks]
-    assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3}[spec] and len(cd._summands) == 1
+    assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3, "config:blocks-left": 1}[spec]
+    assert len(cd._summands) == 1
+    assert (rep.context["unit_one_form_distance"] > 1) == spec.startswith("config:")  # branch
     assert table_shapes(verification) == [(letters * len(e), widths[b])
                                           for e, blocks in cd._summands for b in blocks]
     assert sum(widths) <= triple.hilbert_dim ** 2
     products = sum(rows * w for rows, w in table_shapes(closure)) / sum(widths)
     assert products <= letters * cd.dim < cd.dim ** 2
     assert rep.record("generated-closure").passed
+
+
+@pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3", "ym:k=2,N=1,lam=0.1",
+                                  "config:blocks-left", "config:diagonal-zero"])
+def test_c_d_algebra_commutes_d_with_the_generators_only(count_calls, spec):
+    """C_D takes one commutator, [D, pi(g)] on the |g| generators, in either branch."""
+    triple = load(spec)
+    one_form_space(triple)
+    comms = count_calls(linalg, "commutator")
+    c_d_algebra(triple)
+    gens = triple.pi(generating_set(triple.algebra))
+    assert len(comms) == 1
+    assert comms[0][0] is triple.dirac and np.array_equal(comms[0][1], gens)
+
+
+@pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3", "ym:k=2,N=1,lam=0.1"])
+def test_localize_forms_the_dirac_commutators_of_a_once(monkeypatch, count_calls, spec):
+    """The dim A stack [D, pi(A)] is formed for Omega^1 only; C_D reads the generators."""
+    triples, real_load = [], cli.load_model
+
+    def loading(*args, **kwargs):
+        triples.append(real_load(*args, **kwargs))
+        return triples[-1]
+
+    monkeypatch.setattr(cli, "load_model", loading)
+    comms = count_calls(linalg, "commutator")
+    cli.main(["localize", spec])
+    (triple,) = triples
+    stacks = [b for a, b in comms if a is triple.dirac and len(b) == triple.algebra.dim]
+    assert len(stacks) == 1 and np.array_equal(stacks[0], triple.pi_images)
 
 
 def readme_config(kind):

@@ -154,7 +154,7 @@ def test_packed_closures_match_the_dense_closures(spec):
     (got,) = _graded_closure([omega.basis], n, [letters])
     assert_same_span(got, dense_closure([omega.basis], n, [letters])[0])
     seeds = [np.concatenate([pis, eye[None]]), d_comms]
-    for got, want in zip(_graded_closure(seeds, n), dense_closure(seeds, n)):
+    for got, want in zip(_graded_closure(seeds, n, seeds), dense_closure(seeds, n)):
         assert_same_span(got, want)
     cd, _ = c_d_algebra(triple)
     assert_same_span(cd, dense_rows(np.concatenate(dense_closure(seeds, n))))

@@ -301,13 +301,14 @@ def test_rotated_commutative_algebra_is_its_own_center(k):
     assert len(minimal_projections(alg)) == k
 
 
-def test_minimal_projections_reads_commutativity_from_the_constants():
+def test_minimal_projections_reads_commutativity_from_the_constants(count_calls):
     # no center is built: the commutators are read off the structure constants
+    centers = count_calls(staralg, "center")
     with pytest.raises(NonCommutative):
         minimal_projections(full_matrix_algebra(2))
     alg = rotated(diagonal_algebra(3), seed=3)
     assert len(minimal_projections(alg)) == 3
-    assert alg._center is None
+    assert centers == []
 
 
 def test_rotated_m2_plus_c_has_two_central_scalars():

@@ -134,8 +134,8 @@ def test_verification_forms_each_summands_products_only(count_calls, make, sum_o
     lambda: build_orbifold_algebra(3, 1, 3)[0], lambda: build_orbifold_algebra(4, 1, 2)[0],
 ], ids=["M3^4", "M2+M3", "orbifold-3-1-3", "orbifold-4-1-2"])
 def test_center_makes_one_svd_per_summand(count_calls, make):
-    alg = make()
-    alg._center = None  # the orbifold builder keeps its center
+    built = make()
+    alg = FiniteStarAlgebra(built.basis, built.unit)  # fresh: the orbifold builder keeps its center
     svds = count_calls(np.linalg, "svd")
     nulls = count_calls(staralg, "nullspace")
     z = center(alg)
