@@ -135,7 +135,7 @@ def cmd_check(args) -> tuple[Report, None]:
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
     rep, tol = _frame(args)
-    if aj_or_closure_failure(triple, rep, tol) is None:
+    if aj_or_closure_failure(triple, rep) is None:
         return rep, None  # no base to localize over: A_J is not a *-algebra
     dec = localize(triple, tol=args.tol)
     rep.context["localization"] = dec.report.context

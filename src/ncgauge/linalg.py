@@ -501,6 +501,13 @@ def _graded_closure(seeds: list, n: int, left: list) -> list[Subspace]:
     1e-9 times the largest; after that every product is of two Frobenius-
     orthonormal rows, so a new direction is kept when its singular value
     exceeds 1e-9 absolutely (and 1e-9 relative to its round's residual).
+
+    The result is L-invariant by construction, so callers do not re-verify
+    it: every row of W is multiplied by every letter in the round after it
+    enters; each product is projected off a span that lies inside the final
+    W; only directions below the 1e-9 cut are dropped; and a grade skips its
+    products only once it holds every row its blocks allow, which is all of
+    the span they can land in.  So each L w lies within the cut of W.
     """
     seeds, left = ([np.reshape(np.asarray(s, dtype=complex), (-1, n, n)) for s in group]
                    for group in (seeds, left))

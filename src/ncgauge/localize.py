@@ -92,7 +92,8 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     the difference of the commuting projections x -> p x and x -> x p, so
     its spectrum lies in {-1, 0, 1}; its norm is 0 when p is central in S
     and 1 otherwise.  The same holds for ``base-central-in-CD``, with
-    pi(p_x) in C_D.  ``section-multiplicative`` is derived from kappa_A:
+    pi(p_x) in C_D, when D is self-adjoint: C_D is a *-algebra only then.
+    ``section-multiplicative`` is derived from kappa_A:
     p(ab) - (pa)(pb) = [p, a](1 - p)b, and 1 - p is an orthogonal
     projection, so its Frobenius norm is at most kappa_A |a|_F |b|_F, and
     the residual is kappa_A.
@@ -257,11 +258,11 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
     holds pi(p_x) and is an algebra because pi is multiplicative.
     """
     triple = dec.triple
-    cd, cd_rep = c_d_algebra(triple)
+    cd, grading = c_d_algebra(triple)
     rep = Report(f"omega_bundle[{triple.label or 'triple'}]",
                  context={"cd_dim": cd.dim,
                           "omega_fiber_dims": dec.omega_fiber_dims,
-                          "grading": cd_rep.context})
+                          "grading": grading})
     rep.add(CheckRecord.from_residual(
         "omega-dimension-sum", "one-form-side fiber dimensions add up to dim C_D(A)",
         float(abs(sum(dec.omega_fiber_dims) - cd.dim)), 0.5, SCOPE_EXACT))

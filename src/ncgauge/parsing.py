@@ -29,10 +29,13 @@ class ParseError(ValueError):
     """Input text does not match the polynomial grammar."""
 
 
+# one spelling of the complex literal: the tokenizer's alternative and the literal's parse
+_COMPLEX = r"""\(\s*(?P<re>[0-9.]+(?:[eE][+-]?[0-9]+)?)?\s*
+    (?:(?P<sign>[+-])\s*(?P<im>[0-9.]*(?:[eE][+-]?[0-9]+)?))?\s*i\s*\)"""
+
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<complex>\(\s*(?:[0-9.]+(?:[eE][+-]?[0-9]+)?)?\s*
-            (?:[+-]\s*[0-9.]*(?:[eE][+-]?[0-9]+)?)?\s*i\s*\))
+    rf"""\s*(?:
+        (?P<complex>{_COMPLEX})
       | (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)
       | (?P<name>[A-Za-z][A-Za-z0-9]*)
       | (?P<op>[-+*^])
@@ -40,11 +43,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_COMPLEX_RE = re.compile(
-    r"""\(\s*(?P<re>[0-9.]+(?:[eE][+-]?[0-9]+)?)?\s*
-        (?:(?P<sign>[+-])\s*(?P<im>[0-9.]*(?:[eE][+-]?[0-9]+)?))?\s*i\s*\)""",
-    re.VERBOSE,
-)
+_COMPLEX_RE = re.compile(_COMPLEX, re.VERBOSE)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

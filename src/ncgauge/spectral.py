@@ -308,8 +308,8 @@ def one_form_space(triple: RealSpectralTriple) -> Subspace:
 
 
 @_kept
-def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
-    """The algebra C_D generated by pi(A) and [D, pi(A)], with its parity split.
+def c_d_algebra(triple: RealSpectralTriple) -> tuple[Subspace, dict]:
+    """The algebra C_D generated by pi(A) and [D, pi(A)], and its parity split.
 
     Words are graded by the number of [D, .] letters mod 2: E is the span
     of the even words (with the unit), O that of the odd ones, and
@@ -325,8 +325,8 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     derivation, [D, pi(w)] of a word w in g is a sum of words in L with
     exactly one [D, .] letter.  So the even words in L (with the unit) span
     E, the odd ones span O, and C_D is the algebra L and the unit generate.
-    L is *-closed as a span, since pi(g)^* = pi(g^*) and
-    [D, pi(g)]^* = -[D, pi(g^*)].
+    L is *-closed as a span when D is self-adjoint, since
+    pi(g)^* = pi(g^*) and [D, pi(g)]^* = -[D, pi(g^*)].
 
     Lemma: if the unit lies in the one-form space Omega^1, then
     E = O = C_D.  Proof: a one-form a [D, b] has exactly one [D, .]
@@ -341,41 +341,30 @@ def c_d_algebra(triple: RealSpectralTriple) -> tuple[FiniteStarAlgebra, Report]:
     L: Omega^1 lies in C_D, and the closure holds every word in L, as it
     holds the unit.  Otherwise the closure kernel starts from the unit in
     the even grade, with pi(g) as even letters and [D, pi(g)] as odd ones,
-    and C_D is the union of E and O.  Either way C_D is spanned by words in
-    L and the unit, so it is wrapped with ``generators=L``, and its closure
-    check forms |L| dim C_D products, not the dim C_D^2 table.
+    and C_D is the union of E and O.
 
-    The ``generated-closure`` record is a one-pass certificate, not a second
-    closure: the worst of the relative distances of the letters and of the
-    unit from the result, and of the product- and adjoint-closure residuals
-    of the wrapped algebra.  The kernel only forms words in the letters, so
-    these show that the result is the *-algebra they generate.
+    Either way the result is the closure kernel's span, not re-verified:
+    :func:`~ncgauge.linalg._graded_closure` proves by construction that it
+    is closed under the letters, hence under products, and L being
+    *-closed makes it *-closed.  Returns C_D as a
+    :class:`~ncgauge.linalg.Subspace` and the grading context: ``even_dim``,
+    ``odd_dim``, ``total_dim``, ``grading_consistent`` and
+    ``unit_one_form_distance``.
     """
     n = triple.hilbert_dim
     eye = np.eye(n, dtype=complex)
     gens = triple.pi(generating_set(triple.algebra))
     d_gens = commutator(triple.dirac, gens)
-    letters = np.concatenate([gens, d_gens])
     omega = one_form_space(triple)
     gap = omega.residual(eye)
     if gap <= TOL_DERIVED * frobenius(eye):  # the unit lies in Omega^1: E = O = C_D
-        even = odd = total = _graded_closure([omega.basis], n, [letters])[0]
+        even = odd = total = _graded_closure([omega.basis], n, [np.concatenate([gens, d_gens])])[0]
     else:
         even, odd = _graded_closure([eye[None], eye[:0]], n, [gens, d_gens])
         total = even.union(odd)
-    algebra = FiniteStarAlgebra(total.basis, eye, label=f"C_D({triple.label or 'A'})",
-                                generators=letters)
-    spanning = np.concatenate([letters, eye[None]])
-    missing = np.max(total.residual(spanning)
-                     / np.maximum(1.0, np.linalg.norm(spanning, axis=(1, 2))))
-    rep = Report(f"c_d_algebra[{triple.label or 'triple'}]",
-                 context={"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
-                          "grading_consistent": even.dim + odd.dim == total.dim,
-                          "unit_one_form_distance": gap})
-    rep.add(CheckRecord.from_residual(
-        "generated-closure", "the closure equals the two-sided generated span",
-        max(float(missing), *algebra.closure_residuals), TOL_DERIVED, SCOPE_EXACT))
-    return algebra, rep
+    return total, {"even_dim": even.dim, "odd_dim": odd.dim, "total_dim": total.dim,
+                   "grading_consistent": even.dim + odd.dim == total.dim,
+                   "unit_one_form_distance": gap}
 
 
 @_kept
@@ -394,7 +383,7 @@ def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
     sub = nullspace(triple.algebra.basis, pis @ k - k @ np.swapaxes(pis, 1, 2),
                     floor=1e-9 * np.linalg.norm(pis, axis=(1, 2)).max())
     if sub.dim == 0:
-        raise NotClosed("the real-structure condition has trivial solution space", 1.0)
+        raise NotClosed("the real-structure condition has trivial solution space", 1.0, 1e-9)
     return FiniteStarAlgebra(sub.basis, triple.algebra.unit,
                              label=f"A_J({triple.label or 'A'})")
 
@@ -432,7 +421,7 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     rep.add(CheckRecord.from_residual(
         "real-structure-premise", "the real-structure axioms behind the construction hold",
         max(real_structure_residuals(triple)), tol, SCOPE_EXACT))
-    aj = aj_or_closure_failure(triple, rep, tol)
+    aj = aj_or_closure_failure(triple, rep)
     if aj is None:
         return rep
 
@@ -462,17 +451,18 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     return rep
 
 
-def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report,
-                          tol: float = TOL_DERIVED) -> FiniteStarAlgebra | None:
+def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report) -> FiniteStarAlgebra | None:
     """A_J, or None after recording in ``rep`` why its span is not a *-algebra.
 
     The failing ``subalgebra-closure`` record carries the residual the failed
-    check measured, and ``closure_error`` in the context names the check.
+    check measured and the threshold it exceeded (:class:`NotClosed`), which
+    ``--tol`` does not replace, and ``closure_error`` in the context names
+    the check.
     """
     try:
         return compute_aj(triple)
     except NotClosed as exc:
-        rep.add(CheckRecord("subalgebra-closure", "the solution span is a *-algebra",
-                            exc.residual, tol, False, SCOPE_EXACT))
+        rep.add(CheckRecord.from_residual("subalgebra-closure", "the solution span is a *-algebra",
+                                          exc.residual, exc.threshold, SCOPE_EXACT))
         rep.context["closure_error"] = str(exc)
         return None

@@ -59,14 +59,16 @@ class AlgebraError(Exception):
 class NotClosed(AlgebraError):
     """The candidate span is not closed under products/adjoints, or the unit fails.
 
-    ``residual`` is the number the failing check measured: a closure,
-    orthonormality or unit residual, or 1.0 (the unit's relative distance
-    from a zero span) when there is no span to measure.
+    ``residual`` is the number the failing check measured, and
+    ``threshold`` the bound it exceeded: 1e-8 for a closure residual, 1e-9
+    for orthonormality and the unit, and 1e-9 for the 1.0 of a span with no
+    element, which is the unit's relative distance from it.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, threshold: float):
         super().__init__(message)
         self.residual = residual
+        self.threshold = threshold
 
 
 class NonCommutative(AlgebraError):
@@ -78,15 +80,15 @@ class FiniteStarAlgebra(Subspace):
 
     Closure and the unit property are verified at construction, which
     keeps the worst product- and adjoint-closure residuals in
-    ``closure_residuals``.  Without generators, the closure check computes
-    the coordinates of every product of two basis elements of a summand
-    (below), and keeps them as the structure constants.
+    ``closure_residuals``.  The closure check computes the coordinates of
+    every product of two basis elements of a summand (below), and keeps
+    them as the structure constants.
 
     The product table is formed block by block.  At construction the
     ambient index range splits into the finest contiguous diagonal blocks
-    outside which every basis element, every generator and the given unit
-    is exactly 0, read from their zero pattern made symmetric.  Outside
-    those blocks every product and every adjoint is exactly 0 as well: an
+    outside which every basis element and the given unit is exactly 0,
+    read from their zero pattern made symmetric.  Outside those blocks
+    every product and every adjoint is exactly 0 as well: an
     entry (i, j) with i and j in different blocks is sum_k a_ik b_kj, and
     for each k one of the two factors lies outside the blocks, so every
     term is an exact 0; the adjoint maps the symmetric pattern to itself.
@@ -103,10 +105,10 @@ class FiniteStarAlgebra(Subspace):
     every block, and a product or an adjoint of elements of one summand
     lies in that summand's blocks, where every element of another summand
     is exactly 0: its coordinates on those elements are exact zeros too.
-    So the closure check forms, for each summand c, its d_c^2 products (or
-    the |S| d_c products S x basis_c, below) and its adjoints over c's
-    blocks only, and projects them against c's elements only; residuals
-    and coordinates change only through the order of summation.
+    So the closure check forms, for each summand c, its d_c^2 products and
+    its adjoints over c's blocks only, and projects them against c's
+    elements only; residuals and coordinates change only through the order
+    of summation.
     ``structure_constants[c][a, b, k]`` is the k-th coordinate of the
     product of the a-th and b-th elements of summand c, on its k-th
     element.  A dense algebra, or a basis that straddles blocks (a rotated
@@ -117,33 +119,22 @@ class FiniteStarAlgebra(Subspace):
     or p for the algebra p A cut out by a central projection p.  It is
     checked in matrix space: it must act as the identity on the basis and
     lie in the span.
-
-    A caller that built the span from generators S, as the span of words in
-    S and the unit (a closure under S on the left), passes them as
-    ``generators``.  Then the unit in W and S W ⊆ W give W W ⊆ W, so the
-    product check forms the |S| d products S x basis instead of the d^2
-    table, and the structure constants are computed only when first read.
-    That W lies in the algebra S and the unit generate is the caller's
-    premise, not checked here: with S = {1}, any *-closed span holding the
-    unit would pass.
     """
 
-    def __init__(self, basis: np.ndarray, unit: np.ndarray, label: str = "", generators=None):
+    def __init__(self, basis: np.ndarray, unit: np.ndarray, label: str = ""):
         basis = np.asarray(basis, dtype=complex)
         if not len(basis):
-            raise NotClosed("an algebra needs at least one basis element", 1.0)
+            raise NotClosed("an algebra needs at least one basis element", 1.0, 1e-9)
         n = basis.shape[-1]
         if basis.shape[1:] != (n, n):
-            raise NotClosed("algebra elements must be square matrices", 1.0)
-        gens = None if generators is None else np.asarray(generators, dtype=complex)
-        blocks = _diagonal_blocks(basis, unit, *([] if gens is None else [gens]))
+            raise NotClosed("algebra elements must be square matrices", 1.0, 1e-9)
+        blocks = _diagonal_blocks(basis, unit)
         super().__init__(_pack(basis, _block_index(blocks, n)), (n, n), blocks)
         self.ambient = n
         self.label = label
-        self._constants: list[np.ndarray] | None = None
         touches = _incidence(self._stack, blocks)
         self._summands = [(e, np.flatnonzero(touches[e].any(axis=0))) for e in _components(touches)]
-        self.closure_residuals = self._verify(unit, gens)
+        self.closure_residuals = self._verify(unit)
 
     # -- structure ---------------------------------------------------------
 
@@ -160,20 +151,6 @@ class FiniteStarAlgebra(Subspace):
         if (gap > 1e-6 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))).any():
             raise AlgebraError("element lies outside the algebra span")
         return coords
-
-    @property
-    def structure_constants(self) -> list[np.ndarray]:
-        """One d_c x d_c x d_c product table per summand, in the order of ``_summands``."""
-        if self._constants is None:
-            self._constants = [self._block_coordinates([pair_products(p, p) for p in parts], parts)
-                               .reshape((len(e),) * 3) for e, _, parts in self._summand_parts()]
-        return self._constants
-
-    def _summand_parts(self) -> list[tuple[np.ndarray, list[slice], list[np.ndarray]]]:
-        """Each summand's elements, the slices of its blocks and its elements' parts in them."""
-        parts = _parts(self._stack, self._blocks)
-        return [(e, [self._blocks[b] for b in bs], [parts[b][e] for b in bs])
-                for e, bs in self._summands]
 
     @staticmethod
     def _block_coordinates(tables: list[np.ndarray], parts: list[np.ndarray]) -> np.ndarray:
@@ -200,18 +177,22 @@ class FiniteStarAlgebra(Subspace):
 
     # -- verification ------------------------------------------------------
 
-    def _verify(self, unit: np.ndarray, generators) -> tuple[float, float]:
-        """Raise unless closed, orthonormal and unital; set the unit; return closure residuals.
+    def _verify(self, unit: np.ndarray) -> tuple[float, float]:
+        """Raise unless closed, orthonormal and unital; return the closure residuals.
+
+        Sets the unit and the structure constants, the coordinates the
+        product check formed.
 
         Closure is held to 1e-8, orthonormality and the unit to 1e-9.
         """
-        d, blocks, summands = self.dim, self._blocks, self._summand_parts()
+        d, blocks, split = self.dim, self._blocks, _parts(self._stack, self._blocks)
+        # each summand's elements, and their parts in the summand's blocks
+        summands = [(e, [split[b][e] for b in bs]) for e, bs in self._summands]
         closure = []
         for kind in ("products", "adjoints"):
             worst, coords = 0.0, []
-            for _, slices, parts in summands:
-                left = parts if generators is None else [generators[:, s, s] for s in slices]
-                tables = ([pair_products(a, b) for a, b in zip(left, parts)] if kind == "products"
+            for _, parts in summands:
+                tables = ([pair_products(p, p) for p in parts] if kind == "products"
                           else [adjoint(b).reshape(len(b), -1) for b in parts])
                 coords.append(self._block_coordinates(tables, parts))
                 for t, p in zip(tables, parts):  # in place: a table, once read, is its residual
@@ -222,22 +203,24 @@ class FiniteStarAlgebra(Subspace):
                 worst = max(worst, float(np.sqrt(squares.max())))
             closure.append(worst)
             if worst > 1e-8:
-                raise NotClosed(f"span not closed under {kind} (residual {worst:.2e})", worst)
-            if generators is None and kind == "products":
-                self._constants = [np.reshape(c, (len(e),) * 3)
-                                   for c, (e, _, _) in zip(coords, summands)]
+                raise NotClosed(f"span not closed under {kind} (residual {worst:.2e})",
+                                worst, 1e-8)
+            if kind == "products":
+                self.structure_constants = [np.reshape(c, (len(e),) * 3)
+                                            for c, (e, _) in zip(coords, summands)]
         gram = op_norm(self._stack @ self._stack.conj().T - np.eye(d))
         if gram > 1e-9:
-            raise NotClosed("basis is not orthonormal in the trace inner product", gram)
+            raise NotClosed("basis is not orthonormal in the trace inner product", gram, 1e-9)
         self.unit = as_cmatrix(unit)
         # the unit is 0 outside the blocks too, so each residual is block-diagonal
-        worst = max_op_norm(r for s, b in zip(blocks, _parts(self._stack, blocks))
+        worst = max_op_norm(r for s, b in zip(blocks, split)
                             for r in (self.unit[s, s] @ b - b, b @ self.unit[s, s] - b))[0]
         if worst > 1e-9:
-            raise NotClosed(f"unit does not act as the identity (residual {worst:.2e})", worst)
+            raise NotClosed(f"unit does not act as the identity (residual {worst:.2e})",
+                            worst, 1e-9)
         gap = self.residual(self.unit) / max(1.0, frobenius(self.unit))
         if gap > 1e-9:
-            raise NotClosed("stored unit lies outside the span", gap)
+            raise NotClosed("stored unit lies outside the span", gap, 1e-9)
         return closure[0], closure[1]
 
 

@@ -4,9 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncgauge
+from ncgauge.linalg import commutator
+from ncgauge.spectral import c_d_algebra
+from ncgauge.staralg import FiniteStarAlgebra, generating_set
 
 
 def _cap_address_space():
@@ -55,3 +59,22 @@ def run_capped():
                               preexec_fn=_cap_address_space, timeout=timeout)
 
     return run
+
+
+def c_d_certificate(triple) -> float:
+    """The one-pass certificate that C_D is the *-algebra its letters generate.
+
+    The oracle of the closure kernel's construction argument, which
+    ``c_d_algebra`` relies on without measuring: the worst of the relative
+    distances of the letters L = pi(g) ∪ [D, pi(g)] and of the unit from C_D,
+    and of the product- and adjoint-closure residuals of C_D verified as a
+    :class:`FiniteStarAlgebra` on its product table.  Raises ``NotClosed``
+    when C_D is not a *-algebra at that check's threshold.
+    """
+    cd, _ = c_d_algebra(triple)
+    eye = np.eye(triple.hilbert_dim, dtype=complex)
+    gens = triple.pi(generating_set(triple.algebra))
+    spanning = np.concatenate([gens, commutator(triple.dirac, gens), eye[None]])
+    missing = np.max(cd.residual(spanning)
+                     / np.maximum(1.0, np.linalg.norm(spanning, axis=(1, 2))))
+    return max(float(missing), *FiniteStarAlgebra(cd.basis, eye).closure_residuals)

@@ -19,12 +19,13 @@ from ncgauge.cli import main
 from ncgauge.gauge import (covariance_residual, gauge_field, gauge_transform_field,
                            random_perturbation)
 from ncgauge.linalg import commutator, commutator_map_norm, op_norm
-from ncgauge.models import load_model
+from ncgauge.models import load_model, triple_from_config
 from ncgauge.parsing import parse_sphere
 from ncgauge.reporting import CheckRecord, Report
 from ncgauge.spectral import OneForm, compute_aj
-from ncgauge.staralg import AlgebraError, NonCommutative, generating_set, random_unitary
+from ncgauge.staralg import AlgebraError, NonCommutative, NotClosed, generating_set, random_unitary
 from ncgauge.torus import rational_mode
+from conftest import c_d_certificate
 from test_spectral import CONFIG_FIXTURES
 from test_toric import continuity_report
 
@@ -730,10 +731,6 @@ NON_SELF_ADJOINT_DIRAC = {"algebra": {"kind": "diagonal", "n": 2}, "representati
 CONTRACT_CONFIGS = {**CONFIG_FIXTURES, "non-self-adjoint-dirac": NON_SELF_ADJOINT_DIRAC}
 CONTRACT_COMMANDS = [("check",), ("localize",), ("fluctuate", "zero"), ("fluctuate", "pure"),
                      ("fluctuate", "random:terms=3")]
-CD_NOT_STAR_CLOSED = pytest.mark.xfail(
-    strict=True, reason="wrapping C_D raises NotClosed (its span is not closed under "
-    "adjoints), and localize reports no generated-closure record to carry it")
-
 
 def config_path(tmp_path, name):
     path = tmp_path / f"{name}.json"
@@ -742,9 +739,7 @@ def config_path(tmp_path, name):
 
 
 @pytest.mark.parametrize("name,command", [
-    pytest.param(name, command, id=f"{name}-{'-'.join(command)}",
-                 marks=[CD_NOT_STAR_CLOSED] if (name, command) == (
-                     "non-self-adjoint-dirac", ("localize",)) else [])
+    pytest.param(name, command, id=f"{name}-{'-'.join(command)}")
     for name in sorted(CONTRACT_CONFIGS) for command in CONTRACT_COMMANDS])
 def test_every_config_gets_a_verdict(capsys, tmp_path, name, command):
     """Each command on each config exits 0 or 1 with a strict JSON report, never 3."""
@@ -766,3 +761,26 @@ def test_a_non_self_adjoint_field_fails_its_record(capsys, tmp_path, perturbatio
     code, out, _ = run(capsys, "fluctuate", path, perturbation, "--tol", "1")
     relaxed = next(c for c in json.loads(out)["checks"] if c["name"] == "field-self-adjoint")
     assert relaxed["residual"] == field["residual"] and relaxed["passed"]
+
+
+def test_localize_reports_a_c_d_that_is_not_star_closed(capsys, tmp_path):
+    """With D not self-adjoint, C_D is no *-algebra: a failing record, not a NotClosed fault."""
+    code, out, err = run(capsys, "localize", config_path(tmp_path, "non-self-adjoint-dirac"))
+    assert (code, err) == (1, "")
+    failing = [c for c in json.loads(out, parse_constant=reject)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failing] == ["base-central-in-CD"]
+    assert failing[0]["residual"] == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NotClosed, match="adjoints"):  # the oracle sees why
+        c_d_certificate(triple_from_config(NON_SELF_ADJOINT_DIRAC))
+
+
+@pytest.mark.parametrize("command", ["check", "localize"])
+@pytest.mark.parametrize("name", ["non-closed-aj", "blocks-symmetric", "full-random"])
+def test_subalgebra_closure_keeps_its_threshold_under_tol(capsys, tmp_path, name, command):
+    """The record states the threshold the failed closure check used; --tol does not replace it."""
+    path = non_closed_aj_config(tmp_path) if name == "non-closed-aj" else config_path(tmp_path, name)
+    for extra in ([], ["--tol", "1"]):
+        code, out, _ = run(capsys, command, path, *extra)
+        closure = next(c for c in json.loads(out)["checks"] if c["name"] == "subalgebra-closure")
+        assert code == 1
+        assert closure["residual"] > closure["tolerance"] == 1e-8 and not closure["passed"]

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncgauge import cli, linalg, spectral, staralg
-from ncgauge.linalg import Subspace, _graded_closure, adjoint, generated_algebra
+from ncgauge.linalg import TOL_DERIVED, Subspace, _graded_closure, adjoint, generated_algebra
 from ncgauge.staralg import (FiniteStarAlgebra, block_diagonal_algebra, full_matrix_algebra,
                              generating_set)
 from ncgauge.models import model_from_string, triple_from_config
@@ -27,8 +27,9 @@ from ncgauge.spectral import c_d_algebra, one_form_space
 from ncgauge import toric
 from ncgauge.toric import BasePoint3, BasePoint4, s3_fiber_dimension, stratum_scan
 from ncgauge.torus import clock_shift
+from conftest import c_d_certificate
 from test_spectral import CONFIG_FIXTURES
-from test_staralg import dense_constants, table_shapes
+from test_staralg import table_shapes
 
 
 def closure_oracle(seeds, n):
@@ -93,17 +94,16 @@ def test_c_d_algebra_matches_graded_oracle(spec):
     assert_same_span(got_odd, odd)
     (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n, [seeds[0] + seeds[1]])
 
-    cd, rep = c_d_algebra(triple)
+    cd, ctx = c_d_algebra(triple)
     assert_same_span(cd, total)
     assert_same_span(cd, full_seed)
-    ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         even.dim, odd.dim, total.dim, even.dim + odd.dim == total.dim) == CD_PRESETS[spec]
-    assert rep.record("generated-closure").passed
+    assert c_d_certificate(triple) <= TOL_DERIVED
 
 
 def closure_grades(monkeypatch, triple):
-    """c_d_algebra's report and the number of grades each closure it ran had.
+    """c_d_algebra's grading context and the number of grades each closure it ran had.
 
     Omega^1, itself a closure, is formed (and cached) before the spy goes in,
     so only the closures that build C_D are counted.
@@ -116,8 +116,8 @@ def closure_grades(monkeypatch, triple):
 
     one_form_space(triple)
     monkeypatch.setattr(spectral, "_graded_closure", spy)
-    _, rep = c_d_algebra(triple)
-    return rep, grades
+    _, ctx = c_d_algebra(triple)
+    return ctx, grades
 
 
 @pytest.mark.parametrize("spec", sorted(CD_PRESETS))
@@ -131,16 +131,15 @@ def test_unit_in_one_forms_picks_the_ungraded_closure(monkeypatch, spec):
     omega = one_form_space(triple)
     unit_in_omega = omega.contains(eye)
     assert unit_in_omega == (not CD_PRESETS[spec][3])
-    rep, grades = closure_grades(monkeypatch, triple)
+    ctx, grades = closure_grades(monkeypatch, triple)
     assert grades == ([1] if unit_in_omega else [2])
-    assert rep.context["unit_one_form_distance"] == omega.residual(eye)
+    assert ctx["unit_one_form_distance"] == omega.residual(eye)
 
 
 @pytest.mark.parametrize("spec", ["ym:k=2,N=1", "ym:k=2,N=1,lam=0.1"])
 def test_unit_outside_one_forms_keeps_the_graded_closure(monkeypatch, spec):
-    rep, grades = closure_grades(monkeypatch, model_from_string(spec))
+    ctx, grades = closure_grades(monkeypatch, model_from_string(spec))
     assert grades == [2]
-    ctx = rep.context
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         CD_PRESETS[spec])
     assert ctx["unit_one_form_distance"] == pytest.approx(np.sqrt(2), rel=1e-12)
@@ -157,29 +156,16 @@ def test_c_d_algebra_matches_the_oracles_on_configs(monkeypatch, name):
     even, odd = closure_oracle(seeds, n)
     (full_seed,) = _graded_closure([seeds[0] + seeds[1]], n, [seeds[0] + seeds[1]])
     omega = one_form_space(triple)
-    rep, grades = closure_grades(monkeypatch, triple)
+    _, grades = closure_grades(monkeypatch, triple)
     cd, _ = c_d_algebra(triple)
     assert grades == ([1] if omega.contains(eye) else [2])
     assert_same_span(cd, even.union(odd))
     assert_same_span(cd, full_seed)
-    assert rep.record("generated-closure").passed
+    assert c_d_certificate(triple) <= TOL_DERIVED
     if name == "full-left-offdiagonal":  # the [D, pi(g)] letters must grow Omega^1
         assert grades == [1] and omega.dim == 12 < cd.dim == 16
     if grades == [1]:
         assert max(FiniteStarAlgebra(cd.basis, eye).closure_residuals) < 1e-12
-
-
-UNIT_IN_ONE_FORMS = [spec for spec in sorted(CD_PRESETS) if not CD_PRESETS[spec][3]]
-
-
-@pytest.mark.parametrize("spec", UNIT_IN_ONE_FORMS)
-def test_product_table_check_accepts_the_generator_verified_c_d(spec):
-    """The d^2 product table, the check for algebras given only by a basis, agrees."""
-    triple = model_from_string(spec)
-    cd, _ = c_d_algebra(triple)
-    table = FiniteStarAlgebra(cd.basis, np.eye(triple.hilbert_dim))
-    assert max(table.closure_residuals) < 1e-12
-    assert np.abs(dense_constants(cd) - dense_constants(table)).max() < 1e-12
 
 
 def unit_multiple_draws(monkeypatch):
@@ -198,9 +184,9 @@ def test_basis_fallback_gives_the_same_spans(monkeypatch, spec):
     got = model_from_string(spec)
     assert np.array_equal(np.stack(generating_set(got.algebra)), basis)
     assert_same_span(one_form_space(got), want_omega)
-    cd, rep = c_d_algebra(got)
+    cd, _ = c_d_algebra(got)
     assert_same_span(cd, want_cd)
-    assert rep.record("generated-closure").passed
+    assert c_d_certificate(got) <= TOL_DERIVED
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -233,33 +219,35 @@ def load(spec):
 
 # blocks-left takes the graded branch (the unit is 2.6 from Omega^1) and closes to M_9
 @pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3", "config:blocks-left"])
-def test_c_d_verification_forms_letters_times_dim_products(count_calls, spec):
-    """|L| dim C_D products to close and to verify C_D, never the dim C_D^2 table.
+def test_c_d_algebra_is_the_closure_alone(count_calls, spec):
+    """C_D is the closure kernel's span: no wrap, no product table, |L| dim C_D products.
 
-    Both run block by block, one ``pair_products`` table per diagonal block
-    of C_D, so a product is one row in each block's table: the products are
-    counted as table entries over sum_b s_b^2, the packed width.  The
-    verification forms |L| d_c products per summand c of C_D, one table per
-    (summand, block); the closure's orthonormal rows mix the point blocks of
-    ym, so there C_D is one summand over three blocks.  Both branches wrap
-    C_D with its letters: on blocks-left that is |L| 81 products, not 81^2.
+    No :class:`FiniteStarAlgebra` is built, and ``staralg.pair_products``,
+    which forms the tables that verify an algebra, is never called.  The
+    closure runs block by
+    block, one ``linalg.pair_products`` table per diagonal block, so a
+    product is one row in each block's table: the products are counted as
+    table entries over sum_b s_b^2, the packed width.  The closure's
+    orthonormal rows mix the point blocks of ym, so there C_D is one span
+    over three blocks.  On blocks-left that is at most |L| 81 products, not
+    81^2.
     """
     triple = load(spec)
     one_form_space(triple)
-    verification = count_calls(staralg, "pair_products")  # first: staralg's calls only
+    built = count_calls(staralg.FiniteStarAlgebra, "__init__")
+    tables = count_calls(staralg, "pair_products")  # first: staralg's calls only
     closure = count_calls(linalg, "pair_products")
-    cd, rep = c_d_algebra(triple)
+    cd, ctx = c_d_algebra(triple)
+    assert (built, tables) == ([], [])
+    assert type(cd) is Subspace
     letters = 2 * len(generating_set(triple.algebra))
     widths = [(s.stop - s.start) ** 2 for s in cd._blocks]
     assert len(widths) == {"hs:N=4": 1, "ym:k=3,N=3": 3, "config:blocks-left": 1}[spec]
-    assert len(cd._summands) == 1
-    assert (rep.context["unit_one_form_distance"] > 1) == spec.startswith("config:")  # branch
-    assert table_shapes(verification) == [(letters * len(e), widths[b])
-                                          for e, blocks in cd._summands for b in blocks]
+    assert (ctx["unit_one_form_distance"] > 1) == spec.startswith("config:")  # branch
     assert sum(widths) <= triple.hilbert_dim ** 2
     products = sum(rows * w for rows, w in table_shapes(closure)) / sum(widths)
     assert products <= letters * cd.dim < cd.dim ** 2
-    assert rep.record("generated-closure").passed
+    assert c_d_certificate(triple) <= TOL_DERIVED
 
 
 @pytest.mark.parametrize("spec", ["hs:N=4", "ym:k=3,N=3", "ym:k=2,N=1,lam=0.1",
@@ -304,13 +292,13 @@ def readme_config(kind):
 
 def test_readme_diagonal_config_takes_the_graded_closure(monkeypatch):
     """diag(C^2) with D the flip: Omega^1 is the off-diagonal, orthogonal to the unit."""
-    rep, grades = closure_grades(monkeypatch, triple_from_config(readme_config("diagonal")))
+    triple = triple_from_config(readme_config("diagonal"))
+    ctx, grades = closure_grades(monkeypatch, triple)
     assert grades == [2]
-    ctx = rep.context
     assert ctx["unit_one_form_distance"] == pytest.approx(np.sqrt(2), rel=1e-12)
     assert (ctx["even_dim"], ctx["odd_dim"], ctx["total_dim"], ctx["grading_consistent"]) == (
         2, 2, 4, True)
-    assert rep.record("generated-closure").passed
+    assert c_d_certificate(triple) <= TOL_DERIVED
 
 
 def assert_matches_ungraded_oracle(gens, with_unit):

@@ -1,7 +1,13 @@
-"""Every exported name, and every function the benchmark traces, resolves."""
+"""Every exported name, and every function the benchmark traces, resolves.
+
+The benchmark's scripts are read here, never edited or imported: the record
+lists it pins must be the ones the commands print, so a change to a list
+fails here before a benchmark run.
+"""
 
 import ast
 import importlib
+import json
 import pkgutil
 import re
 import types
@@ -10,11 +16,20 @@ from pathlib import Path
 import pytest
 
 import ncgauge
+from ncgauge import cli
 
 MODULES = sorted(f"ncgauge.{m.name}" for m in pkgutil.iter_modules(ncgauge.__path__))
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 SPANS_FILE = PERFBENCH / "spans.py"
+
+
+def _assigned(path: Path, name: str):
+    """The literal value a benchmark script assigns to a top-level ``name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -71,10 +86,7 @@ def test_read_check_skips_a_name_read_only_inside_its_own_definition():
 
 def test_perfbench_spans_resolve():
     """The traced run looks each path up in its owner's own namespace."""
-    tree = ast.parse(SPANS_FILE.read_text(encoding="utf-8"))
-    spans = next(ast.literal_eval(node.value) for node in tree.body
-                 if isinstance(node, ast.Assign)
-                 and any(getattr(t, "id", None) == "SPANS" for t in node.targets))
+    spans = _assigned(SPANS_FILE, "SPANS")
     assert spans
     for _, module_name, path in spans:
         owner = importlib.import_module(module_name)
@@ -95,6 +107,18 @@ def test_perfbench_imports_resolve():
     assert wanted
     for module_name, attr in wanted:
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("argv,pinned", [
+    (["check", "hs:N=3"], "CHECK_RECORDS"),
+    (["localize", "ym:k=2,N=2"], "LOCALIZE_RECORDS"),
+    (["fluctuate", "hs:N=3", "random:terms=3"], "RANDOM_FLUCTUATION_RECORDS"),
+    (["fluctuate", "hs:N=3", "pure"], "PURE_FLUCTUATION_RECORDS"),
+])
+def test_commands_print_the_record_lists_the_benchmark_pins(capsys, argv, pinned):
+    assert cli.main(argv) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names == _assigned(PERFBENCH / "jobs.py", pinned)
 
 
 def _unused_imports(source: str) -> list[str]:

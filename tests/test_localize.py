@@ -29,7 +29,7 @@ from ncgauge import (
     random_unitary,
     skew_hermitian_basis,
 )
-from ncgauge import cli, linalg, staralg
+from ncgauge import cli, linalg, spectral, staralg
 from ncgauge.linalg import TOL_DERIVED, commutator, commutator_map_norm
 from ncgauge.models import load_model, triple_from_config
 from test_spectral import CONFIG_FIXTURES, conjugate_triple
@@ -451,12 +451,12 @@ def serve_rotated_cd(monkeypatch, seed):
     real = localize_module.c_d_algebra
 
     def rotated(triple):
-        cd, rep = real(triple)
+        cd, grading = real(triple)
         m = len(cd.basis)
         rng = np.random.default_rng(seed)
         u, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
         mixed = np.einsum("ij,jkl->ikl", u, np.stack(cd.basis))
-        return FiniteStarAlgebra(list(mixed), cd.unit), rep
+        return FiniteStarAlgebra(list(mixed), np.eye(triple.hilbert_dim)), grading
 
     monkeypatch.setattr(localize_module, "c_d_algebra", rotated)
 
@@ -485,15 +485,19 @@ def test_base_central_in_cd_passes_on_presets(monkeypatch, spec):
     ("localize", "ym:k=3,N=3", 3, 1), ("check", "hs:N=4", 3, 2), ("check", "ym:k=3,N=3", 3, 2),
     ("check", "orbifold:q=3,p=1,m=2", 2, 1)])
 def test_each_algebra_is_verified_once(count_calls, capsys, command, spec, algebras, nullspaces):
-    # localize wraps A, A_J and C_D; the fibers stay spans and Z(A_J) is never built.
+    # localize forms A, A_J and C_D but wraps only A and A_J: C_D is a span, closed once
+    # (it is kept on its triple), and the fibers stay spans and Z(A_J) is never built.
     # check wraps A, A_J and Z(A), whose unit is A's: no least-squares unit solve.
     built = count_calls(staralg.FiniteStarAlgebra, "__init__")
+    closed = count_calls(spectral, "c_d_algebra")
     nulls = count_calls(linalg, "nullspace")
     solves = count_calls(np.linalg, "lstsq")
     tables = count_calls(staralg, "pair_products")
     assert cli.main([command, spec]) == 0
     capsys.readouterr()
-    assert (len(built), len(nulls), len(solves)) == (algebras, nullspaces, 0)
+    c_d_spans = len({id(args[0]) for args in closed})
+    assert c_d_spans == (command == "localize")
+    assert (len(built) + c_d_spans, len(nulls), len(solves)) == (algebras, nullspaces, 0)
     # one product table per (summand, block) of each algebra, none across two summands
     assert len(tables) == sum(len(blocks) for args in built for _, blocks in args[0]._summands)
 

@@ -328,40 +328,40 @@ def oracle_block_sizes(*stacks):
     return np.diff([0] + [k for k in range(1, n) if not mask[:k, k:].any()] + [n]).tolist()
 
 
-def dense_verdict(basis, unit, generators=None, tol=1e-8):
+def dense_verdict(basis, unit, tol=1e-8):
     """Oracle: the construction checks on dense n^2-wide rows, from ``pair_products``.
 
-    Returns the residual of the first failing check (None when all pass),
-    the closure residuals it measured and the product coordinates.
+    Returns the residual of the first failing check and the threshold it
+    exceeded (None when all pass), the closure residuals it measured and the
+    product coordinates.
     """
     b = np.asarray(basis, dtype=complex)
     stack = b.reshape(len(b), -1)
-    left = b if generators is None else np.asarray(generators, dtype=complex)
     closure, coords = [], []
-    for rows in (linalg.pair_products(left, b), adjoint(b).reshape(len(b), -1)):
+    for rows in (linalg.pair_products(b, b), adjoint(b).reshape(len(b), -1)):
         coords.append(rows @ stack.conj().T)
         closure.append(np.linalg.norm(rows - coords[-1] @ stack, axis=1).max())
         if closure[-1] > tol:
-            return closure[-1], closure, None
-    failing = [r for r in (op_norm(stack @ stack.conj().T - np.eye(len(b))),
-                           max_op_norm([unit @ b - b, b @ unit - b])[0],
-                           Subspace(stack, b.shape[1:]).residual(unit)
-                           / max(1.0, np.linalg.norm(unit))) if r > 1e-9]
+            return (closure[-1], tol), closure, None
+    failing = [(r, 1e-9) for r in (op_norm(stack @ stack.conj().T - np.eye(len(b))),
+                                   max_op_norm([unit @ b - b, b @ unit - b])[0],
+                                   Subspace(stack, b.shape[1:]).residual(unit)
+                                   / max(1.0, np.linalg.norm(unit))) if r > 1e-9]
     return (failing[0] if failing else None), closure, coords[0]
 
 
-def assert_packed_matches_dense(basis, unit, generators=None):
+def assert_packed_matches_dense(basis, unit):
     """The packed construction raises exactly when the dense checks fail, with the same numbers."""
-    want, closure, coords = dense_verdict(basis, unit, generators)
+    want, closure, coords = dense_verdict(basis, unit)
     try:
-        alg = FiniteStarAlgebra(basis, unit, generators=generators)
+        alg = FiniteStarAlgebra(basis, unit)
     except NotClosed as err:
-        assert want is not None and abs(err.residual - want) <= 1e-12 * max(1.0, want)
+        assert want is not None and abs(err.residual - want[0]) <= 1e-12 * max(1.0, want[0])
+        assert err.threshold == want[1] < err.residual
         return
     assert want is None
     assert np.abs(np.subtract(alg.closure_residuals, closure)).max() <= 1e-12
-    want_coords = coords if generators is None else dense_verdict(basis, unit)[2]
-    assert np.abs(dense_constants(alg).reshape(-1, alg.dim) - want_coords).max() <= 1e-12
+    assert np.abs(dense_constants(alg).reshape(-1, alg.dim) - coords).max() <= 1e-12
 
 
 @pytest.mark.parametrize("make,sizes", [
@@ -388,14 +388,12 @@ def test_c_d_table_matches_the_dense_table(spec, blocks):
     assert len(linalg._diagonal_blocks(letters)) == blocks
     cd, _ = c_d_algebra(triple)
     assert len(cd._blocks) == blocks  # the closure leaves exact zeros off the letters' blocks
-    eye = np.eye(triple.hilbert_dim, dtype=complex)
-    assert_packed_matches_dense(cd.basis, eye, letters)
-    assert_packed_matches_dense(cd.basis, eye)
+    assert_packed_matches_dense(cd.basis, np.eye(triple.hilbert_dim, dtype=complex))
 
 
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
-       where=st.sampled_from(["basis", "letter", "unit"]), scale=st.sampled_from([1e-14, 1e-6, 1.0]),
+       where=st.sampled_from(["basis", "unit"]), scale=st.sampled_from([1e-14, 1e-6, 1.0]),
        data=st.data())
 def test_an_off_block_entry_merges_the_blocks(sizes, where, scale, data):
     alg = block_diagonal_algebra(sizes)
@@ -403,14 +401,12 @@ def test_an_off_block_entry_merges_the_blocks(sizes, where, scale, data):
     i, j = data.draw(st.tuples(*[st.integers(0, alg.ambient - 1)] * 2)
                      .filter(lambda ij: block[ij[0]] != block[ij[1]]))
     basis, unit = np.array(alg.basis), np.array(alg.unit)
-    letters = np.array(alg.basis) if where == "letter" else None  # the basis generates A
-    target = {"basis": basis, "letter": letters, "unit": unit[None]}[where]
+    target = {"basis": basis, "unit": unit[None]}[where]
     target[data.draw(st.integers(0, len(target) - 1)), i, j] += scale
-    stacks = [m for m in (basis, unit, letters) if m is not None]
-    blocks = linalg._diagonal_blocks(*stacks)
-    assert [s.stop - s.start for s in blocks] == oracle_block_sizes(*stacks)
+    blocks = linalg._diagonal_blocks(basis, unit)
+    assert [s.stop - s.start for s in blocks] == oracle_block_sizes(basis, unit)
     assert any(s.start <= min(i, j) and max(i, j) < s.stop for s in blocks)
-    assert_packed_matches_dense(basis, unit, letters)
+    assert_packed_matches_dense(basis, unit)
 
 
 # -- the center takes the algebra's unit ------------------------------------------
