@@ -7,16 +7,20 @@ Subcommands
     toric-scan norm grid over a sphere base with stratum labels
 
 Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (a negative
-seed, or an ``--out`` path that cannot be written, among others), 3 a program
+seed, a ``--tol`` that is not a finite non-negative number, or an ``--out``
+path that cannot be written, among others), 3 a program
 fault, which is any unexpected exception (out of memory, a failed SVD, a bug).
 JSON reports follow schema/report.schema.json; csv output renders the
-check records (or, for toric-scan, the norm profile rows).
+check records (or, for toric-scan, the norm profile rows).  In every command
+``--tol`` is applied once, by :meth:`~ncgauge.reporting.Report.override_tolerance`,
+after the records are built at their rungs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .gauge import (
@@ -56,11 +60,12 @@ def _parser() -> argparse.ArgumentParser:
                                               "gauge theories from spectral data")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format="json",
-               tol_help="override every residual tolerance with one value"):
+    def common(p, default_format="json"):
         p.add_argument("--out", help="write the main output to this path")
         p.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
+        p.add_argument("--tol", type=float, default=None,
+                       help="hold every record to this tolerance, except the fixed ones: "
+                            "integer identities, failed closures and the toric jump band")
         p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
     p = sub.add_parser("check", help="axioms, A_J, gauge Lie algebra")
@@ -84,10 +89,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("h", type=float)
     p.add_argument("--poly", default="a + b",
                    help="sphere polynomial in a, ad, b, bd (s4 also x)")
-    common(p, default_format="csv",
-           tol_help="recorded as tol_override only: the records are integer identities "
-                    "(tolerance 0.5) and the fixed jump band [0.3, 0.7] (tolerance 0.2), "
-                    "and --tol changes neither")
+    common(p, default_format="csv")
     return top
 
 
@@ -97,21 +99,20 @@ def _require_triple(model, spec: str) -> RealSpectralTriple:
     raise BadModelSpec(f"{spec!r} has no Dirac data; this command needs a triple")
 
 
-def _frame(args, **extra: str) -> tuple[Report, float]:
-    """A model command's empty report and its tolerance: ``--tol``, else TOL_DERIVED.
+def _frame(args, **extra: str) -> Report:
+    """A model command's empty report.
 
     The title is the command over the model and the ``extra`` arguments; the
     context holds the model, the extra arguments, the seed and ``--tol``.
     """
-    rep = Report(f"{args.command}[{';'.join([args.model, *extra.values()])}]",
-                 context={"model": args.model, **extra, "seed": args.seed,
-                          "tol_override": args.tol})
-    return rep, TOL_DERIVED if args.tol is None else args.tol
+    return Report(f"{args.command}[{';'.join([args.model, *extra.values()])}]",
+                  context={"model": args.model, **extra, "seed": args.seed,
+                           "tol_override": args.tol})
 
 
 def cmd_check(args) -> tuple[Report, None]:
     model = load_model(args.model, default_seed=args.seed)
-    rep, tol = _frame(args)
+    rep = _frame(args)
     if isinstance(model, tuple):
         algebra, sub = model
         rep.extend(sub)
@@ -119,14 +120,14 @@ def cmd_check(args) -> tuple[Report, None]:
         rep.context.update(sub.context)
         return rep, None
     triple = model
-    rep.extend(check_axioms(triple, tol=args.tol))
-    aj = verify_aj_properties(triple, tol=tol)
+    rep.extend(check_axioms(triple))
+    aj = verify_aj_properties(triple)
     rep.extend(aj)
     if "closure_error" in aj.context:
         # A_J is not a *-algebra, so the gauge Lie algebra is undefined
         rep.context["closure_error"] = aj.context["closure_error"]
         return rep, None
-    g = gauge_lie_algebra(triple, tol=args.tol)
+    g = gauge_lie_algebra(triple)
     rep.extend(g.report)
     rep.context["gauge"] = g.report.context
     return rep, None
@@ -134,15 +135,15 @@ def cmd_check(args) -> tuple[Report, None]:
 
 def cmd_localize(args) -> tuple[Report, None]:
     triple = _require_triple(load_model(args.model, default_seed=args.seed), args.model)
-    rep, tol = _frame(args)
+    rep = _frame(args)
     if aj_or_closure_failure(triple, rep) is None:
         return rep, None  # no base to localize over: A_J is not a *-algebra
-    dec = localize(triple, tol=args.tol)
+    dec = localize(triple)
     rep.context["localization"] = dec.report.context
     rep.extend(dec.report)
-    rep.add(conjugation_bound(dec, tol=tol))
+    rep.add(conjugation_bound(dec))
 
-    ob = omega_bundle(dec, tol=tol)
+    ob = omega_bundle(dec)
     rep.extend(ob)
     rep.context["omega_bundle"] = ob.context
     rows, gb = group_bundle_dims(dec)
@@ -151,49 +152,48 @@ def cmd_localize(args) -> tuple[Report, None]:
     return rep, None
 
 
-def _pure_gauge_report(rep: Report, triple: RealSpectralTriple, seed: int, tol: float) -> None:
+def _pure_gauge_report(rep: Report, triple: RealSpectralTriple, seed: int) -> None:
     u = random_unitary(triple.algebra, seed=seed)
     pert = from_unitary(triple, u)
-    # the field and its fluctuation unchecked: field-self-adjoint decides at --tol
+    # the field and its fluctuation unchecked: field-self-adjoint records the failure
     omega = OneForm(triple, pert.terms)
     rep.add(CheckRecord.from_residual(
         "field-self-adjoint", "the pure gauge field u[D, u*] is self-adjoint",
-        omega.self_adjoint_residual(), tol, SCOPE_EXACT))
+        omega.self_adjoint_residual(), TOL_DERIVED, SCOPE_EXACT))
     d_omega = _fluctuation(triple, omega.matrix)
     big_u = gauge_matrix(triple, u)
     rep.add(CheckRecord.from_residual(
         "pure-gauge-identity", "fluctuating by u[D, u*] conjugates D by the gauge "
         "unitary of u",
-        op_norm(d_omega - big_u @ triple.dirac @ adjoint(big_u)), tol, SCOPE_EXACT))
+        op_norm(d_omega - big_u @ triple.dirac @ adjoint(big_u)), TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "doubled-form", "the doubled two-sided action reproduces the fluctuation",
-        op_norm(doubled_fluctuation(triple, pert) - d_omega), tol, SCOPE_EXACT))
+        op_norm(doubled_fluctuation(triple, pert) - d_omega), TOL_DERIVED, SCOPE_EXACT))
 
 
-def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int,
-                        seed: int, tol: float) -> None:
+def _random_pert_report(rep: Report, triple: RealSpectralTriple, terms: int, seed: int) -> None:
     pert = random_perturbation(triple, n_terms=terms, seed=seed)
     rep.add(CheckRecord.from_residual(
         "normalization", "the perturbation terms sum to the unit",
-        pert.normalization_residual(), tol, SCOPE_EXACT))
+        pert.normalization_residual(), TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "flip-self-adjoint", "the left-right operator of the perturbation is "
         "flip-invariant",
-        pert.flip_residual(), tol, SCOPE_EXACT))
+        pert.flip_residual(), TOL_DERIVED, SCOPE_EXACT))
     omega = OneForm(triple, pert.terms)  # unchecked, as in _pure_gauge_report
     rep.add(CheckRecord.from_residual(
         "field-self-adjoint", "the associated gauge field is self-adjoint",
-        omega.self_adjoint_residual(), tol, SCOPE_EXACT))
+        omega.self_adjoint_residual(), TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "doubled-form", "the doubled two-sided action reproduces the fluctuation",
         op_norm(doubled_fluctuation(triple, pert) - _fluctuation(triple, omega.matrix)),
-        tol, SCOPE_EXACT))
+        TOL_DERIVED, SCOPE_EXACT))
     u = random_unitary(triple.algebra, seed=seed + 1)
     new_bg, new_rel = gauge_transform_field(triple, OneForm.zero(triple), omega, u)
     rep.add(CheckRecord.from_residual(
         "gauge-covariance", "transforming background and field by u conjugates the "
         "fluctuation (residual relative to max(1, its norm))",
-        covariance_residual(triple, u, omega, new_bg + new_rel), tol, SCOPE_EXACT))
+        covariance_residual(triple, u, omega, new_bg + new_rel), TOL_DERIVED, SCOPE_EXACT))
 
 
 def cmd_fluctuate(args) -> tuple[Report, None]:
@@ -201,19 +201,19 @@ def cmd_fluctuate(args) -> tuple[Report, None]:
     head, _, tail = args.perturbation.partition(":")
     head = head.strip().lower()
     params = _parse_kv(tail)
-    rep, tol = _frame(args, perturbation=args.perturbation)
+    rep = _frame(args, perturbation=args.perturbation)
     if head == "zero":
         d_omega = fluctuate(triple, OneForm.zero(triple))
         rep.add(CheckRecord.from_residual(
             "zero-field", "the zero field leaves D unchanged",
-            op_norm(d_omega - triple.dirac), tol, SCOPE_EXACT))
+            op_norm(d_omega - triple.dirac), TOL_DERIVED, SCOPE_EXACT))
     elif head == "pure":
-        _pure_gauge_report(rep, triple, take_seed(params, args.seed), tol)
+        _pure_gauge_report(rep, triple, take_seed(params, args.seed))
     elif head == "random":
         terms = take_int(params, "terms", default=2)
         if terms < 1:
             raise BadModelSpec(f"parameter 'terms' must be at least 1, got {terms}")
-        _random_pert_report(rep, triple, terms, take_seed(params, args.seed), tol)
+        _random_pert_report(rep, triple, terms, take_seed(params, args.seed))
     else:
         raise BadModelSpec(f"unknown perturbation spec {head!r} "
                            "(known: zero, pure, random)")
@@ -252,7 +252,11 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise BadModelSpec(f"--seed must be non-negative, got {args.seed}")
+        if args.tol is not None and not 0 <= args.tol < math.inf:  # nan fails the comparison
+            raise BadModelSpec(f"--tol must be a finite non-negative number, got {args.tol}")
         rep, rows = handlers[args.command](args)
+        if args.tol is not None:
+            rep.override_tolerance(args.tol)
         text = _render(args, rep, rows)
     except (BadModelSpec, ParseError, BadParameters, ModeMismatch, NotOnTorus) as exc:
         print(f"error: {exc}", file=sys.stderr)

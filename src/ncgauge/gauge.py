@@ -63,10 +63,10 @@ class MembershipViolated(ArithmeticError):
     """A perturbation lost one of its two membership certificates."""
 
 
-def _require_unitary(triple: RealSpectralTriple, u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _require_unitary(triple: RealSpectralTriple, u: np.ndarray) -> np.ndarray:
     u = as_cmatrix(u)
     res = op_norm(u @ adjoint(u) - triple.algebra.unit)
-    if res > tol or not triple.algebra.contains(u):
+    if res > TOL_EXACT or not triple.algebra.contains(u):
         raise NotUnitary(f"element is not a unitary of the algebra (residual {res:.2e})")
     return u
 
@@ -122,12 +122,12 @@ def gauge_span(triple: RealSpectralTriple) -> tuple[RealSpan, np.ndarray, np.nda
     return RealSpan.from_spanning(ts, shape=(triple.hilbert_dim,) * 2), xs, ts
 
 
-def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> GaugeLieAlgebra:
+def gauge_lie_algebra(triple: RealSpectralTriple) -> GaugeLieAlgebra:
     """The gauge Lie algebra with the dimension identity and bracket checks.
 
     dim g = dim u(A) - dim u(A_J): the kernel of X -> pi(X) + JXJ^-1 on
     skew elements is exactly u(A_J).  Skewness is checked at ``TOL_EXACT``,
-    the rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
+    the rest at ``TOL_DERIVED``.
 
     The bracket records pair the basis X of u(A) with a set S certified to
     generate u(A) as a Lie algebra (:func:`~ncgauge.staralg.lie_generating_set`),
@@ -146,9 +146,6 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
     S is real-orthonormal like the basis, so no residual is rescaled, and the
     witnesses are the pair (index of X in the basis of u(A), index of Y in S).
     """
-    t_skew = tol if tol is not None else TOL_EXACT
-    tol = tol if tol is not None else TOL_DERIVED
-
     span, xs, ts = gauge_span(triple)
     aj = compute_aj(triple)
     expected = triple.algebra.dim - aj.dim
@@ -157,10 +154,9 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
                  context={"dim": span.dim, "u_A_dim": len(xs), "u_AJ_dim": aj.dim})
     rep.add(CheckRecord.from_residual(
         "skew-images", "every generator is skew-hermitian on H",
-        max_op_norm([ts + adjoint(ts)])[0], t_skew, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "dimension-identity", "dim g equals dim u(A) - dim u(A_J)",
-        float(abs(span.dim - expected)), 0.5, SCOPE_EXACT))
+        max_op_norm([ts + adjoint(ts)])[0], TOL_EXACT, SCOPE_EXACT))
+    rep.add(CheckRecord.identity(
+        "dimension-identity", "dim g equals dim u(A) - dim u(A_J)", span.dim, expected))
 
     on_s = " for X in a basis of u(A) and X' in a set certified to Lie-generate u(A)"
     ys = lie_generating_set(triple.algebra)
@@ -177,7 +173,7 @@ def gauge_lie_algebra(triple: RealSpectralTriple, tol: float | None = None) -> G
             ("bracket-form", form, at[::-1], "[T, T'] is the generator attached to [X, X']"),
             ("bracket-closure", closure.max(), np.unravel_index(closure.argmax(), closure.shape),
              "[T, T'] stays inside the span")):
-        rep.add(CheckRecord.from_residual(name, statement + on_s, worst, tol, SCOPE_EXACT),
+        rep.add(CheckRecord.from_residual(name, statement + on_s, worst, TOL_DERIVED, SCOPE_EXACT),
                 witness=where)
     return GaugeLieAlgebra(span, list(zip(xs, ts)), rep)
 
@@ -199,8 +195,7 @@ class Perturbation:
     never change afterwards, so the flip residual is computed once.
     """
 
-    def __init__(self, triple: RealSpectralTriple, terms, validate: bool = True,
-                 tol: float = TOL_DERIVED):
+    def __init__(self, triple: RealSpectralTriple, terms, validate: bool = True):
         self.triple = triple
         self.terms = tuple((as_cmatrix(a), as_cmatrix(b)) for a, b in terms)
         if not self.terms:
@@ -208,7 +203,7 @@ class Perturbation:
         triple.algebra.member_coordinates(np.stack([m for term in self.terms for m in term]))
         self._flip: float | None = None
         if validate:
-            self.verify(tol)
+            self.verify()
 
     def normalization_residual(self) -> float:
         total = sum(a @ b for a, b in self.terms)
@@ -220,12 +215,12 @@ class Perturbation:
                                      for a, b in self.terms))
         return self._flip
 
-    def verify(self, tol: float = TOL_DERIVED) -> None:
+    def verify(self) -> None:
         res = self.normalization_residual()
-        if res > tol:
+        if res > TOL_DERIVED:
             raise MembershipViolated(f"normalization sum a_j b_j = 1 fails by {res:.2e}")
         res = self.flip_residual()
-        if res > tol:
+        if res > TOL_DERIVED:
             raise MembershipViolated(f"flip self-adjointness fails by {res:.2e}")
 
     def act_on(self, d: np.ndarray) -> np.ndarray:
@@ -258,7 +253,7 @@ def random_perturbation(triple: RealSpectralTriple, n_terms: int = 2,
     return Perturbation(triple, [(ti * u, adjoint(u)) for ti, u in zip(t, us)])
 
 
-def pert_product(p: Perturbation, r: Perturbation, tol: float = TOL_DERIVED) -> Perturbation:
+def pert_product(p: Perturbation, r: Perturbation) -> Perturbation:
     """Semigroup product: {(a_i, b_i)} * {(c_j, d_j)} = {(a_i c_j, d_j b_i)}.
 
     Matches the product in A tensor A-op, where the op-side multiplies in
@@ -267,17 +262,17 @@ def pert_product(p: Perturbation, r: Perturbation, tol: float = TOL_DERIVED) -> 
     if p.triple is not r.triple:
         raise ValueError("perturbations live on different triples")
     terms = [(a @ c, d @ b) for a, b in p.terms for c, d in r.terms]
-    return Perturbation(p.triple, terms, validate=True, tol=tol)
+    return Perturbation(p.triple, terms)
 
 
 # -- fluctuations ------------------------------------------------------------
 
 
-def gauge_field(p: Perturbation, tol: float = TOL_DERIVED) -> OneForm:
+def gauge_field(p: Perturbation) -> OneForm:
     """The one-form sum a_j [D, b_j] of a perturbation; always self-adjoint."""
     omega = OneForm(p.triple, list(p.terms))
     res = omega.self_adjoint_residual()
-    if res > tol:
+    if res > TOL_DERIVED:
         raise MembershipViolated(f"gauge field is not self-adjoint (residual {res:.2e})")
     return omega
 

@@ -71,7 +71,7 @@ class FiberDecomposition:
         return len(self.fiber_dims)
 
 
-def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecomposition:
+def localize(triple: RealSpectralTriple) -> FiberDecomposition:
     """Cut the triple into fibers over the spectrum of A_J.
 
     The construction itself only needs the p_x to be central projections
@@ -119,10 +119,8 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     The base is :func:`~ncgauge.staralg.minimal_projections`, found by
     spectral refinement without a draw, so nothing here depends on a seed.
     Exact identities of the projections are checked at ``TOL_EXACT``, the
-    rest at ``TOL_DERIVED``; passing ``tol`` overrides both.
+    rest at ``TOL_DERIVED``.
     """
-    t_exact = tol if tol is not None else TOL_EXACT
-    tol = tol if tol is not None else TOL_DERIVED
     alg = triple.algebra
     aj = compute_aj(triple)
     base = minimal_projections(aj)
@@ -132,29 +130,28 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     partition = op_norm(sum(base.projections) - alg.unit)
     rep.add(CheckRecord.from_residual(
         "partition-of-unity", "the minimal projections of A_J sum to 1",
-        partition, t_exact, SCOPE_EXACT))
+        partition, TOL_EXACT, SCOPE_EXACT))
 
     kappa = float(commutator_map_norm(np.stack(base.projections), alg.basis).max())
     rep.add(CheckRecord.from_residual(
         "base-central-in-A", "each point projection is central in A: kappa_A = max_x "
         "|a -> [p_x, a]| on A, Frobenius to Frobenius",
-        kappa, tol, SCOPE_EXACT))
+        kappa, TOL_DERIVED, SCOPE_EXACT))
 
     fiber_dims = alg.cut_dims(np.stack(base.projections))
     rep.context["fiber_dims"] = fiber_dims
-    rep.add(CheckRecord.from_residual(
-        "fiber-dimension-sum", "fiber dimensions add up to dim A",
-        float(abs(sum(fiber_dims) - alg.dim)), 0.5, SCOPE_EXACT))
+    rep.add(CheckRecord.identity(
+        "fiber-dimension-sum", "fiber dimensions add up to dim A", sum(fiber_dims), alg.dim))
 
     rep.add(CheckRecord.from_residual(
         "section-reconstruction", "summing the fiber components returns the element: "
         "|sum_x p_x b - b| = |(sum_x p_x - e) b| <= |sum_x p_x - e| for |b|_F = 1",
-        partition, t_exact, SCOPE_EXACT))
+        partition, TOL_EXACT, SCOPE_EXACT))
 
     rep.add(CheckRecord.from_residual(
         "section-multiplicative", "localization respects products: |p(ab) - (pa)(pb)|_F "
         "= |[p, a](1 - p)b|_F <= kappa_A |a|_F |b|_F",
-        kappa, tol, SCOPE_EXACT))
+        kappa, TOL_DERIVED, SCOPE_EXACT))
 
     cd, _ = c_d_algebra(triple)
     cuts = triple.pi(np.stack(base.projections))  # pi(p_x), formed once per point
@@ -162,23 +159,23 @@ def localize(triple: RealSpectralTriple, tol: float | None = None) -> FiberDecom
     rep.add(CheckRecord.from_residual(
         "base-central-in-CD", "each point projection is central in the algebra "
         "generated by A and [D, A]",
-        worst, tol, SCOPE_EXACT))
+        worst, TOL_DERIVED, SCOPE_EXACT))
 
     rep.add(CheckRecord.from_residual(
         "norm-sup-identity", "the element norm is the sup of its fiber norms: "
         "0 <= |a| - max_x |p_x a| <= (sqrt(#points) kappa_A + |sum_x p_x - e|) |a|_F",
-        np.sqrt(len(base)) * kappa + partition, tol, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
+        np.sqrt(len(base)) * kappa + partition, TOL_DERIVED, SCOPE_EXACT))
+    rep.add(CheckRecord.identity(
         "cross-representation-norm", "the defining and Hilbert-space norms agree: "
         "a *-representation is isometric exactly when injective, dim A - rank pi = 0",
-        float(alg.dim - triple.pi_rank()), 0.5, SCOPE_EXACT))
+        triple.pi_rank(), alg.dim))
 
     omega_fiber_dims = cd.cut_dims(cuts)
     rep.context["omega_fiber_dims"] = omega_fiber_dims
     return FiberDecomposition(triple, base, fiber_dims, omega_fiber_dims, rep, kappa, cuts)
 
 
-def norm_is_sup(dec: FiberDecomposition, a: np.ndarray, tol: float = TOL_DERIVED) -> Report:
+def norm_is_sup(dec: FiberDecomposition, a: np.ndarray) -> Report:
     """The algebra norm of a equals the max of its fiber norms, on one sample.
 
     The sampled oracle of ``norm-sup-identity`` and
@@ -195,15 +192,14 @@ def norm_is_sup(dec: FiberDecomposition, a: np.ndarray, tol: float = TOL_DERIVED
     scale = max(1.0, whole)
     rep.add(CheckRecord.from_residual(
         "norm-sup-identity", "the element norm is the sup of its fiber norms",
-        abs(whole - max(fiber_norms)) / scale, tol, SCOPE_EXACT))
+        abs(whole - max(fiber_norms)) / scale, TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "cross-representation-norm", "the defining and Hilbert-space norms agree",
-        abs(whole - op_norm(dec.triple.pi(a))) / scale, tol, SCOPE_EXACT))
+        abs(whole - op_norm(dec.triple.pi(a))) / scale, TOL_DERIVED, SCOPE_EXACT))
     return rep
 
 
-def fiber_gauge_action(dec: FiberDecomposition, u: np.ndarray, a: np.ndarray,
-                       tol: float = TOL_DERIVED) -> Report:
+def fiber_gauge_action(dec: FiberDecomposition, u: np.ndarray, a: np.ndarray) -> Report:
     """Conjugation then localization equals fiberwise conjugation, on one sample.
 
     The sampled oracle of :func:`conjugation_bound`: its residual is at
@@ -216,11 +212,11 @@ def fiber_gauge_action(dec: FiberDecomposition, u: np.ndarray, a: np.ndarray,
     rep = Report("fiber_gauge_action")
     rep.add(CheckRecord.from_residual(
         "fiberwise-conjugation", "localizing u a u* matches u(x) a(x) u(x)*",
-        worst, tol, SCOPE_EXACT))
+        worst, TOL_DERIVED, SCOPE_EXACT))
     return rep
 
 
-def conjugation_bound(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> CheckRecord:
+def conjugation_bound(dec: FiberDecomposition) -> CheckRecord:
     """``fiberwise-conjugation``, derived from kappa_A for every unitary u and every a in A.
 
     p(uau*) - (pu)(pa)(pu)* = p[p, uau*] + p[p, u] a u* p.  The first term
@@ -232,10 +228,10 @@ def conjugation_bound(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Chec
     return CheckRecord.from_residual(
         "fiberwise-conjugation", "localizing u a u* matches u(x) a(x) u(x)*: for unitary u "
         "in A, |p(uau*) - (pu)(pa)(pu)*|_F <= kappa_A (1 + |e|_F) |a|_F",
-        dec.kappa_a * (1.0 + frobenius(dec.triple.algebra.unit)), tol, SCOPE_EXACT)
+        dec.kappa_a * (1.0 + frobenius(dec.triple.algebra.unit)), TOL_DERIVED, SCOPE_EXACT)
 
 
-def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
+def omega_bundle(dec: FiberDecomposition) -> Report:
     """Fiber bookkeeping on the D-side algebra and its one-form subspace.
 
     ``gauge-action-localizes`` is derived, not sampled: for a unitary u of A
@@ -263,15 +259,15 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
                  context={"cd_dim": cd.dim,
                           "omega_fiber_dims": dec.omega_fiber_dims,
                           "grading": grading})
-    rep.add(CheckRecord.from_residual(
+    rep.add(CheckRecord.identity(
         "omega-dimension-sum", "one-form-side fiber dimensions add up to dim C_D(A)",
-        float(abs(sum(dec.omega_fiber_dims) - cd.dim)), 0.5, SCOPE_EXACT))
+        sum(dec.omega_fiber_dims), cd.dim))
 
     rep.add(CheckRecord.from_residual(
         "one-forms-localize", "cutting a one-form by a point projection lands in "
         "that point's fiber: dist(pi(p_x) w, pi(p_x) C_D) <= dist(w, C_D), as pi(p_x) in C_D "
         "is a contraction; the residual is max_j dist(w_j, C_D) over a basis of the one-forms",
-        cd.residual(one_form_space(triple).basis).max(initial=0.0), tol, SCOPE_EXACT))
+        cd.residual(one_form_space(triple).basis).max(initial=0.0), TOL_DERIVED, SCOPE_EXACT))
 
     # degree-0 part cut to each fiber, for the per-point parity table
     eye = np.eye(triple.hilbert_dim, dtype=complex)
@@ -283,7 +279,7 @@ def omega_bundle(dec: FiberDecomposition, tol: float = TOL_DERIVED) -> Report:
         "gauge-action-localizes", "conjugating a one-form then cutting equals cutting then "
         "conjugating: for unitary u in A, |[pi(p), pi(u)] w pi(u)*|_F <= kappa_pi |e|_F |w|_F, "
         "kappa_pi = max_x |a -> [pi(p_x), pi(a)]|, Frobenius to Frobenius",
-        kappa_pi * frobenius(triple.algebra.unit), tol, SCOPE_EXACT))
+        kappa_pi * frobenius(triple.algebra.unit), TOL_DERIVED, SCOPE_EXACT))
     return rep
 
 
@@ -303,11 +299,10 @@ def group_bundle_dims(dec: FiberDecomposition) -> tuple[list[dict], Report]:
     g = gauge_span(triple)[0]
     rep = Report(f"group_bundle[{triple.label or 'triple'}]",
                  context={"rows": rows, "u_A_dim": u_total, "gauge_dim": g.dim})
-    rep.add(CheckRecord.from_residual(
+    rep.add(CheckRecord.identity(
         "unitary-dimension-sum", "fiber unitary dimensions add up to dim u(A)",
-        float(abs(sum(r["unitary_dim"] for r in rows) - u_total)), 0.5, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
+        sum(r["unitary_dim"] for r in rows), u_total))
+    rep.add(CheckRecord.identity(
         "gauge-dimension-sum", "gauge fiber dimensions add up to the gauge Lie "
-        "algebra dimension",
-        float(abs(sum(r["gauge_fiber_dim"] for r in rows) - g.dim)), 0.5, SCOPE_EXACT))
+        "algebra dimension", sum(r["gauge_fiber_dim"] for r in rows), g.dim))
     return rows, rep

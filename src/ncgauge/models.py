@@ -136,12 +136,11 @@ def build_orbifold_algebra(q: int, p: int, m: int) -> tuple[FiniteStarAlgebra, R
     z = center(alg)
     rep = Report(f"orbifold[q={q},p={p},m={m}]",
                  context={"q": q, "p": p, "m": m, "dim": alg.dim, "center_dim": z.dim})
-    rep.add(CheckRecord.from_residual(
+    rep.add(CheckRecord.identity(
         "dimension", "the equivariant function algebra has dimension m q^2",
-        float(abs(alg.dim - m * q * q)), 0.5, SCOPE_FINITE))
-    rep.add(CheckRecord.from_residual(
-        "center-dimension", "the center carries one scalar per orbit",
-        float(abs(z.dim - m)), 0.5, SCOPE_FINITE))
+        alg.dim, m * q * q, SCOPE_FINITE))
+    rep.add(CheckRecord.identity(
+        "center-dimension", "the center carries one scalar per orbit", z.dim, m, SCOPE_FINITE))
     return alg, rep
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .spheres import SphereElement, sphere_one
-from .torus import PhaseMode, TorusElement, torus_one
+from .torus import NonFiniteCoefficient, PhaseMode, TorusElement, torus_one
 
 __all__ = ["ParseError", "parse_torus", "parse_sphere"]
 
@@ -101,7 +101,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        value = self.parse_expr()
+        try:
+            value = self.parse_expr()
+        except (NonFiniteCoefficient, OverflowError):  # a literal, power or product overflows
+            raise ParseError("a coefficient is not a finite number") from None
         kind, val, pos = self.peek()
         if kind is not None:
             raise ParseError(f"trailing input {val!r} at position {pos}")

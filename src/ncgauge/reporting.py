@@ -81,6 +81,7 @@ class CheckRecord:
     tolerance: float
     passed: bool
     scope: str = SCOPE_EXACT
+    fixed: bool = False  # Report.override_tolerance (--tol) leaves it as built
 
     def __post_init__(self):
         if self.scope not in _SCOPES:
@@ -91,9 +92,15 @@ class CheckRecord:
 
     @classmethod
     def from_residual(cls, name: str, statement: str, residual: float, tolerance: float,
-                      scope: str = SCOPE_EXACT) -> "CheckRecord":
+                      scope: str = SCOPE_EXACT, fixed: bool = False) -> "CheckRecord":
         return cls(name, statement, float(residual), float(tolerance),
-                   float(residual) <= float(tolerance), scope)
+                   float(residual) <= float(tolerance), scope, fixed)
+
+    @classmethod
+    def identity(cls, name: str, statement: str, got: int, want: int,
+                 scope: str = SCOPE_EXACT) -> "CheckRecord":
+        """The integer identity got = want: residual |got - want|, tolerance 0.5, fixed."""
+        return cls(name, statement, abs(got - want), 0.5, got == want, scope, fixed=True)
 
     def to_dict(self) -> dict:
         return {
@@ -114,28 +121,44 @@ class CheckRecord:
 class Report:
     """A titled bundle of check records plus free-form context.
 
-    ``witnesses`` maps the name of a failing max-over-pairs record to the
-    index pair that attains its residual (a max over single elements gives
-    one index); it travels with the records through :meth:`extend` and is
-    written out as ``context["witnesses"]``.  A passing record keeps no
-    witness: within tolerance the argmax is mostly taken over rounding noise,
-    and it moves whenever the arithmetic is reordered.
+    Each record is built at its rung of the tolerance ladder
+    (:mod:`ncgauge.linalg`) or is fixed: an integer identity
+    (:meth:`CheckRecord.identity`) or a record held to a threshold of its
+    own.  :meth:`override_tolerance` holds every record that is not fixed to
+    one value, which is what ``--tol`` does in every command.
+
+    A max-over-pairs record may carry a witness, the index pair that attains
+    its residual (a max over single elements gives one index); witnesses
+    travel with the records through :meth:`extend`.  ``witnesses``, written
+    out as ``context["witnesses"]``, names those of the failing records only:
+    within tolerance the argmax is mostly taken over rounding noise, and it
+    moves whenever the arithmetic is reordered.
     """
 
     title: str
     records: list[CheckRecord] = field(default_factory=list)
     context: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
+    _witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
+    @property
+    def witnesses(self) -> dict:
+        return {name: at for name, at in self._witnesses.items() if not self.record(name).passed}
+
     def add(self, record: CheckRecord, witness: tuple[int, ...] | None = None) -> CheckRecord:
         self.records.append(record)
-        if witness is not None and not record.passed:
-            self.witnesses[record.name] = list(witness)
+        if witness is not None:
+            self._witnesses[record.name] = list(witness)
         return record
+
+    def override_tolerance(self, tol: float) -> None:
+        """Hold every record that is not fixed to ``tol``, and decide it again."""
+        for r in self.records:
+            if not r.fixed:
+                r.tolerance, r.passed = float(tol), r.residual <= tol
 
     def record(self, name: str) -> CheckRecord:
         for r in self.records:
@@ -145,7 +168,7 @@ class Report:
 
     def extend(self, other: "Report") -> None:
         self.records.extend(other.records)
-        self.witnesses.update(other.witnesses)
+        self._witnesses.update(other._witnesses)
 
     def max_residual(self) -> float:
         return max((r.residual for r in self.records), default=0.0)

@@ -182,12 +182,12 @@ class OneForm:
 # -- axiom verification ------------------------------------------------------
 
 
-def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report:
+def check_axioms(triple: RealSpectralTriple) -> Report:
     """Full axiom suite as a report; never raises on mathematical failure.
 
     The ladder: construction-level identities at 1e-10/1e-9, the
     commutant and order-one conditions (which chain several products) at
-    1e-8.  Passing ``tol`` overrides every rung uniformly.
+    1e-8.
 
     The three pairwise records run on the certified generating set g of A
     (:func:`~ncgauge.staralg.generating_set`), not on the d^2 basis pairs
@@ -216,10 +216,6 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
     are indices into g (the first index of ``representation-multiplicative``
     is a basis index of A).
     """
-    t_con = tol if tol is not None else TOL_CONSTRUCT
-    t_j = tol if tol is not None else TOL_EXACT
-    t_der = tol if tol is not None else TOL_DERIVED
-
     alg = triple.algebra
     n = triple.hilbert_dim
     d = triple.dirac
@@ -233,43 +229,41 @@ def check_axioms(triple: RealSpectralTriple, tol: float | None = None) -> Report
     pg, g_opp = triple.pi(gens), triple.b_opposite(gens)
     rep.add(CheckRecord.from_residual(
         "representation-unital", "the unit of A acts as the identity on H",
-        op_norm(triple.pi(alg.unit) - np.eye(n)), t_j, SCOPE_EXACT))
+        op_norm(triple.pi(alg.unit) - np.eye(n)), TOL_EXACT, SCOPE_EXACT))
 
     # pairwise records: row block i holds the residuals of the pairs (i, j)
     worst, at = max_op_norm(triple.pi(b @ gens) - p @ pg for b, p in zip(basis, pis))
     rep.add(CheckRecord.from_residual(
         "representation-multiplicative",
         "pi(ab) = pi(a) pi(b) for a in a basis and b in the certified generating set g of A",
-        worst, t_j, SCOPE_EXACT), witness=at)
+        worst, TOL_EXACT, SCOPE_EXACT), witness=at)
 
     rep.add(CheckRecord.from_residual(
         "representation-star", "pi(a*) = pi(a)*",
-        max_op_norm([triple.pi(adjoint(basis)) - adjoint(pis)])[0], t_j, SCOPE_EXACT))
+        max_op_norm([triple.pi(adjoint(basis)) - adjoint(pis)])[0], TOL_EXACT, SCOPE_EXACT))
 
-    rep.add(CheckRecord.from_residual(
+    rep.add(CheckRecord.identity(
         "representation-injective", "pi has full rank on the algebra basis",
-        float(alg.dim - triple.pi_rank()), 0.5, SCOPE_EXACT))
+        triple.pi_rank(), alg.dim))
 
     rep.add(CheckRecord.from_residual(
-        "dirac-self-adjoint", "D = D*", op_norm(d - adjoint(d)), t_con, SCOPE_EXACT))
+        "dirac-self-adjoint", "D = D*", op_norm(d - adjoint(d)), TOL_CONSTRUCT, SCOPE_EXACT))
 
     isometry, square, dirac_sign = real_structure_residuals(triple)
-    rep.add(CheckRecord.from_residual(
-        "real-structure-isometry", "the kernel K of J is unitary", isometry, t_j, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "real-structure-square", "J^2 = eps, i.e. K conj(K) = eps 1", square, t_j, SCOPE_EXACT))
-    rep.add(CheckRecord.from_residual(
-        "real-structure-dirac-sign", "JD = eps' DJ, i.e. K conj(D) = eps' D K",
-        dirac_sign, t_j, SCOPE_EXACT))
+    for name, statement, residual in (
+            ("real-structure-isometry", "the kernel K of J is unitary", isometry),
+            ("real-structure-square", "J^2 = eps, i.e. K conj(K) = eps 1", square),
+            ("real-structure-dirac-sign", "JD = eps' DJ, i.e. K conj(D) = eps' D K", dirac_sign)):
+        rep.add(CheckRecord.from_residual(name, statement, residual, TOL_EXACT, SCOPE_EXACT))
 
     worst, at = max_op_norm(commutator(p, g_opp) for p in pg)
     rep.add(CheckRecord.from_residual(
         "commutant-property", f"[pi(a), Jb*J^-1] = 0 {_ON_G}",
-        worst, t_der, SCOPE_EXACT), witness=at)
+        worst, TOL_DERIVED, SCOPE_EXACT), witness=at)
     worst, at = max_op_norm(commutator(c, g_opp) for c in commutator(d, pg))
     rep.add(CheckRecord.from_residual(
         "order-one-condition", f"[[D, pi(a)], Jb*J^-1] = 0 {_ON_G}",
-        worst, t_der, SCOPE_EXACT), witness=at)
+        worst, TOL_DERIVED, SCOPE_EXACT), witness=at)
     return rep
 
 
@@ -388,7 +382,7 @@ def compute_aj(triple: RealSpectralTriple) -> FiniteStarAlgebra:
                              label=f"A_J({triple.label or 'A'})")
 
 
-def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -> Report:
+def verify_aj_properties(triple: RealSpectralTriple) -> Report:
     """The structural facts about A_J, with the real-structure premise.
 
     The three headline assertions (central, *-closed, commutes with
@@ -396,7 +390,8 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     corrupted real structure that merely shrinks A_J would slip through
     them; the premise record pins the J axioms themselves.  ``star-closed``
     is the adjoint-closure residual that wrapping A_J as a
-    :class:`~ncgauge.staralg.FiniteStarAlgebra` measured.
+    :class:`~ncgauge.staralg.FiniteStarAlgebra` measured.  Every record is
+    held to ``TOL_DERIVED``.
 
     Commuting with one-forms is derived from two maps on A, without
     forming Omega^1.  For each basis element p of A_J,
@@ -420,7 +415,7 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     rep = Report(f"aj_properties[{triple.label or 'triple'}]")
     rep.add(CheckRecord.from_residual(
         "real-structure-premise", "the real-structure axioms behind the construction hold",
-        max(real_structure_residuals(triple)), tol, SCOPE_EXACT))
+        max(real_structure_residuals(triple)), TOL_DERIVED, SCOPE_EXACT))
     aj = aj_or_closure_failure(triple, rep)
     if aj is None:
         return rep
@@ -429,13 +424,13 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
     pa = triple.pi(aj.basis)
     rep.add(CheckRecord.from_residual(
         "defining-condition", "every returned element satisfies aJ = Ja*",
-        max_op_norm([pa @ k - k @ np.swapaxes(pa, 1, 2)])[0], tol, SCOPE_EXACT))
+        max_op_norm([pa @ k - k @ np.swapaxes(pa, 1, 2)])[0], TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "inside-center", "A_J sits inside the center of A",
-        center(triple.algebra).residual(aj.basis).max(), tol, SCOPE_EXACT))
+        center(triple.algebra).residual(aj.basis).max(), TOL_DERIVED, SCOPE_EXACT))
     rep.add(CheckRecord.from_residual(
         "star-closed", "A_J is closed under the adjoint",
-        aj.closure_residuals[1], tol, SCOPE_EXACT))
+        aj.closure_residuals[1], TOL_DERIVED, SCOPE_EXACT))
 
     pis = triple.pi_images
     norms = np.maximum(commutator_map_norm(pa, pis),
@@ -447,7 +442,7 @@ def verify_aj_properties(triple: RealSpectralTriple, tol: float = TOL_DERIVED) -
         "its Frobenius norm is at most kappa_pi |b|_F |[D, pi(c)]| + kappa_D |pi(b)| |c|_F, "
         "with kappa_pi = |a -> [pi(p), pi(a)]| and kappa_D = |c -> [pi(p), [D, pi(c)]]| "
         "from A's Frobenius norm to H's",
-        norms.max(), tol, SCOPE_EXACT), witness=(at,))
+        norms.max(), TOL_DERIVED, SCOPE_EXACT), witness=(at,))
     return rep
 
 
@@ -455,14 +450,14 @@ def aj_or_closure_failure(triple: RealSpectralTriple, rep: Report) -> FiniteStar
     """A_J, or None after recording in ``rep`` why its span is not a *-algebra.
 
     The failing ``subalgebra-closure`` record carries the residual the failed
-    check measured and the threshold it exceeded (:class:`NotClosed`), which
-    ``--tol`` does not replace, and ``closure_error`` in the context names
-    the check.
+    check measured and the threshold it exceeded (:class:`NotClosed`); it is
+    fixed, so ``--tol`` does not replace that threshold.  ``closure_error``
+    in the context names the check.
     """
     try:
         return compute_aj(triple)
     except NotClosed as exc:
         rep.add(CheckRecord.from_residual("subalgebra-closure", "the solution span is a *-algebra",
-                                          exc.residual, exc.threshold, SCOPE_EXACT))
+                                          exc.residual, exc.threshold, SCOPE_EXACT, fixed=True))
         rep.context["closure_error"] = str(exc)
         return None

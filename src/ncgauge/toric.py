@@ -363,12 +363,14 @@ def jump_verdict(stats: dict) -> tuple[bool, float]:
 def jump_record(name: str, stats: dict) -> CheckRecord:
     """The jump-halving record of a two-resolution statistic, by :func:`jump_verdict`.
 
-    Its tolerance is the largest residual the band [lo, hi] = ``_JUMP_BAND`` lets pass.
+    Its tolerance is the largest residual the band [lo, hi] = ``_JUMP_BAND`` lets pass,
+    and the record is fixed: ``--tol`` does not replace the band.
     """
     ok, resid = jump_verdict(stats)
     lo, hi = _JUMP_BAND
     return CheckRecord(name, "halving the grid step roughly halves the largest adjacent "
-                       "norm jump", resid, max(hi - 0.5, 0.5 - lo), ok, SCOPE_CONTINUITY)
+                       "norm jump", resid, max(hi - 0.5, 0.5 - lo), ok, SCOPE_CONTINUITY,
+                       fixed=True)
 
 
 def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
@@ -408,8 +410,8 @@ def stratum_scan(p: int, q: int, which: str = "s3") -> Report:
         except NotAWord:  # no dimension is read: the record fails
             seen = set()
         dims[label] = sorted(seen)
-        rep.add(CheckRecord.from_residual(
+        rep.add(CheckRecord.identity(
             f"stratum-{label}", f"the {label} fiber dimension is {want} at every torus coordinate",
-            float(0 if seen == {want} and got_label == label else 1), 0.5, SCOPE_RATIONAL))
+            seen == {want} and got_label == label, True, SCOPE_RATIONAL))
     rep.context["dims"] = dims
     return rep

@@ -30,6 +30,7 @@ __all__ = [
     "ModeMismatch",
     "NotOnTorus",
     "BadParameters",
+    "NonFiniteCoefficient",
     "PhaseMode",
     "SYMBOLIC",
     "rational_mode",
@@ -57,6 +58,10 @@ class NotOnTorus(ValueError):
 
 class BadParameters(ValueError):
     """Invalid (p, q) for a rational phase."""
+
+
+class NonFiniteCoefficient(ValueError):
+    """A coefficient is infinite or NaN, as an overflowing product leaves it."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,12 @@ def rational_mode(p: int, q: int) -> PhaseMode:
 
 
 class PhaseScalar:
-    """Finitely supported Laurent polynomial in the phase t."""
+    """Finitely supported Laurent polynomial in the phase t.
+
+    Coefficients below ``PRUNE_TOL`` in modulus are dropped; a coefficient
+    that is not finite raises :class:`NonFiniteCoefficient` instead, so a NaN
+    is never pruned away as if it were small.
+    """
 
     __slots__ = ("mode", "coeffs")
 
@@ -107,7 +117,9 @@ class PhaseScalar:
                 continue
             k = mode.reduce(int(k))
             cleaned[k] = cleaned.get(k, 0.0) + c
-        self.coeffs = {k: c for k, c in cleaned.items() if abs(c) >= PRUNE_TOL}
+        self.coeffs = {k: c for k, c in cleaned.items() if not abs(c) < PRUNE_TOL}
+        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in self.coeffs.values()):
+            raise NonFiniteCoefficient(f"a coefficient is not finite: {self!r}")
 
     @classmethod
     def const(cls, mode: PhaseMode, c: complex) -> "PhaseScalar":

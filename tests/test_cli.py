@@ -559,6 +559,28 @@ def test_toric_scan_parse_error(capsys):
     assert "error:" in err
 
 
+NON_FINITE_POLYS = ["1e400*a", "(1e400i)*a", "1e300*1e300*a", "10^400*a", "(2i)^2000*a",
+                    "1e200*a*1e200"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("poly", NON_FINITE_POLYS)
+def test_toric_scan_non_finite_coefficient_is_bad_input(capsys, poly, fmt):
+    """An overflowing literal, power or product is refused, not pruned to a zero polynomial."""
+    code, out, err = run(capsys, "toric-scan", "s3", "1", "2", "0.5", "--poly", poly,
+                         "--format", fmt)
+    assert (code, out, err) == (2, "", "error: a coefficient is not a finite number\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_toric_scan_large_finite_coefficient_is_kept(capsys, fmt):
+    code, out, _ = run(capsys, "toric-scan", "s3", "1", "2", "0.5", "--poly", "1e300*a",
+                       "--format", fmt)
+    assert code == 0
+    rows = json.loads(out)["context"]["rows"] if fmt == "json" else out.splitlines()[1:]
+    assert rows and "1e+300" in str(rows)
+
+
 def test_toric_scan_bad_mode(capsys):
     code, _, err = run(capsys, "toric-scan", "s3", "2", "4", "0.3")
     assert code == 2

@@ -145,3 +145,46 @@ def test_src_imports_are_used():
 
 def test_unused_import_check_sees_a_dead_import():
     assert _unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math", "path"]
+
+
+SRC = ROOT / "src" / "ncgauge"
+COMMAND_MODULES = ("spectral", "gauge", "localize", "cli")
+
+
+def _half_tolerances(source: str) -> list[int]:
+    """Lines of the ``from_residual`` calls that pass a literal 0.5, an integer identity's."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "from_residual"
+            and any(isinstance(arg, ast.Constant) and arg.value == 0.5
+                    for arg in [*node.args, *(k.value for k in node.keywords)])]
+
+
+def _tol_parameters(source: str) -> list[str]:
+    """Names of the functions that take a parameter named ``tol``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "tol" in {a.arg for a in [*node.args.posonlyargs, *node.args.args,
+                                          *node.args.kwonlyargs]}]
+
+
+def test_integer_identities_go_through_one_constructor():
+    """``CheckRecord.identity`` makes every integer identity, so each is fixed under --tol."""
+    found = {path.name: _half_tolerances(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_command_modules_take_no_tol_parameter():
+    """Records are built at their rung; only ``Report.override_tolerance`` applies --tol."""
+    found = {name: _tol_parameters((SRC / f"{name}.py").read_text(encoding="utf-8"))
+             for name in COMMAND_MODULES}
+    assert {name: funcs for name, funcs in found.items() if funcs} == {}
+
+
+def test_tolerance_guards_see_their_mutants():
+    assert _half_tolerances("r = CheckRecord.from_residual('n', 's', abs(a - b), 0.5, S)\n"
+                            "q = CheckRecord.from_residual('n', 's', x, tolerance=0.5)\n"
+                            "ok = CheckRecord.from_residual('n', 's', x, 1e-8)\n") == [1, 2]
+    assert _tol_parameters("def f(x, tol=None):\n    return x\n\n"
+                           "class C:\n    def g(self, *, tol):\n        pass\n\n"
+                           "def h(rtol):\n    pass\n") == ["f", "g"]

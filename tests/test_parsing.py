@@ -2,7 +2,7 @@ import pytest
 
 from ncgauge.parsing import ParseError, parse_sphere, parse_torus
 from ncgauge.spheres import SphereElement, sphere_one
-from ncgauge.torus import SYMBOLIC, TorusElement, rational_mode
+from ncgauge.torus import SYMBOLIC, NonFiniteCoefficient, PhaseScalar, TorusElement, rational_mode
 
 
 def test_torus_monomials_and_precedence():
@@ -107,3 +107,17 @@ def test_trailing_caret_reports_the_end_of_input(parse, letter):
     with pytest.raises(ParseError) as exc:
         parse(f"{letter}^", SYMBOLIC)
     assert str(exc.value) == f"exponent must be an integer at position {len(letter) + 1}"
+
+
+@pytest.mark.parametrize("text", ["1e400*U1", "(1e400i)*U1", "1e300*1e300*U1", "10^400*U1",
+                                  "(2i)^2000*U1", "1e200*U1*1e200", "1e308*U1 + 1e308*U1"])
+def test_non_finite_coefficient_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="^a coefficient is not a finite number$"):
+        parse_torus(text, SYMBOLIC)
+    with pytest.raises(ParseError, match="^a coefficient is not a finite number$"):
+        parse_sphere(text.replace("U1", "a"), rational_mode(1, 2))
+
+
+def test_nan_coefficient_is_not_pruned():
+    with pytest.raises(NonFiniteCoefficient):
+        PhaseScalar.const(SYMBOLIC, complex(float("nan"), 0.0))
