@@ -6,9 +6,10 @@ Subcommands
     fluctuate  inner fluctuations for a perturbation spec
     toric-scan norm grid over a sphere base with stratum labels
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (a negative
-seed, a ``--tol`` that is not a finite non-negative number, or an ``--out``
-path that cannot be written, among others), 3 a program
+Exit codes: 0 all checks passed, 1 some check failed, 2 bad input (an
+argument the parser rejects, a negative seed, a ``--tol`` that is not a
+finite non-negative number, or an ``--out`` path that cannot be written,
+among others; one ``error:`` line on stderr), 3 a program
 fault, which is any unexpected exception (out of memory, a failed SVD, a bug).
 JSON reports follow schema/report.schema.json; csv output renders the
 check records (or, for toric-scan, the norm profile rows).  In every command
@@ -53,11 +54,21 @@ from .toric import jump_record, norm_profile, stratum_scan
 _RECORD_COLUMNS = ["name", "residual", "tolerance", "passed", "scope", "statement"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`BadModelSpec` on bad arguments, so ``main`` prints them as one line.
+
+    The subcommand parsers are built from this class too; ``--help`` still
+    prints and exits 0.
+    """
+
+    def error(self, message):
+        raise BadModelSpec(message)
+
+
 @functools.cache  # built once per process: parsing does not change the parser
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="ncgauge",
-                                  description="verification reports for finite "
-                                              "gauge theories from spectral data")
+    top = _Parser(prog="ncgauge",
+                  description="verification reports for finite gauge theories from spectral data")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, default_format="json"):
@@ -246,10 +257,10 @@ def _render(args, rep: Report, rows) -> str:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {"check": cmd_check, "localize": cmd_localize,
                 "fluctuate": cmd_fluctuate, "toric-scan": cmd_toric_scan}
     try:
+        args = _parser().parse_args(argv)
         if args.seed < 0:
             raise BadModelSpec(f"--seed must be non-negative, got {args.seed}")
         if args.tol is not None and not 0 <= args.tol < math.inf:  # nan fails the comparison

@@ -35,7 +35,7 @@ from .linalg import AntiLinearOp, adjoint, as_cmatrix, op_norm
 from .reporting import SCOPE_FINITE, CheckRecord, Report
 from .staralg import FiniteStarAlgebra, block_diagonal_algebra, center, diagonal_algebra, full_matrix_algebra
 from .spectral import RealSpectralTriple, SpectralInputError, transpose_permutation
-from .torus import BadParameters, clock_shift
+from .torus import BadParameters, word_layout
 
 __all__ = [
     "BadHopping",
@@ -114,16 +114,17 @@ def build_orbifold_algebra(q: int, p: int, m: int) -> tuple[FiniteStarAlgebra, R
 
     Points are (gamma, j) with gamma in Z/q, j in {0..m-1}; a function is
     determined by its values at gamma = 0 through
-    f(gamma, j) = w^gamma f(0, j) w^-gamma with w the order-q shift, so
-    the expected dimension is m q^2 and the center picks one scalar per
-    orbit.
+    f(gamma, j) = w^gamma f(0, j) w^-gamma with w the order-q clock of
+    ``clock_shift(q, p)``, whose powers are the diagonal phase rows of
+    ``word_layout(q, p)``, so the expected dimension is m q^2 and the
+    center picks one scalar per orbit.
     """
     if m < 1:
         raise BadParameters(f"m must be >= 1, got {m}")
     if q < 1 or math.gcd(p, q) != 1:
         raise BadParameters(f"need q >= 1 and gcd(p, q) = 1, got ({p}, {q})")
-    _, w = clock_shift(q, p)
-    w_pows = np.stack([np.linalg.matrix_power(w, g) for g in range(q)])
+    phases, _ = word_layout(q, p)
+    w_pows = phases[:, :, None] * np.eye(q)  # [g] = w^g, diagonal
     ambient = m * q * q
     # basis element (j, a, b) takes the value w^g e_ab w^-g / sqrt(q) at point (j, g)
     values = np.einsum("gra,gcb->abgrc", w_pows, w_pows.conj()) / np.sqrt(q)

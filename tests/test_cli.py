@@ -1,6 +1,8 @@
 """End-to-end runs of the command line interface."""
 
+import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -579,6 +581,58 @@ def test_toric_scan_large_finite_coefficient_is_kept(capsys, fmt):
     assert code == 0
     rows = json.loads(out)["context"]["rows"] if fmt == "json" else out.splitlines()[1:]
     assert rows and "1e+300" in str(rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("poly,power,scale", [("1e-15*a", 1, 1e-15), ("1e-7*a*1e-7*a", 2, 1e-14)])
+def test_toric_scan_small_coefficient_is_kept(capsys, poly, power, scale, fmt):
+    """A small coefficient that no cancellation made is not pruned: the norm is scale r^power."""
+    code, out, _ = run(capsys, "toric-scan", "s3", "1", "2", "0.5", "--poly", poly,
+                       "--format", fmt)
+    assert code == 0
+    rows = (json.loads(out)["context"]["rows"] if fmt == "json"
+            else list(csv.DictReader(io.StringIO(out))))
+    assert len(rows) == 4
+    for row in rows:
+        want = scale * float(row["r"]) ** power
+        assert want > 0 and abs(float(row["norm"]) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_toric_scan_cancelled_x_is_the_zero_polynomial(capsys, fmt):
+    """What cancellation leaves is pruned, so s3 sees no x letter and every norm is 0."""
+    code, out, _ = run(capsys, "toric-scan", "s3", "1", "2", "0.5",
+                       "--poly", "0.1*x + 0.2*x - 0.3*x", "--format", fmt)
+    assert code == 0
+    rows = (json.loads(out)["context"]["rows"] if fmt == "json"
+            else list(csv.DictReader(io.StringIO(out))))
+    assert [float(row["norm"]) for row in rows] == [0.0] * 4
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("check", "hs:N=2", "--tol", "abc"), "argument --tol: invalid float value: 'abc'"),
+    (("check", "hs:N=2", "--tol", "-inf"), "argument --tol: expected one argument"),
+    (("localize", "hs:N=2", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+    (("fluctuate", "hs:N=2", "--tol", "-inf"), "argument --tol: expected one argument"),
+    (("toric-scan", "s3", "1", "2", "abc"), "argument h: invalid float value: 'abc'"),
+    (("toric-scan", "s3", "1", "2", "0.5", "--seed", "x"),
+     "argument --seed: invalid int value: 'x'"),
+    (("check",), "the following arguments are required: model"),
+    (("localize",), "the following arguments are required: model"),
+    (("fluctuate",), "the following arguments are required: model"),
+    ((), "the following arguments are required: command"),
+    (("check", "hs:N=2", "extra"), "unrecognized arguments: extra"),
+])
+def test_argument_errors_are_one_line_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ncgauge check")
 
 
 def test_toric_scan_bad_mode(capsys):

@@ -460,6 +460,18 @@ def test_toric_scan_runs_under_a_memory_cap(run_capped, q):
     assert dims == {"EdgeAlpha": [q], "EdgeBeta": [q], "Interior": [q * q]}
 
 
+def test_toric_scan_at_q_987_runs_under_a_memory_cap(run_capped):
+    """toric-scan s3 1 987 0.5 exits 0 under the cap: the word phases are O(q^2).
+
+    A running chain of q - 1 dense clock powers held q^3 x 16 B, 15 GB here.
+    """
+    proc = run_capped("-m", "ncgauge.cli", "toric-scan", "s3", "1", "987", "0.5",
+                      "--format", "json", timeout=180)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    dims = json.loads(proc.stdout)["context"]["strata"]["dims"]
+    assert dims == {"EdgeAlpha": [987], "EdgeBeta": [987], "Interior": [987 * 987]}
+
+
 def test_orbifold_check_runs_under_a_memory_cap(run_capped):
     """check orbifold:q=6,p=1,m=3 exits 0 in a child capped at 4 GiB of address space.
 

@@ -188,3 +188,55 @@ def test_tolerance_guards_see_their_mutants():
     assert _tol_parameters("def f(x, tol=None):\n    return x\n\n"
                            "class C:\n    def g(self, *, tol):\n        pass\n\n"
                            "def h(rtol):\n    pass\n") == ["f", "g"]
+
+
+def _calls_to(source: str, name: str) -> list[int]:
+    """Lines of the calls to a function or method named ``name``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def _roots_of_unity(source: str) -> list[int]:
+    """Lines that build a root of unity: an ``exp`` of a ``2j * pi`` product, or a ``** arange``."""
+    def is_two_pi_i(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and isinstance(node.left, ast.Constant) and node.left.value == 2j
+                and "pi" in (getattr(node.right, "attr", None), getattr(node.right, "id", None)))
+
+    tree = ast.parse(source)
+    exps = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "exp" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+            and any(is_two_pi_i(sub) for arg in node.args for sub in ast.walk(arg))]
+    powers = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.Call) and "arange" in (
+                  getattr(node.right.func, "attr", None), getattr(node.right.func, "id", None))]
+    return sorted(exps + powers)
+
+
+def test_no_module_forms_matrix_powers():
+    """Clock and shift powers are read from ``torus.word_layout`` or rolled, never multiplied up."""
+    found = {path.name: _calls_to(path.read_text(encoding="utf-8"), "matrix_power")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_only_torus_builds_a_root_of_unity():
+    """Every rational zeta^k is read from torus's residue table; ``torus`` imports no ``linalg``."""
+    found = {path.name: _roots_of_unity(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "torus.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    torus = ast.parse((SRC / "torus.py").read_text(encoding="utf-8")).body
+    imported = {node.module for node in torus if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in torus if isinstance(node, ast.Import) for alias in node.names}
+    assert not imported & {"linalg", "itertools"}
+
+
+def test_root_of_unity_guards_see_their_mutants():
+    assert _calls_to("w = np.linalg.matrix_power(c, 3)\nv = matrix_power(c, 2)\n"
+                     "u = c @ c\n", "matrix_power") == [1, 2]
+    assert _roots_of_unity("z = np.exp(2j * np.pi * p / q)\n"
+                           "c = np.diag(z ** np.arange(q))\n"
+                           "w = cmath.exp(2j * math.pi * k / q)\n"
+                           "y = np.exp(1j * t)\n"
+                           "x = z ** 3\n") == [1, 2, 3]

@@ -121,3 +121,28 @@ def test_non_finite_coefficient_is_a_parse_error(text):
 def test_nan_coefficient_is_not_pruned():
     with pytest.raises(NonFiniteCoefficient):
         PhaseScalar.const(SYMBOLIC, complex(float("nan"), 0.0))
+
+
+@pytest.mark.parametrize("text,key,want", [("1e-15*a", (1, 0, 0, 0, 0), 1e-15),
+                                           ("1e-7*a*1e-7*a", (2, 0, 0, 0, 0), 1e-14),
+                                           ("a + 1e-15*b", (0, 0, 1, 0, 0), 1e-15)])
+def test_small_coefficients_survive_parsing(text, key, want):
+    """Only what cancellation leaves is pruned, relative to the moduli that went into it."""
+    for mode in (SYMBOLIC, rational_mode(1, 2)):
+        e = parse_sphere(text, mode)
+        assert abs(e.terms[key].value(theta=0.0) - want) <= 1e-12 * want
+    assert parse_sphere("a + 1e-15*b", SYMBOLIC).support == {(1, 0, 0, 0, 0), (0, 0, 1, 0, 0)}
+
+
+def test_cancellation_parses_to_the_zero_element():
+    for mode in (SYMBOLIC, rational_mode(1, 2)):
+        assert parse_sphere("0.1*x + 0.2*x - 0.3*x", mode).terms == {}
+        assert parse_torus("0.1*U1 + 0.2*U1 - 0.3*U1", mode).terms == {}
+        assert parse_torus("0*U1", mode).terms == {}
+
+
+def test_prune_is_relative_to_the_summed_moduli():
+    mode = rational_mode(1, 3)
+    assert PhaseScalar(mode, [(0, 1.0), (3, -1.0 + 1e-15)]).coeffs == {}
+    kept = PhaseScalar(mode, [(0, 1e-3), (3, -1e-3 + 1e-15)]).coeffs
+    assert list(kept) == [0] and abs(kept[0] - 1e-15) < 1e-18  # one rounding of 1e-3: 2e-19
