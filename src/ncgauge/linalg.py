@@ -105,6 +105,29 @@ def op_norm(m: np.ndarray) -> float:
 _SCREEN_SLACK = 1.0 + 1e-10
 
 
+def _gram_screened(m: np.ndarray, fro: float, best: float) -> bool:
+    """Whether a Gram bound shows that ``op_norm(m)`` cannot exceed ``best``.
+
+    ``fro`` is the Frobenius norm of m, which is not 0.  With G = x* x (or
+    x x*, whichever is smaller) for x = m / fro, and s_i the singular values
+    of m, fro^2 ||G||_F = (sum s_i^4)^(1/2) and fro^4 ||G^2||_F =
+    (sum s_i^8)^(1/2), so fro sqrt(||G||_F) and fro ||G^2||_F^(1/4) both bound
+    s_max = ||m||_2 from above, each tighter than fro and each for one
+    matrix product.  Scaling by fro keeps G's entries at most 1, so they
+    neither overflow nor underflow.  On an r x c matrix, forming x, G, G^2
+    and their norms in floating point moves each bound by at most about
+    r c eps relative, and the SVD's s_max is exact to about max(r, c) eps;
+    so each bound is widened by the factor 1 + max(1e-8, 8 r c eps) before
+    it is compared, which keeps it above the SVD's value (the 1e-8 alone
+    covers r c up to about 5e6).
+    """
+    x = m / fro
+    g = adjoint(x) @ x if m.shape[0] >= m.shape[1] else x @ adjoint(x)
+    bound = fro * (1.0 + max(1e-8, 8 * np.finfo(float).eps * m.size))
+    return (bound * np.sqrt(np.linalg.norm(g)) <= best
+            or bound * np.sqrt(np.sqrt(np.linalg.norm(g @ g))) <= best)
+
+
 def max_op_norm(blocks):
     """Exact max of ``op_norm`` over a sequence of matrix stacks, with its place.
 
@@ -116,8 +139,16 @@ def max_op_norm(blocks):
     The Frobenius norm bounds the spectral norm from above, so each block is
     visited in descending Frobenius order and left as soon as the next
     Frobenius norm is at most the best spectral norm found so far: nothing
-    after it can be larger.  Only the matrices that could still win get an
-    SVD, and the value is the same ``op_norm`` the unscreened max computes.
+    after it can be larger.  A matrix that passes this screen is skipped
+    when one of the two tighter Gram bounds of :func:`_gram_screened` is at
+    most the best: its SVD could not have exceeded the best, so the strict
+    ``>`` update would not have taken it.  Only the matrices that could
+    still win get an SVD.  Each skip is one the unscreened loop makes
+    without an update, so the value and the place are the same ``op_norm``
+    and the same (b, i) that loop finds, bit for bit.  Rounding noise is
+    the case the Frobenius norm cannot prune: there it sits about
+    sqrt(n)/2 above the spectral norm, the first Gram bound about
+    0.6 n^(1/4) and the second about 0.7 n^(1/8).
     """
     best, where = -1.0, None
     for b, stack in enumerate(blocks):
@@ -126,6 +157,8 @@ def max_op_norm(blocks):
         for i in np.argsort(-fro, kind="stable"):
             if fro[i] * _SCREEN_SLACK <= best:
                 break
+            if best > 0 and _gram_screened(stack[i], fro[i], best):
+                continue
             value = op_norm(stack[i])
             if value > best:
                 best, where = value, (b, int(i))
@@ -156,12 +189,22 @@ def commutator_map_norm(p: np.ndarray, stack: np.ndarray):
     (:func:`_diagonal_blocks`) both are exactly 0, so [p, s] is too, and its
     block b is [p_b, s_b].  The rows vec([p, s_k]) are packed over these
     blocks, which drops only exact zeros and changes no singular value.
+
+    The norm is the largest singular value s_max of the d x w matrix R of
+    these rows, read as sqrt(lambda_max(R R*)) by ``eigvalsh`` of the small
+    d x d Gram matrix (of R* R when w < d) instead of an SVD of R.  Forming
+    R R* perturbs it by at most about w eps ||R||_F^2 <= w d eps s_max^2,
+    and ``eigvalsh`` is backward stable, so lambda_max is exact to about
+    w d eps relative in the worst case and s_max to half that, far below
+    the tolerances the norm is held to.  Against the SVD's value the tests
+    hold it to 1e-12 relative on the presets and config fixtures.
     """
     ps, stack = np.reshape(p, (-1,) + np.shape(p)[-2:]), np.asarray(stack)
     rows = np.concatenate([commutator(ps[:, None, s, s], stack[None, :, s, s])
                            .reshape(len(ps), len(stack), (s.stop - s.start) ** 2)
                            for s in _diagonal_blocks(ps, stack)], axis=-1)
-    norms = (np.linalg.svd(rows, compute_uv=False)[..., 0] if rows.size
+    gram = rows @ adjoint(rows) if rows.shape[-2] <= rows.shape[-1] else adjoint(rows) @ rows
+    norms = (np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)) if gram.size
              else np.zeros(len(ps)))
     return float(norms[0]) if np.ndim(p) == 2 else norms
 
@@ -235,22 +278,43 @@ def block_products(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
     return tables[0] if len(tables) == 1 else np.concatenate(tables, axis=1)
 
 
+def _right_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors (as the rows of W*) of a 2d stack.
+
+    A wide stack (fewer rows than columns) is decomposed in its tall
+    orientation, the faster one for LAPACK (15-35% on wide span stacks):
+    from stack* = U S W* follows stack = W S U*, so the rows of U* are the
+    stack's right singular vectors, with the same singular values S.
+    LAPACK's divide-and-conquer SVD can fail to converge in one orientation
+    and not in the other (a 60 x 256 closure stack of
+    ``orbifold:q=4,p=1,m=1`` does so tall), so that failure falls back to
+    the stack as given.
+    """
+    if len(stack) < stack.shape[1]:
+        try:
+            u, s, _ = np.linalg.svd(adjoint(stack), full_matrices=False)
+            return s, adjoint(u)
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.svd(stack, full_matrices=False)[1:]
+
+
 def _orthonormal_rows(stack: np.ndarray, rtol: float = 1e-10, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of ``stack``.
 
-    The one SVD and rank rule behind every span: singular values below
-    ``max(rtol * s_max, floor)`` are treated as zero.  A real stack keeps
-    real rows; anything else is complex.  A stack whose Frobenius norm is
-    at most ``floor > 0`` has rank 0 without an SVD: s_max never exceeds
-    the Frobenius norm.
+    The one SVD (:func:`_right_singular`) and rank rule behind every span:
+    singular values below ``max(rtol * s_max, floor)`` are treated as zero.
+    A real stack keeps real rows; anything else is complex.  A stack whose
+    Frobenius norm is at most ``floor > 0`` has rank 0 without an SVD: s_max
+    never exceeds the Frobenius norm.
     """
     stack = np.atleast_2d(np.asarray(stack, dtype=float if np.isrealobj(stack) else complex))
     if stack.size == 0 or (floor > 0 and np.linalg.norm(stack) <= floor):
         return np.zeros((0, stack.shape[-1]), dtype=stack.dtype)
-    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    s, vh = _right_singular(stack)
     cut = max(rtol * s[0], floor)
     rank = int(np.sum(s > cut))
-    return vh[:rank]
+    return np.ascontiguousarray(vh[:rank])  # row-major, as the packed-row views read it
 
 
 def _extend_rows(stack: np.ndarray, rows: np.ndarray, rtol: float, floor: float) -> np.ndarray:
@@ -565,6 +629,14 @@ class AntiLinearOp:
         if k.shape[0] != k.shape[1]:
             raise ValueError("kernel must be square")
         self.kernel = k
+        # K as a gather: K[i, perm[i]] = units[i], every other entry 0 (see conjugate)
+        nonzero, n = k != 0, len(k)
+        perm = np.argmax(nonzero, axis=1)
+        units = k[np.arange(n), perm]
+        monomial = (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()
+        self._gather = None
+        if monomial and np.isin(units, (1, -1, 1j, -1j)).all():
+            self._gather = ((perm[:, None] * n + perm).ravel(), np.outer(units, units.conj()))
 
     @property
     def dim(self) -> int:
@@ -578,8 +650,30 @@ class AntiLinearOp:
         return np.conj(adjoint(self.kernel) @ np.asarray(w, dtype=complex))
 
     def conjugate(self, m: np.ndarray) -> np.ndarray:
-        """Matrix of the linear operator J m J^-1 (of each matrix of a stack)."""
-        return self.kernel @ np.conj(np.asarray(m, dtype=complex)) @ adjoint(self.kernel)
+        """Matrix of the linear operator J m J^-1 (of each matrix of a stack).
+
+        That is (K conj(m)) K^adj, two dense n^3 products, unless K is a
+        monomial matrix whose nonzero entries c_i = K[i, perm[i]] are units
+        1, -1, i or -i (every kernel of the presets is a permutation).  Then
+        entry (i, j) of the two products is c_i conj(m)[perm[i], perm[j]]
+        conj(c_j), one gather of conj(m) and one scaling, which cost n^2.
+        Multiplying by a unit only negates or swaps real and imaginary parts,
+        and each entry of the dense products has one nonzero term, the rest
+        exact zeros.  So both ways form every entry without rounding (the
+        BLAS complex product is built from four real ones, with or without
+        fused multiply-adds), and the result is the dense one bit for bit, up
+        to the sign of a zero.  Any other phase makes the dense products
+        round in an order the BLAS kernel chooses (a gather differs from them
+        by up to an ulp), so such a kernel keeps the dense products.
+        """
+        m = np.asarray(m, dtype=complex)
+        if self._gather is None:
+            return self.kernel @ np.conj(m) @ adjoint(self.kernel)
+        flat, scale = self._gather
+        out = np.take(m.reshape(-1, flat.size), flat, axis=1).reshape(m.shape)
+        np.conjugate(out, out=out)
+        out *= scale
+        return out
 
     def unitarity_residual(self) -> float:
         k = self.kernel

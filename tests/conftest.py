@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ncgauge
-from ncgauge.linalg import commutator
+from ncgauge.linalg import _diagonal_blocks, adjoint, commutator, op_norm
 from ncgauge.spectral import c_d_algebra
 from ncgauge.staralg import FiniteStarAlgebra, generating_set
 
@@ -78,3 +78,50 @@ def c_d_certificate(triple) -> float:
     missing = np.max(cd.residual(spanning)
                      / np.maximum(1.0, np.linalg.norm(spanning, axis=(1, 2))))
     return max(float(missing), *FiniteStarAlgebra(cd.basis, eye).closure_residuals)
+
+
+# -- the kernels that linalg's check kernels replaced, kept verbatim as their oracles --
+
+def conjugate_oracle(j, m):
+    """``AntiLinearOp.conjugate`` as two dense products: J m J^-1 = K conj(m) K^adj."""
+    return j.kernel @ np.conj(np.asarray(m, dtype=complex)) @ adjoint(j.kernel)
+
+
+_SCREEN_SLACK = 1.0 + 1e-10
+
+
+def max_op_norm_oracle(blocks):
+    """``max_op_norm`` with the Frobenius screen alone: one SVD per matrix it cannot prune."""
+    best, where = -1.0, None
+    for b, stack in enumerate(blocks):
+        stack = np.asarray(stack)
+        fro = np.linalg.norm(stack, axis=(-2, -1))
+        for i in np.argsort(-fro, kind="stable"):
+            if fro[i] * _SCREEN_SLACK <= best:
+                break
+            value = op_norm(stack[i])
+            if value > best:
+                best, where = value, (b, int(i))
+    return max(best, 0.0), where
+
+
+def commutator_map_norm_oracle(p, stack):
+    """``commutator_map_norm`` read from a full SVD of the packed commutator rows."""
+    ps, stack = np.reshape(p, (-1,) + np.shape(p)[-2:]), np.asarray(stack)
+    rows = np.concatenate([commutator(ps[:, None, s, s], stack[None, :, s, s])
+                           .reshape(len(ps), len(stack), (s.stop - s.start) ** 2)
+                           for s in _diagonal_blocks(ps, stack)], axis=-1)
+    norms = (np.linalg.svd(rows, compute_uv=False)[..., 0] if rows.size
+             else np.zeros(len(ps)))
+    return float(norms[0]) if np.ndim(p) == 2 else norms
+
+
+def orthonormal_rows_oracle(stack, rtol=1e-10, floor=0.0):
+    """``_orthonormal_rows`` with the SVD of the stack as given, wide or tall."""
+    stack = np.atleast_2d(np.asarray(stack, dtype=float if np.isrealobj(stack) else complex))
+    if stack.size == 0 or (floor > 0 and np.linalg.norm(stack) <= floor):
+        return np.zeros((0, stack.shape[-1]), dtype=stack.dtype)
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    cut = max(rtol * s[0], floor)
+    rank = int(np.sum(s > cut))
+    return vh[:rank]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import max_op_norm_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
@@ -32,11 +33,15 @@ def test_op_norm_matches_numpy():
 
 
 def assert_screened_max_is_exact(stack, cuts):
-    """max_op_norm over ``stack`` split at ``cuts`` equals the unscreened max."""
+    """max_op_norm over ``stack`` split at ``cuts`` equals the unscreened max.
+
+    Value and place are also those of the Frobenius screen alone, bit for bit.
+    """
     blocks = np.split(stack, cuts)
     value, (b, i) = max_op_norm(iter(blocks))
     assert value == max(op_norm(m) for m in stack)
     assert op_norm(blocks[b][i]) == value
+    assert (value, (b, i)) == max_op_norm_oracle(iter(blocks))
 
 
 @settings(max_examples=200, deadline=None)
